@@ -35,7 +35,6 @@ from .dimension import (
     JanetCone,
     LeaderSpec,
     OmegaResult,
-    SubsetBlowupError,
     count_derivatives,
     janet_complete,
     krull_oracle,

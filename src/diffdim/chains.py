@@ -34,7 +34,7 @@ class InvalidChainError(ValueError):
 class DiffChain:
     """Ordered finite family of non-constant differential polynomials."""
 
-    __slots__ = ("elements", "ranking", "leaders", "_report")
+    __slots__ = ("elements", "ranking", "leaders", "_report", "_triangularity")
 
     def __init__(self, elements, ranking: Ranking):
         elements = tuple(elements)
@@ -47,6 +47,7 @@ class DiffChain:
         object.__setattr__(self, "ranking", ranking)
         object.__setattr__(self, "leaders", tuple(ranking.leader(p) for p in elements))
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_triangularity", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffChain is immutable")
@@ -129,18 +130,22 @@ class ValidationReport:
 
 
 def _triangularity_failures(chain: DiffChain) -> list[str]:
-    names = chain.ring.indeterminate_names
-    out = []
-    for i, x in enumerate(chain.leaders):
-        for j, y in enumerate(chain.leaders):
-            if i == j:
-                continue
-            if x.indeterminate == y.indeterminate and dominates(x.index, y.index):
-                out.append(
-                    f"leader {derivative_text(x, names)} of element {i} is a "
-                    f"derivative of leader {derivative_text(y, names)} of element {j}"
-                )
-    return out
+    """Weak-triangularity violations, computed once per chain; a fresh list
+    on every call, since callers extend it."""
+    if chain._triangularity is None:
+        names = chain.ring.indeterminate_names
+        out = []
+        for i, x in enumerate(chain.leaders):
+            for j, y in enumerate(chain.leaders):
+                if i == j:
+                    continue
+                if x.indeterminate == y.indeterminate and dominates(x.index, y.index):
+                    out.append(
+                        f"leader {derivative_text(x, names)} of element {i} is a "
+                        f"derivative of leader {derivative_text(y, names)} of element {j}"
+                    )
+        object.__setattr__(chain, "_triangularity", tuple(out))
+    return list(chain._triangularity)
 
 
 def delta_polynomial(p: DiffPoly, q: DiffPoly, ranking: Ranking) -> DiffPoly | None:

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chains import InvalidChainError
 from .compare import compare_ideals
-from .dimension import DEFAULT_SUBSET_LIMIT, krull_oracle, normalize_leaders, omega
+from .dimension import krull_oracle, normalize_leaders, omega
 from .diffpoly import derivative_text, poly_text
 from .numpoly import MINUS, binomial_text, standard_text
 from .systemfile import ParseError, SystemFile, parse_system
-
-SUBSET_LIMIT_ENV = "DIFFDIM_SUBSET_LIMIT"
 
 
 class _UsageError(Exception):
@@ -67,14 +64,7 @@ def _usage_failure(parser: argparse.ArgumentParser, message: str) -> int:
     return 64
 
 
-def _subset_limit() -> int:
-    raw = os.environ.get(SUBSET_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SUBSET_LIMIT
-    return int(raw)
-
-
-def _get_chain(system: SystemFile, name: str, parser, sub: str):
+def _get_chain(system: SystemFile, name: str, parser):
     chain = system.chains.get(name)
     if chain is None:
         known = ", ".join(sorted(system.chains))
@@ -117,7 +107,7 @@ def _cmd_validate(system: SystemFile, args) -> int:
 def _cmd_omega(system: SystemFile, args) -> int:
     chain = system.chains[args.chain]
     try:
-        result = omega(chain, subset_limit=_subset_limit())
+        result = omega(chain)
     except InvalidChainError as exc:
         print(f"diffdim: chain {args.chain!r} is not a valid chain: {exc}", file=sys.stderr)
         return 1
@@ -138,7 +128,7 @@ def _cmd_omega(system: SystemFile, args) -> int:
 def _cmd_oracle(system: SystemFile, args) -> int:
     chain = system.chains[args.chain]
     try:
-        result = omega(chain, subset_limit=_subset_limit())
+        result = omega(chain)
         spec = normalize_leaders(chain)
     except InvalidChainError as exc:
         print(f"diffdim: chain {args.chain!r} is not a valid chain: {exc}", file=sys.stderr)
@@ -217,16 +207,12 @@ def run(argv=None) -> int:
         return 65
     try:
         if args.command == "compare":
-            _get_chain(system, args.smaller, parser, "compare")
-            _get_chain(system, args.larger, parser, "compare")
+            _get_chain(system, args.smaller, parser)
+            _get_chain(system, args.larger, parser)
         else:
-            _get_chain(system, args.chain, parser, args.command)
+            _get_chain(system, args.chain, parser)
         if args.command == "oracle" and args.max_order < 0:
             raise _UsageError(parser, "--max-order must be nonnegative")
-        try:
-            _subset_limit()
-        except ValueError:
-            raise _UsageError(parser, f"{SUBSET_LIMIT_ENV} must be an integer")
     except _UsageError as exc:
         return _usage_failure(exc.parser, str(exc))
     handler = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .chains import DiffChain, InvalidChainError, membership
+from .chains import DiffChain, _require_valid, membership
 from .diffpoly import Derivative, derivative_text
 from .numpoly import NumericalPolynomial
 from .ordering import Ordering
@@ -73,12 +73,6 @@ class CompareVerdict:
             "degree_products": list(self.degree_products),
             "assumed_relation": self.assumed_relation.value if self.assumed_relation else None,
         }
-
-
-def _require_valid(chain: DiffChain) -> None:
-    report = chain.validation_report()
-    if not report.accepted:
-        raise InvalidChainError("; ".join(report.messages))
 
 
 def degree_product(chain: DiffChain) -> int:

@@ -2,14 +2,21 @@
 
 Once a chain validates, its dimension polynomial depends only on the set of
 leaders: for each order bound the polynomial counts the derivatives that are
-not derivatives of any leader.  Two closed forms are implemented, one by
-inclusion-exclusion over the leader cones and one by Janet completion into
-disjoint cones, plus a brute-force lattice-point oracle they are checked
-against.
+not derivatives of any leader.  Two closed forms are implemented, plus a
+brute-force lattice-point oracle they are checked against:
+
+- inclusion-exclusion over the leader cones, with the signed sum over
+  subsets collapsed into the numerator K(t) of the Hilbert series of the
+  monomial ideal the leaders generate, computed by the pivot recursion
+  K(G + {m}) = K(G) - t^|m| K(G : m) (Bayer-Stillman, "Computation of
+  Hilbert functions", JSC 1992; Bigatti, "Computation of Hilbert-Poincare
+  series", JPAA 1997);
+- Janet completion of the leaders into disjoint cones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,14 +27,9 @@ from .diffpoly import (
     index_order,
     iter_indices,
     join_indices,
+    subtract_indices,
 )
 from .numpoly import NumericalPolynomial, binomial_value
-
-DEFAULT_SUBSET_LIMIT = 20
-
-
-class SubsetBlowupError(RuntimeError):
-    """Too many cone generators for subset enumeration; use the Janet route."""
 
 
 class InternalDisagreementError(RuntimeError):
@@ -166,39 +168,48 @@ class OmegaResult:
         return out
 
 
-def omega_incl_excl(
-    spec: LeaderSpec, subset_limit: int = DEFAULT_SUBSET_LIMIT
-) -> OmegaResult:
+def _hilbert_numerator(gens) -> dict[int, int]:
+    """Numerator K(t) of the Hilbert series of the monomial ideal with these
+    generators, as {exponent: nonzero coefficient}.
+
+    K(t) is the signed sum over subsets S of the generators of
+    (-1)^|S| t^|join(S)|.  Adding one generator m at a time,
+    K(done + {m}) = K(done) - t^|m| K(done : m), where the colon ideal
+    done : m is generated by the antichain of join(g, m) - m over done.
+    """
+    k = {0: 1}
+    done: list[MultiIndex] = []
+    for m in gens:
+        colon = minimalize(subtract_indices(join_indices(g, m), m) for g in done)
+        shift = index_order(m)
+        for e, c in _hilbert_numerator(colon).items():
+            k[e + shift] = k.get(e + shift, 0) - c
+        done.append(m)
+    return {e: c for e, c in k.items() if c}
+
+
+def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     """Dimension polynomial by inclusion-exclusion over cone intersections.
 
     The cone above a join q of generators holds C(l - |q| + n, n) points of
-    order <= l, exactly once l >= |q| - 1, so the polynomial identity
-    stabilizes at the largest join order.
+    order <= l, exactly once l >= |q| - 1.  Over the subsets S of one group,
+    the empty one counting every derivative, the signed sum of these counts
+    is sum_e K_e C(l - e + n, n), where K(t) = sum_S (-1)^|S| t^|join(S)| is
+    the Hilbert numerator computed by the pivot (see _hilbert_numerator), so
+    no subset is enumerated.  A leader of order 0 makes K = 0: its cone is
+    everything.  The identity stabilizes at the largest join order, which is
+    the order of the join of all of a group's generators.
     """
     n = spec.num_derivations
-    for gens in spec.generators:
-        if len(gens) > subset_limit:
-            raise SubsetBlowupError(
-                f"{len(gens)} cone generators exceed the subset enumeration "
-                f"limit {subset_limit}"
-            )
-    joins: list[tuple[int, int]] = []  # (sign, join order)
-    bound = 0
-    for gens in spec.generators:
-        for mask in range(1, 1 << len(gens)):
-            join = None
-            for t in range(len(gens)):
-                if mask >> t & 1:
-                    join = gens[t] if join is None else join_indices(join, gens[t])
-            sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-            order = index_order(join)
-            joins.append((sign, order))
-            bound = max(bound, order)
-    values = []
-    for point in range(n + 1):
-        free = spec.num_indeterminates * math.comb(point + n, n)
-        free -= sum(sign * binomial_value(point - order, n) for sign, order in joins)
-        values.append(free)
+    numerators = [_hilbert_numerator(gens) for gens in spec.generators]
+    bound = max(
+        (index_order(functools.reduce(join_indices, g)) for g in spec.generators if g),
+        default=0,
+    )
+    values = [
+        sum(c * binomial_value(point - e, n) for k in numerators for e, c in k.items())
+        for point in range(n + 1)
+    ]
     return OmegaResult(NumericalPolynomial.from_values(values), bound)
 
 
@@ -245,7 +256,7 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
                 v = u[:i] + (u[i] + 1,) + u[i + 1 :]
                 covered = any(
                     dominates(v, w)
-                    and all(e == 0 or k in mult[w] for k, e in enumerate(subtract_indices_safe(v, w)))
+                    and all(e == 0 or k in mult[w] for k, e in enumerate(subtract_indices(v, w)))
                     for w in work
                 )
                 if not covered:
@@ -258,14 +269,10 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
         work = sorted(set(work) | {inserted})
 
 
-def subtract_indices_safe(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def cone_contains(cone: JanetCone, mu: MultiIndex) -> bool:
     if not dominates(mu, cone.generator):
         return False
-    gap = subtract_indices_safe(mu, cone.generator)
+    gap = subtract_indices(mu, cone.generator)
     return all(e == 0 or i in cone.multiplicative for i, e in enumerate(gap))
 
 
@@ -294,20 +301,19 @@ def omega_janet(spec: LeaderSpec) -> OmegaResult:
     return OmegaResult(NumericalPolynomial.from_values(values), bound, tuple(cones))
 
 
-def omega(chain: DiffChain, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> OmegaResult:
+def omega(chain: DiffChain) -> OmegaResult:
     """Dimension polynomial of a validated chain.
 
-    The Janet route always runs; when every generator group is small enough
-    the inclusion-exclusion route runs as well and the two polynomials must
-    agree coefficientwise.
+    The Janet route gives the result and its cones; the inclusion-exclusion
+    route, collapsed into the Hilbert-numerator pivot, always runs as well,
+    and the two polynomials must agree coefficientwise.
     """
     spec = normalize_leaders(chain)
     janet_result = omega_janet(spec)
-    if all(len(gens) <= subset_limit for gens in spec.generators):
-        other = omega_incl_excl(spec, subset_limit)
-        if other.omega != janet_result.omega:
-            raise InternalDisagreementError(
-                f"inclusion-exclusion gave {other.omega!r}, "
-                f"Janet cones gave {janet_result.omega!r}"
-            )
+    other = omega_incl_excl(spec)
+    if other.omega != janet_result.omega:
+        raise InternalDisagreementError(
+            f"inclusion-exclusion gave {other.omega!r}, "
+            f"Janet cones gave {janet_result.omega!r}"
+        )
     return janet_result

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from diffdim import InternalDisagreementError, NumericalPolynomial, dimension
 from diffdim.cli import run
 
 GOLDEN_OMEGA = "ω(ℓ) = 2ℓ + 1 = 2·C(ℓ+1,1) − 1 (stabilizes at ℓ ≥ 2)"
@@ -194,14 +195,27 @@ def test_missing_file_exits_66(tmp_path, capsys):
     assert "absent.sys" in capsys.readouterr().err
 
 
-def test_subset_limit_env(data_dir, capsys, monkeypatch):
-    path = str(data_dir / "burgers.sys")
-    monkeypatch.setenv("DIFFDIM_SUBSET_LIMIT", "abc")
-    assert run(["omega", path, "--chain", "B"]) == 64
-    assert "DIFFDIM_SUBSET_LIMIT must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("DIFFDIM_SUBSET_LIMIT", "1")
-    assert run(["omega", path, "--chain", "B"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == GOLDEN_OMEGA
+def test_omega_cross_checks_large_groups(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "level.sys"
+    leaders = "".join(f"  u[{a},{20 - a}];\n" for a in range(21))
+    path.write_text(
+        "ring derivations=(t,x) indeterminates=(u)\n"
+        "ranking orderly tiebreak=(u)\n"
+        f"chain L {{\n{leaders}}}\n"
+    )
+    assert run(["omega", str(path), "--chain", "L", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["binomial_coeffs"] == [210, 0, 0]
+    assert payload["stabilization_bound"] == 20
+
+    def wrong(spec):
+        return dimension.OmegaResult(NumericalPolynomial((123,)), 0)
+
+    monkeypatch.setattr(dimension, "omega_incl_excl", wrong)
+    with pytest.raises(InternalDisagreementError):
+        run(["omega", str(path), "--chain", "L"])
+    with pytest.raises(InternalDisagreementError):
+        run(["oracle", str(path), "--chain", "L", "--max-order", "2"])
 
 
 def test_help_exits_zero(capsys):

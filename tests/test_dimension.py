@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 
 import pytest
 
@@ -11,7 +13,6 @@ from diffdim import (
     NumericalPolynomial,
     Ranking,
     RingSpec,
-    SubsetBlowupError,
     count_derivatives,
     janet_complete,
     krull_oracle,
@@ -21,7 +22,7 @@ from diffdim import (
     omega_janet,
 )
 from diffdim.dimension import cone_contains, minimalize
-from diffdim.diffpoly import index_order, iter_indices
+from diffdim.diffpoly import index_order, iter_indices, join_indices
 
 from corpus import dvar, plain_ranking, random_leader_spec, random_monomial_chain
 
@@ -151,23 +152,63 @@ def test_omega_rejects_invalid_chain():
         omega(bad)
 
 
-def test_subset_limit_guards_incl_excl():
-    spec = LeaderSpec(2, 1, {0: [(3, 0), (2, 1), (0, 2)]})
-    with pytest.raises(SubsetBlowupError):
-        omega_incl_excl(spec, subset_limit=2)
-    chain = DiffChain(
-        [dvar(0, (3, 0)), dvar(0, (2, 1)), dvar(0, (0, 2))], plain_ranking(2, 1)
-    )
-    # over the limit the cross-check is skipped, not failed
-    result = omega(chain, subset_limit=2)
+def _wrong_incl_excl(spec):
+    return dimension.OmegaResult(NumericalPolynomial((123,)), 0)
+
+
+def test_cross_check_runs_above_twenty_leaders(monkeypatch):
+    chain = DiffChain([dvar(0, (a, 20 - a)) for a in range(21)], plain_ranking(2, 1))
+    assert omega(chain).omega == NumericalPolynomial((210,))
+    monkeypatch.setattr(dimension, "omega_incl_excl", _wrong_incl_excl)
+    with pytest.raises(InternalDisagreementError):
+        omega(chain)
+
+
+def test_incl_excl_with_order_zero_leader():
+    # u itself is a leader: K(t) = 0 and its cone holds every derivative
+    assert dimension._hilbert_numerator(((0, 0),)) == {}
+    for spec in (
+        LeaderSpec(2, 1, {0: [(0, 0)]}),
+        LeaderSpec(3, 2, {0: [(0, 0, 0)], 1: [(1, 0, 0), (0, 2, 1)]}),
+    ):
+        result = omega_incl_excl(spec)
+        assert result.omega == omega_janet(spec).omega
+        for ell in range(result.stabilization_bound, result.stabilization_bound + 4):
+            assert result.omega.eval(ell) == krull_oracle(spec, ell)
+
+
+def test_incl_excl_with_empty_group():
+    spec = LeaderSpec(3, 3, {1: [(1, 0, 0), (0, 2, 1), (0, 0, 3)]})
+    assert spec.generators[0] == () and spec.generators[2] == ()
+    result = omega_incl_excl(spec)
     assert result.omega == omega_janet(spec).omega
+    assert result.differential_dimension == 2
+    for ell in range(result.stabilization_bound, result.stabilization_bound + 4):
+        assert result.omega.eval(ell) == krull_oracle(spec, ell)
+
+
+def test_incl_excl_bound_is_order_of_full_join():
+    rng = random.Random(31)
+    for _ in range(150):
+        spec = random_leader_spec(rng, max_n=4, max_gens=8, max_order=5)
+        expected = max(
+            (index_order(functools.reduce(join_indices, g)) for g in spec.generators if g),
+            default=0,
+        )
+        assert omega_incl_excl(spec).stabilization_bound == expected, spec
+
+
+def test_incl_excl_twenty_leaders_of_order_nineteen():
+    start = time.perf_counter()
+    result = omega_incl_excl(LeaderSpec(2, 1, {0: [(a, 19 - a) for a in range(20)]}))
+    elapsed = time.perf_counter() - start
+    assert result.omega == NumericalPolynomial((190,))
+    assert result.stabilization_bound == 38
+    assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
 
 
 def test_internal_disagreement_is_raised(monkeypatch):
-    def wrong(spec, subset_limit=dimension.DEFAULT_SUBSET_LIMIT):
-        return dimension.OmegaResult(NumericalPolynomial((123,)), 0)
-
-    monkeypatch.setattr(dimension, "omega_incl_excl", wrong)
+    monkeypatch.setattr(dimension, "omega_incl_excl", _wrong_incl_excl)
     chain = DiffChain([dvar(0, (1, 0))], plain_ranking(2, 1))
     with pytest.raises(InternalDisagreementError):
         dimension.omega(chain)
