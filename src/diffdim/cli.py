@@ -8,7 +8,7 @@ import sys
 
 from .chains import InvalidChainError
 from .compare import compare_ideals
-from .dimension import krull_oracle, normalize_leaders, omega
+from .dimension import InternalDisagreementError, krull_oracle, normalize_leaders, omega
 from .diffpoly import derivative_text, poly_text
 from .numpoly import MINUS, binomial_text, standard_text
 from .systemfile import ParseError, SystemFile, parse_system
@@ -167,7 +167,7 @@ def _cmd_compare(system: SystemFile, args) -> int:
         print(json.dumps(verdict.to_json_dict(smaller.ring), indent=2))
     else:
         print(f"relation: {verdict.relation.value}")
-        print(f"containment: {verdict.containment}")
+        print(f"containment: {verdict.containment.value}")
         if verdict.assumed_relation is not None:
             print(f"relation if containment held: {verdict.assumed_relation.value}")
         print(f"ω smaller ({args.smaller}): {standard_text(verdict.omega_smaller)}")
@@ -221,7 +221,11 @@ def run(argv=None) -> int:
         "oracle": _cmd_oracle,
         "compare": _cmd_compare,
     }[args.command]
-    return handler(system, args)
+    try:
+        return handler(system, args)
+    except InternalDisagreementError as exc:
+        print(f"diffdim: internal error: {exc}", file=sys.stderr)
+        return 70
 
 
 def main() -> None:

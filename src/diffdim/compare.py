@@ -35,6 +35,7 @@ class Relation(enum.Enum):
 class Containment(enum.Enum):
     CONTAINED = "established"
     UNKNOWN = "unknown"
+    ASSERTED = "asserted"
 
 
 @dataclass
@@ -44,7 +45,7 @@ class CompareVerdict:
     omega_larger: NumericalPolynomial
     leader_report: dict[Derivative, tuple[int | None, int | None]]
     degree_products: tuple[int, int]
-    containment: str
+    containment: Containment
     assumed_relation: Relation | None = None
 
     @property
@@ -66,7 +67,7 @@ class CompareVerdict:
             }
         return {
             "relation": self.relation.value,
-            "containment": self.containment,
+            "containment": self.containment.value,
             "omega_smaller": self.omega_smaller.to_json_dict(),
             "omega_larger": self.omega_larger.to_json_dict(),
             "leader_report": report,
@@ -140,15 +141,13 @@ def compare_ideals(
     degrees_small = _leader_degrees(smaller)
     degrees_large = _leader_degrees(larger)
     if containment_asserted:
-        containment = "asserted"
-    elif containment_check(smaller, larger) is Containment.CONTAINED:
-        containment = "established"
+        containment = Containment.ASSERTED
     else:
-        containment = "unknown"
+        containment = containment_check(smaller, larger)
     ladder = _relation_under_containment(
         omega_small, omega_large, degrees_small, degrees_large
     )
-    if containment == "unknown":
+    if containment is Containment.UNKNOWN:
         relation, assumed = Relation.CONTAINMENT_UNKNOWN, ladder
     else:
         relation, assumed = ladder, None

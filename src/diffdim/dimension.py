@@ -11,11 +11,16 @@ brute-force lattice-point oracle they are checked against:
   K(G + {m}) = K(G) - t^|m| K(G : m) (Bayer-Stillman, "Computation of
   Hilbert functions", JSC 1992; Bigatti, "Computation of Hilbert-Poincare
   series", JPAA 1997);
-- Janet completion of the leaders into disjoint cones.
+- Janet completion of the leaders into disjoint cones, with the completed
+  set kept as a Janet tree so that the multiplicative axes of a
+  multi-index and the Janet divisor of a prolongation are each found by
+  one walk from the root (Gerdt-Blinkov-Yanovich, "Construction of Janet
+  bases I. Monomial bases", CASC 2001; Seiler, "Involution", 2010).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -33,7 +38,8 @@ from .numpoly import NumericalPolynomial, binomial_value
 
 
 class InternalDisagreementError(RuntimeError):
-    """The two closed-form algorithms disagreed; this indicates a bug."""
+    """Two computations that must agree did not, such as the two closed-form
+    algorithms for omega; this indicates a bug."""
 
 
 def minimalize(indices) -> tuple[MultiIndex, ...]:
@@ -99,7 +105,11 @@ def normalize_leaders(chain: DiffChain) -> LeaderSpec:
         groups.setdefault(ld.indeterminate, []).append(ld.index)
     spec = LeaderSpec(ring.num_derivations, ring.num_indeterminates, groups)
     kept = sum(len(g) for g in spec.generators)
-    assert kept == len(chain.leaders), "triangular chain produced a dominated leader"
+    if kept != len(chain.leaders):
+        raise InternalDisagreementError(
+            f"triangular chain produced a dominated leader: "
+            f"{len(chain.leaders)} leaders, {kept} after minimalization"
+        )
     return spec
 
 
@@ -220,53 +230,76 @@ class JanetCone:
     multiplicative: frozenset[int]
 
 
-def _janet_multiplicative(gens: list[MultiIndex], n: int) -> dict[MultiIndex, frozenset[int]]:
-    """Janet's axis assignment: axis i is multiplicative for u when u attains
-    the maximal i-th exponent among generators sharing its first i-1 exponents."""
-    out = {}
-    for u in gens:
-        axes = set()
+def _janet_axes(tree: dict, u: MultiIndex) -> frozenset[int]:
+    """Janet's axis assignment: axis i is multiplicative for u when u[i] is
+    the largest key at u's level-i node of the tree."""
+    axes = []
+    node = tree
+    for i, e in enumerate(u):
+        if e == max(node):
+            axes.append(i)
+        node = node[e]
+    return frozenset(axes)
+
+
+def _has_janet_divisor(tree: dict, v: MultiIndex) -> bool:
+    """Whether v lies in the Janet cone of some multi-index in the tree.
+
+    At each level only one key can divide: v[i] itself when it is below the
+    node's largest key, since a smaller key would leave a non-multiplicative
+    gap, and the largest key otherwise.  So the walk has no choices.
+    """
+    node = tree
+    for e in v:
+        top = max(node)
+        if e < top:
+            node = node.get(e)
+            if node is None:
+                return False
+        else:
+            node = node[top]
+    return True
+
+
+def _tree_insert(tree: dict, u: MultiIndex) -> None:
+    node = tree
+    for e in u:
+        node = node.setdefault(e, {})
+
+
+def _first_uncovered(tree: dict, work: list[MultiIndex], n: int) -> MultiIndex | None:
+    for u in work:
+        axes = _janet_axes(tree, u)
         for i in range(n):
-            peak = max(v[i] for v in gens if v[:i] == u[:i])
-            if u[i] == peak:
-                axes.add(i)
-        out[u] = frozenset(axes)
-    return out
+            if i in axes:
+                continue
+            v = u[:i] + (u[i] + 1,) + u[i + 1 :]
+            if not _has_janet_divisor(tree, v):
+                return v
+    return None
 
 
 def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> list[JanetCone]:
     """Complete an antichain until the Janet cones cover every prolongation.
 
-    Any uncovered non-multiplicative prolongation u + e_i is inserted and the
-    axis assignment recomputed; Dickson's lemma bounds the insertions.  The
-    resulting cones are pairwise disjoint and cover exactly the union of the
-    ordinary cones of the input.
+    The multi-indices are kept in a Janet tree: nested dicts keyed by the
+    exponent on axis 0, then axis 1, and so on, one root-to-leaf path per
+    multi-index.  Both the axis assignment and the search for a Janet
+    divisor are single walks down that tree.  Scanning the
+    multi-indices in sorted order and their axes in order, the first
+    non-multiplicative prolongation u + e_i with no Janet divisor is
+    inserted and the scan restarts; Dickson's lemma bounds the insertions.
+    The resulting cones are pairwise disjoint and cover exactly the union of
+    the ordinary cones of the input.
     """
-    n = num_derivations
     work = sorted(set(tuple(mu) for mu in generators))
-    if not work:
-        return []
-    while True:
-        mult = _janet_multiplicative(work, n)
-        inserted = None
-        for u in work:
-            for i in range(n):
-                if i in mult[u]:
-                    continue
-                v = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                covered = any(
-                    dominates(v, w)
-                    and all(e == 0 or k in mult[w] for k, e in enumerate(subtract_indices(v, w)))
-                    for w in work
-                )
-                if not covered:
-                    inserted = v
-                    break
-            if inserted:
-                break
-        if inserted is None:
-            return [JanetCone(u, indeterminate, mult[u]) for u in work]
-        work = sorted(set(work) | {inserted})
+    tree: dict = {}
+    for u in work:
+        _tree_insert(tree, u)
+    while (v := _first_uncovered(tree, work, num_derivations)) is not None:
+        bisect.insort(work, v)
+        _tree_insert(tree, v)
+    return [JanetCone(u, indeterminate, _janet_axes(tree, u)) for u in work]
 
 
 def cone_contains(cone: JanetCone, mu: MultiIndex) -> bool:

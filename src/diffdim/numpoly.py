@@ -153,7 +153,8 @@ class NumericalPolynomial:
                 out[t] += scale * c
         for point in range(len(self.coeffs)):
             total = sum(c * point**k for k, c in enumerate(out))
-            assert total == self.eval(point), "basis conversion lost exactness"
+            if total != self.eval(point):
+                raise ArithmeticError("basis conversion lost exactness")
         return tuple(out)
 
     def to_json_dict(self) -> dict:

@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from diffdim import InternalDisagreementError, NumericalPolynomial, dimension
+from diffdim import NumericalPolynomial, dimension
 from diffdim.cli import run
 
 GOLDEN_OMEGA = "ω(ℓ) = 2ℓ + 1 = 2·C(ℓ+1,1) − 1 (stabilizes at ℓ ≥ 2)"
@@ -212,10 +212,15 @@ def test_omega_cross_checks_large_groups(tmp_path, capsys, monkeypatch):
         return dimension.OmegaResult(NumericalPolynomial((123,)), 0)
 
     monkeypatch.setattr(dimension, "omega_incl_excl", wrong)
-    with pytest.raises(InternalDisagreementError):
-        run(["omega", str(path), "--chain", "L"])
-    with pytest.raises(InternalDisagreementError):
-        run(["oracle", str(path), "--chain", "L", "--max-order", "2"])
+    for argv in (
+        ["omega", str(path), "--chain", "L"],
+        ["oracle", str(path), "--chain", "L", "--max-order", "2"],
+        ["compare", str(path), "--smaller", "L", "--larger", "L"],
+    ):
+        assert run(argv) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("diffdim: internal error: inclusion-exclusion gave")
 
 
 def test_help_exits_zero(capsys):

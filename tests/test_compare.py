@@ -70,7 +70,7 @@ def test_square_versus_linear_is_properly_contained():
     linear = _u_chain(dvar(0, (0,)))
     verdict = compare_ideals(squares, linear)
     assert verdict.relation is Relation.PROPERLY_CONTAINED
-    assert verdict.containment == "established"
+    assert verdict.containment is Containment.CONTAINED
     assert verdict.exit_code == 1
     assert verdict.degree_products == (2, 1)
     assert verdict.omega_smaller == verdict.omega_larger
@@ -91,7 +91,7 @@ def test_omega_distinct_for_prolonged_system():
     s1 = DiffChain([dvar(0, (1, 0))], ranking)
     s2 = DiffChain([dvar(0, (2, 0)), dvar(0, (1, 1))], ranking)
     verdict = compare_ideals(s2, s1)
-    assert verdict.containment == "established"
+    assert verdict.containment is Containment.CONTAINED
     assert verdict.relation is Relation.OMEGA_DISTINCT
     assert verdict.exit_code == 1
     assert cmp(verdict.omega_larger, verdict.omega_smaller) is Ordering.LESS
@@ -107,7 +107,7 @@ def test_contradiction_when_omega_grows():
     s1 = DiffChain([dvar(0, (1, 0))], ranking)
     s2 = DiffChain([dvar(0, (2, 0)), dvar(0, (1, 1))], ranking)
     verdict = compare_ideals(s1, s2, containment_asserted=True)
-    assert verdict.containment == "asserted"
+    assert verdict.containment is Containment.ASSERTED
     assert verdict.relation is Relation.INPUT_CONTRADICTION
     assert verdict.exit_code == 2
 
@@ -131,7 +131,7 @@ def test_unknown_containment_reports_assumed_relation():
     verdict = compare_ideals(_u_chain(_power(2)), _u_chain(_power(4)))
     assert verdict.relation is Relation.CONTAINMENT_UNKNOWN
     assert verdict.assumed_relation is Relation.INPUT_CONTRADICTION
-    assert verdict.containment == "unknown"
+    assert verdict.containment is Containment.UNKNOWN
     assert verdict.exit_code == 2
     assert verdict.to_json_dict()["assumed_relation"] == "InputContradiction"
 
@@ -181,7 +181,7 @@ def test_enlarged_cones_never_look_equal():
         chain = random_monomial_chain(rng)
         smaller = _bump_one_leader(rng, chain)
         verdict = compare_ideals(smaller, chain)
-        assert verdict.containment == "established"
+        assert verdict.containment is Containment.CONTAINED
         assert verdict.relation is Relation.OMEGA_DISTINCT, (
             chain.elements,
             smaller.elements,

@@ -24,7 +24,7 @@ from diffdim import (
 from diffdim.dimension import cone_contains, minimalize
 from diffdim.diffpoly import index_order, iter_indices, join_indices
 
-from corpus import dvar, plain_ranking, random_leader_spec, random_monomial_chain
+from corpus import dvar, plain_ranking, random_index, random_leader_spec, random_monomial_chain
 
 
 def test_minimalize():
@@ -58,6 +58,13 @@ def test_normalize_leaders():
         normalize_leaders(bad)
 
 
+def test_normalize_leaders_raises_on_lost_leader(monkeypatch):
+    chain = DiffChain([dvar(0, (2, 0)), dvar(0, (0, 1))], plain_ranking(2, 1))
+    monkeypatch.setattr(dimension, "minimalize", lambda gens: tuple(sorted(gens))[1:])
+    with pytest.raises(InternalDisagreementError, match="dominated leader"):
+        normalize_leaders(chain)
+
+
 def test_count_and_oracle_hand_values():
     spec = LeaderSpec(2, 1, {0: [(1, 0)]})
     assert count_derivatives(spec, 3) == 6
@@ -85,6 +92,83 @@ def test_janet_completion_inserts_generator():
 
 def test_janet_completion_empty():
     assert janet_complete([], 3) == []
+
+
+def _reference_janet_complete(generators, n):
+    """The completion as first written: recompute every axis assignment and
+    rescan every prolongation against every multi-index after each insertion."""
+
+    def multiplicative(gens):
+        return {
+            u: frozenset(
+                i for i in range(n) if u[i] == max(v[i] for v in gens if v[:i] == u[:i])
+            )
+            for u in gens
+        }
+
+    work = sorted(set(generators))
+    if not work:
+        return []
+    while True:
+        mult = multiplicative(work)
+        inserted = None
+        for u in work:
+            for i in range(n):
+                if i in mult[u]:
+                    continue
+                v = u[:i] + (u[i] + 1,) + u[i + 1 :]
+                covered = any(
+                    dimension.dominates(v, w)
+                    and all(e == 0 or k in mult[w] for k, e in enumerate(dimension.subtract_indices(v, w)))
+                    for w in work
+                )
+                if not covered:
+                    inserted = v
+                    break
+            if inserted:
+                break
+        if inserted is None:
+            return [dimension.JanetCone(u, 0, mult[u]) for u in work]
+        work = sorted(set(work) | {inserted})
+
+
+def _random_antichain(rng, n, size, max_order):
+    gens = []
+    for _ in range(50 * size):
+        if len(gens) == size:
+            break
+        mu = random_index(rng, n, rng.randint(1, max_order))
+        if not any(dimension.dominates(mu, g) or dimension.dominates(g, mu) for g in gens):
+            gens.append(mu)
+    return gens
+
+
+def test_janet_tree_matches_reference_completion():
+    # a Janet basis that is not minimal: (3,2,1) and (3,2,2) get no axis
+    skewed = [(1, 1, 3), (2, 3, 0), (3, 1, 1), (4, 0, 0)]
+    assert len(janet_complete(skewed, 3)) == 10
+    rng = random.Random(2024)
+    cases = [(skewed, 3)]
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        cases.append((_random_antichain(rng, n, rng.randint(1, 7), 6), n))
+    for gens, n in cases:
+        assert janet_complete(gens, n) == _reference_janet_complete(gens, n), gens
+
+
+def test_janet_twelve_leaders_in_four_derivations():
+    gens = [
+        (0, 4, 4, 2), (0, 5, 1, 3), (1, 5, 0, 6), (1, 6, 1, 1), (2, 2, 7, 0), (3, 5, 0, 2),
+        (4, 3, 1, 2), (6, 0, 3, 1), (7, 1, 1, 2), (7, 4, 0, 0), (8, 0, 0, 1), (9, 0, 2, 0),
+    ]
+    spec = LeaderSpec(4, 1, {0: gens})
+    start = time.perf_counter()
+    result = omega_janet(spec)
+    elapsed = time.perf_counter() - start
+    assert len(result.janet_cones) == 262
+    assert result.stabilization_bound == 19
+    assert result.omega == omega_incl_excl(spec).omega
+    assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
 
 
 def test_janet_cones_partition_the_cone_union():
