@@ -11,6 +11,7 @@ containment, which is reported rather than silently repaired.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .chains import DiffChain, _require_valid, membership
@@ -83,10 +84,7 @@ def degree_product(chain: DiffChain) -> int:
     share it, but it is only meaningful alongside the chain that produced it.
     """
     _require_valid(chain)
-    out = 1
-    for elem, ld in zip(chain.elements, chain.leaders):
-        out *= elem.degree_in(ld)
-    return out
+    return math.prod(_leader_degrees(chain).values())
 
 
 def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:

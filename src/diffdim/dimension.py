@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .chains import DiffChain, InvalidChainError
+from .chains import DiffChain, _require_valid
 from .diffpoly import (
     MultiIndex,
     dominates,
@@ -96,9 +96,7 @@ def normalize_leaders(chain: DiffChain) -> LeaderSpec:
     Weak triangularity already makes each group an antichain, which the
     minimalization pass double-checks.
     """
-    report = chain.validation_report()
-    if not report.accepted:
-        raise InvalidChainError("; ".join(report.messages))
+    _require_valid(chain)
     ring = chain.ring
     groups: dict[int, list[MultiIndex]] = {}
     for ld in chain.leaders:

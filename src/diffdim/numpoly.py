@@ -169,52 +169,42 @@ def cmp(p: NumericalPolynomial, q: NumericalPolynomial) -> Ordering:
     return p.compare(q)
 
 
-def _coeff_prefix(c, unit_blank: bool, sep: str) -> str:
-    if unit_blank and abs(c) == 1:
-        return ""
+def _coeff_prefix(c, sep: str) -> str:
     mag = abs(c)
+    if mag == 1:
+        return ""
     if isinstance(mag, Fraction) and mag.denominator != 1:
-        return f"({mag}){sep}" if sep else f"({mag})"
+        return f"({mag}){sep}"
     return f"{mag}{sep}"
 
 
-def standard_text(p: NumericalPolynomial, var: str = "ℓ") -> str:
-    """Render in falling powers, e.g. '2l + 1'."""
-    coeffs = p.to_standard_basis()
+def _signed_sum(coeffs, basis: list[str], sep: str) -> str:
+    """Text of the sum of coeffs[k]·basis[k], highest k first, zeros skipped.
+
+    basis[0] is the constant function.  The first term keeps its sign; later
+    ones are joined by '+ ' or '− '.
+    """
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
             continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            body = _coeff_prefix(c, unit_blank=True, sep="") + power
-        if not parts:
-            parts.append(body if c > 0 else MINUS + body)
-        else:
+        body = str(abs(c)) if k == 0 else _coeff_prefix(c, sep) + basis[k]
+        if parts:
             parts.append(("+ " if c > 0 else MINUS + " ") + body)
-    if not parts:
-        return "0"
-    return " ".join(parts)
+        else:
+            parts.append(body if c > 0 else MINUS + body)
+    return " ".join(parts) or "0"
+
+
+def standard_text(p: NumericalPolynomial, var: str = "ℓ") -> str:
+    """Render in falling powers, e.g. '2l + 1'."""
+    coeffs = p.to_standard_basis()
+    powers = ["", var] + [f"{var}^{k}" for k in range(2, len(coeffs))]
+    return _signed_sum(coeffs, powers, "")
 
 
 def binomial_text(p: NumericalPolynomial, var: str = "ℓ") -> str:
     """Render in the binomial basis, e.g. '2·C(l+1,1) − 1'."""
-    parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        a = p.coeffs[i]
-        if a == 0:
-            continue
-        if i == 0:
-            body = str(abs(a))
-        else:
-            body = _coeff_prefix(a, unit_blank=True, sep="·") + f"C({var}+{i},{i})"
-        if not parts:
-            parts.append(body if a > 0 else MINUS + body)
-        else:
-            parts.append(("+ " if a > 0 else MINUS + " ") + body)
-    if not parts:
-        return "0"
-    return " ".join(parts)
+    basis = [""] + [f"C({var}+{i},{i})" for i in range(1, len(p.coeffs))]
+    return _signed_sum(p.coeffs, basis, "·")

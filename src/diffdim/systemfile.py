@@ -10,11 +10,19 @@ A system file declares one ring, one orderly ranking, and named chains:
     }
 
 A polynomial is a signed sum of terms; a term is an optional rational
-coefficient and derivative factors like v[1,0]^2 joined by '*'.
+coefficient and derivative factors like v[1,0]^2 joined by '*'.  Integers
+are ASCII digits.
+
+The tokenizer is one regular expression whose named groups are the token
+kinds; a character that starts no token is a ParseError at its line and
+column.  The parser accumulates each polynomial as a {monomial: coefficient}
+map, one entry per distinct power product (repeated factors add exponents,
+like terms add coefficients), and builds one DiffPoly from it at the end.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -22,9 +30,12 @@ from typing import NamedTuple
 from .chains import DiffChain
 from .diffpoly import (
     ConstantPolynomialError,
+    Derivative,
     DiffPoly,
+    Monomial,
     Ranking,
     RingSpec,
+    _monomial,
     make_derivative,
     poly_text,
 )
@@ -52,44 +63,31 @@ class Token(NamedTuple):
     column: int
 
 
-_SYMBOLS = set("=(),<{};^*+-/[]")
+# The group that matched names the token kind.  Integers are [0-9], not \d,
+# which takes any Unicode digit; "other" is a character no token starts with.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<symbol>[=(),<{};^*+\-/\[\]])"
+    r"|(?P<other>.)"
+)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch in " \t\r":
-            column += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(Token("int", text[start:i], line, column))
-            column += i - start
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, column))
-            column += i - start
-        elif ch in _SYMBOLS:
-            tokens.append(Token("symbol", ch, line, column))
-            column += 1
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("end", "", line, column))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "other":
+            raise ParseError(f"unexpected character {match.group()!r}", line, column)
+        elif kind != "space":
+            tokens.append(Token(kind, match.group(), line, column))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -142,12 +140,23 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "symbol" and tok.value == sym
 
+    def separated(self, item, sep: str) -> list:
+        """Parse `item (sep item)*` and return the items."""
+        items = [item()]
+        while self.at_symbol(sep):
+            self.next()
+            items.append(item())
+        return items
+
+    def sign(self) -> int | None:
+        """Consume a '+' or '-' and return 1 or -1; None when there is neither."""
+        if self.at_symbol("+") or self.at_symbol("-"):
+            return -1 if self.next().value == "-" else 1
+        return None
+
     def ident_list(self) -> list[str]:
         self.expect_symbol("(")
-        names = [self.expect_ident().value]
-        while self.at_symbol(","):
-            self.next()
-            names.append(self.expect_ident().value)
+        names = [tok.value for tok in self.separated(self.expect_ident, ",")]
         self.expect_symbol(")")
         return names
 
@@ -169,10 +178,7 @@ class _Parser:
         self.expect_ident("tiebreak")
         self.expect_symbol("=")
         self.expect_symbol("(")
-        order_names = [self.tiebreak_name()]
-        while self.at_symbol("<"):
-            self.next()
-            order_names.append(self.tiebreak_name())
+        order_names = self.separated(self.tiebreak_name, "<")
         self.expect_symbol(")")
         if sorted(order_names) != sorted(self.ring.indeterminate_names):
             self.fail("tiebreak must list every indeterminate exactly once", tok)
@@ -216,41 +222,34 @@ class _Parser:
             self.fail(str(exc), name_tok)
 
     def poly(self) -> DiffPoly:
-        total = DiffPoly.zero()
-        sign = 1
-        if self.at_symbol("+") or self.at_symbol("-"):
-            sign = -1 if self.next().value == "-" else 1
-        while True:
-            total = total + sign * self.term()
-            if self.at_symbol("+") or self.at_symbol("-"):
-                sign = -1 if self.next().value == "-" else 1
-            else:
-                return total
+        terms: dict[Monomial, Fraction] = {}
+        sign = self.sign() or 1
+        while sign is not None:
+            mono, coeff = self.term()
+            terms[mono] = terms.get(mono, 0) + sign * coeff
+            sign = self.sign()
+        return DiffPoly(terms)
 
-    def term(self) -> DiffPoly:
+    def term(self) -> tuple[Monomial, Fraction]:
         coeff = None
         if self.peek().kind == "int":
-            numerator = self.expect_int()
+            coeff = Fraction(self.expect_int())
             if self.at_symbol("/"):
                 slash = self.next()
                 denominator = self.expect_int()
                 if denominator == 0:
                     self.fail("zero denominator", slash)
-                coeff = Fraction(numerator, denominator)
-            else:
-                coeff = Fraction(numerator)
-        factors = []
+                coeff /= denominator
+        powers: dict[Derivative, int] = {}
         if coeff is None or self.peek().kind == "ident":
-            factors.append(self.factor())
+            self.factor(powers)
         while self.at_symbol("*"):
             self.next()
-            factors.append(self.factor())
-        out = DiffPoly.constant(coeff if coeff is not None else 1)
-        for f in factors:
-            out = out * f
-        return out
+            self.factor(powers)
+        return _monomial(powers), Fraction(1) if coeff is None else coeff
 
-    def factor(self) -> DiffPoly:
+    def factor(self, powers: dict[Derivative, int]) -> None:
+        """Parse one derivative factor and multiply it into `powers`."""
         tok = self.expect_ident()
         try:
             indet = self.ring.indeterminate_names.index(tok.value)
@@ -258,10 +257,7 @@ class _Parser:
             self.fail(f"unknown indeterminate {tok.value!r}", tok, UnknownIdentifierError)
         self.expect_symbol("[")
         open_tok = self.peek()
-        index = [self.expect_int()]
-        while self.at_symbol(","):
-            self.next()
-            index.append(self.expect_int())
+        index = self.separated(self.expect_int, ",")
         self.expect_symbol("]")
         if len(index) != self.ring.num_derivations:
             self.fail(
@@ -270,14 +266,14 @@ class _Parser:
                 open_tok,
                 ArityMismatchError,
             )
-        out = DiffPoly.variable(make_derivative(indet, index))
+        exponent = 1
         if self.at_symbol("^"):
             caret = self.next()
             exponent = self.expect_int()
             if exponent < 1:
                 self.fail("exponent must be positive", caret)
-            out = out**exponent
-        return out
+        d = make_derivative(indet, index)
+        powers[d] = powers.get(d, 0) + exponent
 
 
 def parse_system(text: str) -> SystemFile:

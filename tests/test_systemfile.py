@@ -12,6 +12,8 @@ from diffdim import (
     parse_system,
 )
 
+from diffdim.cli import run
+
 from corpus import dvar, random_power_chain
 
 HEADER = "ring derivations=(t,x) indeterminates=(u,v)\nranking orderly tiebreak=(u<v)\n"
@@ -121,3 +123,66 @@ def test_unexpected_character():
     with pytest.raises(ParseError) as err:
         parse_system(HEADER + "chain C { u[1,0] @ 3; }")
     assert "unexpected character" in str(err.value)
+
+
+def test_repeated_factors_and_like_terms_merge():
+    system = parse_system(
+        HEADER + "chain C {\n"
+        "  u[0,0]*u[0,0] - u[0,0]^2 + v[1,0];\n"
+        "  u[0,0]*v[0,1]*u[0,0]^2 + 1/2*v[0,1]*u[0,0]^3 + u[1,0] - u[1,0] + 2;\n"
+        "  2*u[0,1] + v[0,0]*u[0,1] - 1/2*u[0,1] - u[0,1]*v[0,0] + 0*v[1,1];\n"
+        "}\n"
+    )
+    first, second, third = system.chains["C"].elements
+    assert parse_system(HEADER + "chain C { u[0,0]*u[0,0]; }").chains["C"].elements == (
+        dvar(0, (0, 0)) ** 2,
+    )
+    assert first == dvar(1, (1, 0))
+    assert second * 2 == 3 * dvar(0, (0, 0)) ** 3 * dvar(1, (0, 1)) + 4
+    assert third * 2 == 3 * dvar(0, (0, 1))
+
+
+def test_non_ascii_digit_is_parse_error(tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_system(HEADER + "chain C { u[²,0]; }")
+    assert (err.value.line, err.value.column) == (3, 13)
+    with pytest.raises(ParseError) as err:
+        parse_system(HEADER + "chain C { u[٣,0]; }")
+    assert (err.value.line, err.value.column) == (3, 13)
+    assert "unexpected character" in str(err.value)
+    path = tmp_path / "superscript.sys"
+    path.write_text(HEADER + "chain C { u[²]; }\n", encoding="utf-8")
+    assert run(["omega", str(path), "--chain", "C"]) == 65
+    assert "line 3, column 13" in capsys.readouterr().err
+
+
+def test_end_of_input_after_trailing_comment():
+    # the end-of-input column counts the characters of a trailing comment
+    with pytest.raises(ParseError) as err:
+        parse_system(HEADER + "chain C { u[1,0] # unfinished")
+    assert (err.value.line, err.value.column) == (3, 30)
+    assert str(err.value) == "line 3, column 30: expected ';'"
+
+
+def test_mutated_files_parse_or_raise_parse_error(data_dir):
+    texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.sys"))]
+    alphabet = "uvtx019 \t\n#=(),<{};^*+-/[]_@²٣½\xa0"
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(2000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[i + 1 :]
+            else:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+        try:
+            outcomes.add(type(parse_system(text)))
+        except ParseError as exc:
+            assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
+            outcomes.add(ParseError)
+    assert outcomes == {SystemFile, ParseError}
