@@ -9,7 +9,6 @@ from .chains import (
     delta_polynomial,
     full_pseudo_reduce,
     membership,
-    prolong,
     validate,
 )
 from .compare import (
@@ -28,7 +27,6 @@ from .diffpoly import (
     Ranking,
     RingSpec,
     make_derivative,
-    rank_cmp,
 )
 from .dimension import (
     InternalDisagreementError,
@@ -43,8 +41,7 @@ from .dimension import (
     omega_incl_excl,
     omega_janet,
 )
-from .numpoly import NumericalPolynomial, cmp
-from .ordering import Ordering
+from .numpoly import NumericalPolynomial, Ordering
 from .systemfile import (
     ArityMismatchError,
     ParseError,

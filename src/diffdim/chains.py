@@ -1,4 +1,4 @@
-"""Differential chains: triangularity, coherence, reduction, prolongation."""
+"""Differential chains: triangularity, coherence, reduction."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from .diffpoly import (
     RingSpec,
     derivative_text,
     dominates,
-    iter_indices,
     join_indices,
-    make_derivative,
     poly_text,
     subtract_indices,
 )
@@ -282,27 +280,3 @@ def membership(p: DiffPoly, chain: DiffChain) -> bool:
     """Zero-remainder test for membership in the saturated differential ideal."""
     _require_valid(chain)
     return full_pseudo_reduce(p, chain).remainder.is_zero()
-
-
-def prolong(chain: DiffChain, max_order: int) -> list[DiffPoly]:
-    """One prolonged element per derivative of a leader with order <= max_order.
-
-    Each derivative x of a leader picks the chain element by the same policy
-    as reduction and contributes that element derived up to leader x.  The
-    result is ordered by the ranking of the prolonged leaders.
-    """
-    _require_valid(chain)
-    n = chain.ring.num_derivations
-    targets: list[Derivative] = []
-    seen_indets = {ld.indeterminate for ld in chain.leaders}
-    for j in sorted(seen_indets):
-        gens = [ld.index for ld in chain.leaders if ld.indeterminate == j]
-        for mu in iter_indices(n, max_order):
-            if any(dominates(mu, g) for g in gens):
-                targets.append(make_derivative(j, mu))
-    targets.sort(key=chain.ranking.key)
-    out = []
-    for x in targets:
-        idx, sigma = _reducer(chain, x)
-        out.append(chain.elements[idx].derive_multi(sigma))
-    return out

@@ -200,6 +200,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"diffdim: {exc}", file=sys.stderr)
         return 66
+    except UnicodeDecodeError as exc:
+        print(f"diffdim: {args.file}: not UTF-8 text: {exc}", file=sys.stderr)
+        return 65
     try:
         system = parse_system(text)
     except ParseError as exc:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .chains import DiffChain, _require_valid, membership
 from .diffpoly import Derivative, derivative_text
-from .numpoly import NumericalPolynomial
-from .ordering import Ordering
+from .numpoly import NumericalPolynomial, Ordering
 from .dimension import omega
 
 
@@ -129,11 +128,13 @@ def _relation_under_containment(
 def compare_ideals(
     smaller: DiffChain, larger: DiffChain, containment_asserted: bool = False
 ) -> CompareVerdict:
-    """Relate I(smaller) to I(larger), assuming or establishing containment first."""
+    """Relate I(smaller) to I(larger), assuming or establishing containment first.
+
+    Raises InvalidChainError, for the smaller chain first, when a chain fails
+    validation.
+    """
     if smaller.ranking != larger.ranking:
         raise RankingMismatchError("chains must share one ring and ranking")
-    _require_valid(smaller)
-    _require_valid(larger)
     omega_small = omega(smaller).omega
     omega_large = omega(larger).omega
     degrees_small = _leader_degrees(smaller)
@@ -157,7 +158,7 @@ def compare_ideals(
         omega_smaller=omega_small,
         omega_larger=omega_large,
         leader_report=leader_report,
-        degree_products=(degree_product(smaller), degree_product(larger)),
+        degree_products=(math.prod(degrees_small.values()), math.prod(degrees_large.values())),
         containment=containment,
         assumed_relation=assumed,
     )

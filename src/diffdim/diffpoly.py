@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .ordering import Ordering
+from .numpoly import Ordering
 
 MultiIndex = tuple[int, ...]
 
@@ -23,10 +23,6 @@ class ConstantPolynomialError(ValueError):
 
 def index_order(mu: MultiIndex) -> int:
     return sum(mu)
-
-
-def add_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def subtract_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -175,9 +171,6 @@ class DiffPoly:
             for d, _ in mono:
                 out.add(d)
         return out
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
 
     @staticmethod
     def _coerce(value) -> "DiffPoly | None":
@@ -388,7 +381,3 @@ class Ranking:
 
     def separant(self, p: DiffPoly) -> DiffPoly:
         return p.partial(self.leader(p))
-
-
-def rank_cmp(d1: Derivative, d2: Derivative, ranking: Ranking) -> Ordering:
-    return ranking.compare(d1, d2)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .chains import DiffChain, _require_valid
 from .diffpoly import (
     MultiIndex,
+    RingSpec,
     dominates,
     index_order,
     iter_indices,
@@ -49,15 +50,24 @@ def minimalize(indices) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, slots=True)
 class LeaderSpec:
-    """Leader cones of a chain, one antichain of multi-indices per indeterminate."""
+    """Leader cones of a chain, one antichain of multi-indices per indeterminate.
 
-    __slots__ = ("num_derivations", "num_indeterminates", "generators")
+    generators may be given as a mapping from indeterminate to multi-indices or
+    as a sequence indexed by indeterminate; it is stored minimalized, one tuple
+    per indeterminate.
+    """
 
-    def __init__(self, num_derivations: int, num_indeterminates: int, generators=None):
-        if num_derivations < 1 or num_indeterminates < 1:
+    num_derivations: int
+    num_indeterminates: int
+    generators: tuple[tuple[MultiIndex, ...], ...] = ()
+
+    def __post_init__(self):
+        if self.num_derivations < 1 or self.num_indeterminates < 1:
             raise ValueError("need at least one derivation and one indeterminate")
-        groups: list[tuple[MultiIndex, ...]] = [()] * num_indeterminates
+        groups: list[tuple[MultiIndex, ...]] = [()] * self.num_indeterminates
+        generators = self.generators
         if generators:
             items = (
                 generators.items() if hasattr(generators, "items") else enumerate(generators)
@@ -65,29 +75,10 @@ class LeaderSpec:
             for j, gens in items:
                 gens = tuple(tuple(mu) for mu in gens)
                 for mu in gens:
-                    if len(mu) != num_derivations or any(e < 0 for e in mu):
+                    if len(mu) != self.num_derivations or any(e < 0 for e in mu):
                         raise ValueError(f"bad multi-index {mu}")
                 groups[j] = minimalize(gens)
-        object.__setattr__(self, "num_derivations", num_derivations)
-        object.__setattr__(self, "num_indeterminates", num_indeterminates)
         object.__setattr__(self, "generators", tuple(groups))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LeaderSpec is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LeaderSpec):
-            return NotImplemented
-        return (
-            self.num_derivations == other.num_derivations
-            and self.generators == other.generators
-        )
-
-    def __repr__(self):
-        return (
-            f"LeaderSpec(n={self.num_derivations}, m={self.num_indeterminates}, "
-            f"generators={self.generators!r})"
-        )
 
 
 def normalize_leaders(chain: DiffChain) -> LeaderSpec:
@@ -153,18 +144,14 @@ class OmegaResult:
     def differential_dimension(self) -> int:
         return self.omega.coeffs[-1]
 
-    def to_json_dict(self, ring=None) -> dict:
+    def to_json_dict(self, ring: RingSpec) -> dict:
         out = self.omega.to_json_dict()
         out["differential_dimension"] = self.differential_dimension
         out["stabilization_bound"] = self.stabilization_bound
         cones = []
         for cone in self.janet_cones or ():
-            if ring is not None:
-                indet = ring.indeterminate_names[cone.indeterminate]
-                axes = [ring.derivation_names[i] for i in sorted(cone.multiplicative)]
-            else:
-                indet = str(cone.indeterminate)
-                axes = [str(i) for i in sorted(cone.multiplicative)]
+            indet = ring.indeterminate_names[cone.indeterminate]
+            axes = [ring.derivation_names[i] for i in sorted(cone.multiplicative)]
             cones.append(
                 {
                     "generator": list(cone.generator),

@@ -4,16 +4,30 @@ A polynomial is stored as integer coefficients a_0, ..., a_k of the basis
 functions C(l+i, i).  Every polynomial that takes integer values at all
 sufficiently large integers has a unique such expansion, and the combinatorial
 counting formulas used elsewhere in this package land in this basis directly.
+The module also holds Ordering, the three-valued comparison outcome shared by
+the ranking and polynomial orders.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from fractions import Fraction
 
-from .ordering import Ordering
-
 MINUS = "−"
+
+
+class Ordering(enum.Enum):
+    LESS = "Less"
+    EQUAL = "Equal"
+    GREATER = "Greater"
+
+    @staticmethod
+    def of(left, right) -> "Ordering":
+        """Compare two values that support < and ==."""
+        if left == right:
+            return Ordering.EQUAL
+        return Ordering.LESS if left < right else Ordering.GREATER
 
 
 def binomial_value(x: int, k: int) -> int:
@@ -43,10 +57,6 @@ class NumericalPolynomial:
         raise AttributeError("NumericalPolynomial is immutable")
 
     @classmethod
-    def zero(cls, n_max: int = 0) -> "NumericalPolynomial":
-        return cls((0,) * (n_max + 1))
-
-    @classmethod
     def from_values(cls, values) -> "NumericalPolynomial":
         """Interpolate from exact values at l = 0, 1, ..., len(values)-1.
 
@@ -72,10 +82,6 @@ class NumericalPolynomial:
         return cls(coeffs)
 
     @property
-    def n_max(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def degree(self) -> int:
         """Largest basis index with nonzero coefficient, -1 for the zero polynomial."""
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -93,18 +99,6 @@ class NumericalPolynomial:
         a = self.coeffs + (0,) * (width - len(self.coeffs))
         b = other.coeffs + (0,) * (width - len(other.coeffs))
         return a, b
-
-    def __add__(self, other):
-        if not isinstance(other, NumericalPolynomial):
-            return NotImplemented
-        a, b = self._padded(other)
-        return NumericalPolynomial(x + y for x, y in zip(a, b))
-
-    def __sub__(self, other):
-        if not isinstance(other, NumericalPolynomial):
-            return NotImplemented
-        a, b = self._padded(other)
-        return NumericalPolynomial(x - y for x, y in zip(a, b))
 
     def __eq__(self, other):
         if not isinstance(other, NumericalPolynomial):
@@ -135,7 +129,7 @@ class NumericalPolynomial:
         return Ordering.EQUAL
 
     def to_standard_basis(self) -> tuple[Fraction, ...]:
-        """Rational coefficients c_0, ..., c_{n_max} of the powers l^0, ..., l^{n_max}."""
+        """Rational coefficients c_0, ..., c_k of the powers l^0, ..., l^k, one per basis coefficient."""
         out = [Fraction(0)] * len(self.coeffs)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -163,10 +157,6 @@ class NumericalPolynomial:
             "standard_coeffs": [str(c) for c in self.to_standard_basis()],
             "degree": self.degree,
         }
-
-
-def cmp(p: NumericalPolynomial, q: NumericalPolynomial) -> Ordering:
-    return p.compare(q)
 
 
 def _coeff_prefix(c, sep: str) -> str:

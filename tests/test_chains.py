@@ -12,10 +12,8 @@ from diffdim import (
     full_pseudo_reduce,
     make_derivative,
     membership,
-    prolong,
     validate,
 )
-from diffdim.dimension import LeaderSpec, count_derivatives
 
 from corpus import dvar, plain_ranking, random_index, random_monomial_chain, random_power_chain
 
@@ -153,51 +151,3 @@ def test_reduction_invariants_on_random_chains():
         assert _certificate_holds(p, trace, chain)
         checked += 1
     assert checked == 40
-
-
-def test_prolong_pure_derivative_chain():
-    chain = _chain([dvar(0, (1, 0))], 2, 1)
-    out = prolong(chain, 2)
-    assert len(out) == 3
-    # ranking order: u[1,0] < u[1,1] < u[2,0]
-    assert out == [dvar(0, (1, 0)), dvar(0, (1, 1)), dvar(0, (2, 0))]
-
-
-def test_prolong_applies_leibniz():
-    u0, u1 = dvar(0, (0,)), dvar(0, (1,))
-    chain = _chain([u0 * u0 - u0], 1, 1)
-    out = prolong(chain, 1)
-    assert out == [u0 * u0 - u0, 2 * u0 * u1 - u1]
-
-
-def test_prolong_size_matches_cone_count():
-    rng = random.Random(55)
-    for _ in range(25):
-        chain = random_monomial_chain(rng)
-        ring = chain.ring
-        spec = LeaderSpec(
-            ring.num_derivations,
-            ring.num_indeterminates,
-            {
-                j: [ld.index for ld in chain.leaders if ld.indeterminate == j]
-                for j in range(ring.num_indeterminates)
-            },
-        )
-        bound = rng.randint(0, 5)
-        out = prolong(chain, bound)
-        assert len(out) == count_derivatives(spec, bound)
-        ranking = chain.ranking
-        leaders = [ranking.leader(p) for p in out]
-        assert len(set(leaders)) == len(leaders)
-        for p, ld in zip(out, leaders):
-            original = {x for x in chain.leaders if x == ld}
-            if not original:
-                assert p.degree_in(ld) == 1
-
-
-def test_prolong_rejects_invalid_chain():
-    bad = _chain(
-        [dvar(0, (2, 0)) - dvar(0, (0, 0)), dvar(0, (1, 1)) - dvar(0, (0, 0))], 2, 1
-    )
-    with pytest.raises(InvalidChainError):
-        prolong(bad, 3)

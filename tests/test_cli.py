@@ -1,9 +1,13 @@
 import json
+import pathlib
+import re
+import types
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import diffdim
 from diffdim import NumericalPolynomial, dimension
 from diffdim.cli import run
 
@@ -184,10 +188,15 @@ def test_usage_errors_exit_64(data_dir, capsys):
 
 def test_parse_error_exits_65(tmp_path, capsys):
     path = tmp_path / "broken.sys"
-    path.write_text("ring derivations=(t) indeterminates=(u)\n")
-    assert run(["omega", str(path), "--chain", "B"]) == 65
-    err = capsys.readouterr().err
-    assert "line" in err and "broken.sys" in err
+    for content, detail in (
+        (b"ring derivations=(t) indeterminates=(u)\n", "line"),
+        (b"ring derivations=(t) indeterminates=(u)\n# \xff\n", "not UTF-8"),
+    ):
+        path.write_bytes(content)
+        assert run(["omega", str(path), "--chain", "B"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert detail in err and "broken.sys" in err
 
 
 def test_missing_file_exits_66(tmp_path, capsys):
@@ -226,3 +235,35 @@ def test_omega_cross_checks_large_groups(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "validate" in capsys.readouterr().out
+
+
+def test_public_surface():
+    names = sorted(
+        name
+        for name, value in vars(diffdim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "ArityMismatchError", "CompareVerdict", "ConstantPolynomialError", "Containment",
+        "Derivative", "DiffChain", "DiffPoly", "InternalDisagreementError",
+        "InvalidChainError", "JanetCone", "LeaderSpec", "NotTriangularError",
+        "NumericalPolynomial", "OmegaResult", "Ordering", "ParseError", "Ranking",
+        "RankingMismatchError", "ReductionTrace", "Relation", "RingSpec", "SystemFile",
+        "UnknownIdentifierError", "ValidationReport", "compare_ideals", "containment_check",
+        "count_derivatives", "degree_product", "delta_polynomial", "format_system",
+        "full_pseudo_reduce", "janet_complete", "krull_oracle", "make_derivative",
+        "membership", "normalize_leaders", "omega", "omega_incl_excl", "omega_janet",
+        "parse_system", "validate",
+    ]
+
+
+def test_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    result = namespace["result"]
+    assert result.coefficients == (-1, 2, 0)
+    assert result.degree == 1
+    assert result.differential_dimension == 0
+    assert result.stabilization_bound == 2

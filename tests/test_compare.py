@@ -10,7 +10,6 @@ from diffdim import (
     Ranking,
     RankingMismatchError,
     Relation,
-    cmp,
     compare_ideals,
     containment_check,
     degree_product,
@@ -94,7 +93,7 @@ def test_omega_distinct_for_prolonged_system():
     assert verdict.containment is Containment.CONTAINED
     assert verdict.relation is Relation.OMEGA_DISTINCT
     assert verdict.exit_code == 1
-    assert cmp(verdict.omega_larger, verdict.omega_smaller) is Ordering.LESS
+    assert verdict.omega_larger.compare(verdict.omega_smaller) is Ordering.LESS
     report = verdict.to_json_dict(ranking.ring)
     assert report["relation"] == "OmegaDistinct-ProperlyContained"
     assert report["leader_report"]["u0[1,0]"] == {"smaller_degree": None, "larger_degree": 1}
@@ -186,5 +185,5 @@ def test_enlarged_cones_never_look_equal():
             chain.elements,
             smaller.elements,
         )
-        assert cmp(verdict.omega_larger, verdict.omega_smaller) is Ordering.LESS
+        assert verdict.omega_larger.compare(verdict.omega_smaller) is Ordering.LESS
         assert verdict.exit_code == 1

@@ -10,7 +10,6 @@ from diffdim import (
     Ranking,
     RingSpec,
     make_derivative,
-    rank_cmp,
 )
 from diffdim.diffpoly import iter_indices, poly_text
 
@@ -115,13 +114,13 @@ def test_orderly_ranking_examples():
     u10 = make_derivative(0, (1, 0))
     v10 = make_derivative(1, (1, 0))
     v00 = make_derivative(1, (0, 0))
-    assert rank_cmp(u10, v10, ranking) is Ordering.LESS
-    assert rank_cmp(v00, u10, ranking) is Ordering.LESS
-    assert rank_cmp(u10, u10, ranking) is Ordering.EQUAL
+    assert ranking.compare(u10, v10) is Ordering.LESS
+    assert ranking.compare(v00, u10) is Ordering.LESS
+    assert ranking.compare(u10, u10) is Ordering.EQUAL
     # equal order, one indeterminate: first axis dominates
     mu = [make_derivative(0, idx) for idx in [(0, 2), (1, 1), (2, 0)]]
-    assert rank_cmp(mu[0], mu[1], ranking) is Ordering.LESS
-    assert rank_cmp(mu[1], mu[2], ranking) is Ordering.LESS
+    assert ranking.compare(mu[0], mu[1]) is Ordering.LESS
+    assert ranking.compare(mu[1], mu[2]) is Ordering.LESS
 
 
 def test_tiebreak_order_is_respected():
@@ -129,7 +128,7 @@ def test_tiebreak_order_is_respected():
     swapped = Ranking.orderly(ring, tiebreak=(1, 0))
     u = make_derivative(0, (1,))
     v = make_derivative(1, (1,))
-    assert rank_cmp(v, u, swapped) is Ordering.LESS
+    assert swapped.compare(v, u) is Ordering.LESS
     with pytest.raises(ValueError):
         Ranking.orderly(ring, tiebreak=(0, 0))
 
@@ -143,14 +142,14 @@ def test_ranking_axioms_exhaustively_small():
 
     for d in derivs:
         for axis in range(2):
-            assert rank_cmp(d, shift_derivative(d, axis), ranking) is Ordering.LESS
+            assert ranking.compare(d, shift_derivative(d, axis)) is Ordering.LESS
     for d1 in derivs:
         for d2 in derivs:
-            if rank_cmp(d1, d2, ranking) is Ordering.LESS:
+            if ranking.compare(d1, d2) is Ordering.LESS:
                 assert d1.order <= d2.order  # orderly
                 for axis in range(2):
                     assert (
-                        rank_cmp(shift_derivative(d1, axis), shift_derivative(d2, axis), ranking)
+                        ranking.compare(shift_derivative(d1, axis), shift_derivative(d2, axis))
                         is Ordering.LESS
                     )
 
