@@ -14,6 +14,8 @@ from diffdim import (
     membership,
     validate,
 )
+from diffdim.diffpoly import iter_indices
+from diffdim.dimension import LeaderSpec, count_derivatives
 
 from corpus import dvar, plain_ranking, random_index, random_monomial_chain, random_power_chain
 
@@ -151,3 +153,48 @@ def test_reduction_invariants_on_random_chains():
         assert _certificate_holds(p, trace, chain)
         checked += 1
     assert checked == 40
+
+
+def test_derivatives_of_chain_elements_are_members():
+    u0, u1 = dvar(0, (0,)), dvar(0, (1,))
+    squares = _chain([u0 * u0 - u0], 1, 1)
+    derived = (u0 * u0 - u0).derive(0)
+    assert derived == 2 * u0 * u1 - u1
+    assert membership(derived, squares)
+    # the separant 2*u0 - 1 is saturated away, so u1 itself is a member
+    assert membership(u1, squares)
+    assert not membership(u1 + u0, squares)
+    rng = random.Random(55)
+    checked = 0
+    for _ in range(30):
+        chain = random_power_chain(rng)
+        if not validate(chain).accepted:
+            continue
+        n = chain.ring.num_derivations
+        for p in chain.elements:
+            for theta in iter_indices(n, 2):
+                assert membership(p.derive_multi(theta), chain), (p, theta)
+        checked += 1
+    assert checked >= 20
+
+
+def test_count_derivatives_matches_distinct_leader_derivatives():
+    rng = random.Random(56)
+    for _ in range(25):
+        chain = random_monomial_chain(rng)
+        ring = chain.ring
+        spec = LeaderSpec(
+            ring.num_derivations,
+            ring.num_indeterminates,
+            {
+                j: [ld.index for ld in chain.leaders if ld.indeterminate == j]
+                for j in range(ring.num_indeterminates)
+            },
+        )
+        bound = rng.randint(0, 5)
+        derived = {
+            (ld.indeterminate, tuple(a + b for a, b in zip(ld.index, theta)))
+            for ld in chain.leaders
+            for theta in iter_indices(ring.num_derivations, bound - ld.order)
+        }
+        assert count_derivatives(spec, bound) == len(derived)

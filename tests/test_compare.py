@@ -46,6 +46,23 @@ def test_compare_rejects_invalid_chain():
         compare_ideals(bad, good)
 
 
+
+def test_compare_reports_the_smaller_chain_first():
+    ranking = plain_ranking(2, 1)
+    good = DiffChain([dvar(0, (1, 0))], ranking)
+    bad_small = DiffChain(
+        [dvar(0, (2, 0)) - dvar(0, (0, 0)), dvar(0, (1, 1)) - dvar(0, (0, 0))], ranking
+    )
+    bad_large = DiffChain(
+        [dvar(0, (2, 0)) - dvar(0, (0, 1)), dvar(0, (1, 1)) - dvar(0, (0, 0))], ranking
+    )
+    with pytest.raises(InvalidChainError, match=r"u0\[1,0\] - u0\[0,1\]"):
+        compare_ideals(bad_small, bad_large)
+    with pytest.raises(InvalidChainError, match=r"u0\[1,0\] - u0\[0,2\]"):
+        compare_ideals(bad_large, bad_small)
+    with pytest.raises(InvalidChainError, match=r"u0\[1,0\] - u0\[0,2\]"):
+        compare_ideals(good, bad_large)
+
 def test_containment_check_directions():
     quartic = _u_chain(_power(4))
     quadratic = _u_chain(_power(2))
@@ -63,6 +80,19 @@ def test_degree_product_values():
     assert degree_product(ode) == 4
     assert degree_product(_u_chain(_power(3))) == 3
 
+
+
+def test_verdict_degree_products_match_degree_product():
+    rng = random.Random(57)
+    for _ in range(20):
+        chain = random_power_chain(rng)
+        head = DiffChain(chain.elements[:1], chain.ranking)
+        for smaller, larger in ((chain, head), (head, chain)):
+            verdict = compare_ideals(smaller, larger, containment_asserted=True)
+            assert verdict.degree_products == (
+                degree_product(smaller),
+                degree_product(larger),
+            )
 
 def test_square_versus_linear_is_properly_contained():
     squares = _u_chain(dvar(0, (0,)) ** 2 - dvar(0, (0,)))

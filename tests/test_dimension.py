@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import time
@@ -43,6 +44,22 @@ def test_leader_spec_validation():
     spec = LeaderSpec(2, 2, {1: [(1, 0), (2, 0)]})
     assert spec.generators == ((), ((1, 0),))
 
+
+
+def test_leader_spec_is_frozen_hashable_and_accepts_every_form():
+    gens = [(2, 0), (1, 1), (3, 0)]
+    forms = [
+        LeaderSpec(2, 1, {0: gens}),
+        LeaderSpec(2, 1, [gens]),
+        LeaderSpec(2, 1, generators={0: [list(mu) for mu in gens]}),
+    ]
+    for spec in forms:
+        assert spec.generators == (((1, 1), (2, 0)),)
+        assert spec == forms[0]
+    assert len(set(forms)) == 1
+    assert LeaderSpec(2, 2, {0: gens}) != forms[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        forms[0].generators = ()
 
 def test_normalize_leaders():
     chain = DiffChain(
