@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .chains import InvalidChainError
@@ -12,6 +13,9 @@ from .dimension import InternalDisagreementError, krull_oracle, normalize_leader
 from .diffpoly import derivative_text, poly_text
 from .numpoly import MINUS, binomial_text, standard_text
 from .systemfile import ParseError, SystemFile, parse_system
+
+# Most multi-indices an oracle table may visit: m*C(L+n+1, n+1) for --max-order L.
+ORACLE_VISIT_LIMIT = 10**6
 
 
 class _UsageError(Exception):
@@ -214,8 +218,18 @@ def run(argv=None) -> int:
             _get_chain(system, args.larger, parser)
         else:
             _get_chain(system, args.chain, parser)
-        if args.command == "oracle" and args.max_order < 0:
-            raise _UsageError(parser, "--max-order must be nonnegative")
+        if args.command == "oracle":
+            if args.max_order < 0:
+                raise _UsageError(parser, "--max-order must be nonnegative")
+            ring = system.chains[args.chain].ring
+            n = ring.num_derivations
+            visits = ring.num_indeterminates * math.comb(args.max_order + n + 1, n + 1)
+            if visits > ORACLE_VISIT_LIMIT:
+                raise _UsageError(
+                    parser,
+                    f"--max-order {args.max_order} would visit more multi-indices "
+                    f"than the oracle's limit of {ORACLE_VISIT_LIMIT}",
+                )
     except _UsageError as exc:
         return _usage_failure(exc.parser, str(exc))
     handler = {

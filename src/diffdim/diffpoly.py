@@ -86,25 +86,19 @@ class Derivative(NamedTuple):
         return sum(self.index)
 
 
-_DERIVATIVE_CACHE: dict[tuple[int, MultiIndex], Derivative] = {}
-
-
 def make_derivative(indeterminate: int, index: Iterable[int]) -> Derivative:
-    """Interned constructor; repeated derivatives share one tuple."""
-    key = (indeterminate, tuple(index))
-    got = _DERIVATIVE_CACHE.get(key)
-    if got is None:
-        if key[0] < 0 or any(e < 0 for e in key[1]):
-            raise ValueError(f"invalid derivative {key}")
-        got = _DERIVATIVE_CACHE[key] = Derivative(*key)
-    return got
+    """Validated constructor; index may be any iterable of nonnegative ints."""
+    index = tuple(index)
+    if indeterminate < 0 or any(e < 0 for e in index):
+        raise ValueError(f"invalid derivative {(indeterminate, index)}")
+    return Derivative(indeterminate, index)
 
 
 def shift_derivative(d: Derivative, axis: int) -> Derivative:
     if axis < 0 or axis >= len(d.index):
         raise IndexError(f"derivation axis {axis} out of range for {d}")
     bumped = d.index[:axis] + (d.index[axis] + 1,) + d.index[axis + 1 :]
-    return make_derivative(d.indeterminate, bumped)
+    return Derivative(d.indeterminate, bumped)
 
 
 def derivative_text(d: Derivative, names: tuple[str, ...] | None = None) -> str:

@@ -35,7 +35,7 @@ from .diffpoly import (
     join_indices,
     subtract_indices,
 )
-from .numpoly import NumericalPolynomial, binomial_value
+from .numpoly import NumericalPolynomial
 
 
 class InternalDisagreementError(RuntimeError):
@@ -73,6 +73,8 @@ class LeaderSpec:
                 generators.items() if hasattr(generators, "items") else enumerate(generators)
             )
             for j, gens in items:
+                if j not in range(self.num_indeterminates):
+                    raise ValueError(f"bad indeterminate {j!r}")
                 gens = tuple(tuple(mu) for mu in gens)
                 for mu in gens:
                     if len(mu) != self.num_derivations or any(e < 0 for e in mu):
@@ -201,11 +203,8 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
         (index_order(functools.reduce(join_indices, g)) for g in spec.generators if g),
         default=0,
     )
-    values = [
-        sum(c * binomial_value(point - e, n) for k in numerators for e, c in k.items())
-        for point in range(n + 1)
-    ]
-    return OmegaResult(NumericalPolynomial.from_values(values), bound)
+    terms = [(c, e, n) for k in numerators for e, c in k.items()]
+    return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound)
 
 
 @dataclass(frozen=True)
@@ -309,14 +308,9 @@ def omega_janet(spec: LeaderSpec) -> OmegaResult:
     for j, gens in enumerate(spec.generators):
         cones.extend(janet_complete(gens, n, indeterminate=j))
     bound = max((index_order(c.generator) for c in cones), default=0)
-    values = []
-    for point in range(n + 1):
-        free = spec.num_indeterminates * math.comb(point + n, n)
-        for cone in cones:
-            z = len(cone.multiplicative)
-            free -= binomial_value(point - index_order(cone.generator), z)
-        values.append(free)
-    return OmegaResult(NumericalPolynomial.from_values(values), bound, tuple(cones))
+    terms = [(spec.num_indeterminates, 0, n)]
+    terms += [(-1, index_order(c.generator), len(c.multiplicative)) for c in cones]
+    return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound, tuple(cones))
 
 
 def omega(chain: DiffChain) -> OmegaResult:

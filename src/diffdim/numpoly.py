@@ -30,15 +30,6 @@ class Ordering(enum.Enum):
         return Ordering.LESS if left < right else Ordering.GREATER
 
 
-def binomial_value(x: int, k: int) -> int:
-    """Value at an arbitrary integer x of the degree-k polynomial C(x+k, k)."""
-    if x >= 0:
-        return math.comb(x + k, k)
-    if x >= -k:
-        return 0
-    return (-1) ** k * math.comb(-x - 1, k)
-
-
 class NumericalPolynomial:
     """Polynomial a_0*C(l,0) + a_1*C(l+1,1) + ... + a_k*C(l+k,k), a_i integers."""
 
@@ -57,28 +48,22 @@ class NumericalPolynomial:
         raise AttributeError("NumericalPolynomial is immutable")
 
     @classmethod
-    def from_values(cls, values) -> "NumericalPolynomial":
-        """Interpolate from exact values at l = 0, 1, ..., len(values)-1.
+    def from_shifted_basis(cls, terms, width: int) -> "NumericalPolynomial":
+        """Sum of c*C(l - s + k, k) over the terms (c, s, k), with s >= 0 and
+        k < width, as width coefficients.
 
-        The backward difference p(l) - p(l-1) shifts the basis index down by
-        one, so the difference triangle of the values gives the numbers
-        D_k = (diff^k p)(k) = sum_{i >= k} C(i, k) a_i, a triangular integer
-        system solved here by back substitution.
+        Shifting the argument down by s is (1 - D)^s, where the backward
+        difference D p(l) = p(l) - p(l-1) lowers the basis index by one:
+        D C(l+k, k) = C(l+k-1, k-1).  So, as polynomials in l,
+
+            C(l - s + k, k) = sum_{i=0..k} (-1)^(k-i) C(s, k-i) C(l+i, i),
+
+        and each term adds straight into the coefficients.
         """
-        vals = [int(v) for v in values]
-        if not vals:
-            raise ValueError("need at least one value")
-        firsts = [vals[0]]
-        row = vals
-        while len(row) > 1:
-            row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-            firsts.append(row[0])
-        top = len(firsts) - 1
-        coeffs = [0] * (top + 1)
-        for k in range(top, -1, -1):
-            coeffs[k] = firsts[k] - sum(
-                math.comb(i, k) * coeffs[i] for i in range(k + 1, top + 1)
-            )
+        coeffs = [0] * width
+        for c, s, k in terms:
+            for j in range(min(s, k) + 1):
+                coeffs[k - j] += (-1) ** j * math.comb(s, j) * c
         return cls(coeffs)
 
     @property

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+import time
 import types
 from importlib import resources
 
@@ -9,7 +10,7 @@ import pytest
 
 import diffdim
 from diffdim import NumericalPolynomial, dimension
-from diffdim.cli import run
+from diffdim.cli import ORACLE_VISIT_LIMIT, run
 
 GOLDEN_OMEGA = "ω(ℓ) = 2ℓ + 1 = 2·C(ℓ+1,1) − 1 (stabilizes at ℓ ≥ 2)"
 
@@ -184,6 +185,26 @@ def test_usage_errors_exit_64(data_dir, capsys):
     assert run(["omega", path, "--chain", "B", "--frobnicate"]) == 64
     assert run([]) == 64
     assert run(["oracle", path, "--chain", "B", "--max-order", "-3"]) == 64
+
+
+def test_oracle_table_above_visit_limit_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "line.sys"
+    path.write_text(
+        "ring derivations=(t) indeterminates=(u)\n"
+        "ranking orderly tiebreak=(u)\n"
+        "chain A { u[1]; }\n"
+    )
+    # One derivation, one indeterminate: order L visits C(L+2, 2) multi-indices,
+    # and C(1415, 2) is the first count above the limit.
+    for order in ("1413", "99999999999999999999"):
+        start = time.perf_counter()
+        code = run(["oracle", str(path), "--chain", "A", "--max-order", order])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 64
+        assert out == ""
+        assert f"limit of {ORACLE_VISIT_LIMIT}" in err
+        assert elapsed < 1.0
 
 
 def test_parse_error_exits_65(tmp_path, capsys):

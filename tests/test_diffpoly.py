@@ -23,8 +23,8 @@ def test_ring_spec_rejects_bad_names():
         RingSpec(("t",), ())
 
 
-def test_derivatives_are_interned():
-    assert make_derivative(0, (1, 2)) is make_derivative(0, [1, 2])
+def test_make_derivative_normalizes_index_and_validates():
+    assert make_derivative(0, (1, 2)) == make_derivative(0, [1, 2])
     with pytest.raises(ValueError):
         make_derivative(0, (-1,))
 

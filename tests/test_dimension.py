@@ -45,6 +45,16 @@ def test_leader_spec_validation():
     assert spec.generators == ((), ((1, 0),))
 
 
+def test_leader_spec_rejects_indeterminate_out_of_range():
+    for generators in (
+        {-1: [(1, 0)]},
+        {0: [(1, 0)], -2: [(0, 1)]},
+        {5: [(1, 0)]},
+        [[(1, 0)], [(0, 1)], [(1, 1)]],
+    ):
+        with pytest.raises(ValueError, match="bad indeterminate"):
+            LeaderSpec(2, 2, generators)
+
 
 def test_leader_spec_is_frozen_hashable_and_accepts_every_form():
     gens = [(2, 0), (1, 1), (3, 0)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffdim import NumericalPolynomial, Ordering
-from diffdim.numpoly import binomial_text, binomial_value, standard_text
+from diffdim.numpoly import binomial_text, standard_text
 
 
 def test_eval_sums_binomials():
@@ -99,21 +99,19 @@ def test_standard_basis_agrees_with_eval_everywhere():
             assert sum(c * point**k for k, c in enumerate(coeffs)) == p.eval(point)
 
 
-def test_from_values_round_trips_eval():
-    rng = random.Random(2)
-    for _ in range(200):
-        p = _random_poly(rng, rng.randint(0, 5))
-        values = [p.eval(point) for point in range(len(p.coeffs))]
-        assert NumericalPolynomial.from_values(values) == p
-
-
-def test_binomial_value_extends_comb_to_negative_arguments():
-    for k in range(5):
-        for x in range(-9, 9):
-            expected = Fraction(1)
-            for step in range(1, k + 1):
-                expected *= Fraction(x + step, step)
-            assert binomial_value(x, k) == expected
+def test_from_shifted_basis_sums_shifted_binomials():
+    for k in range(6):
+        for s in range(13):
+            for c in (1, -1, 3, -7):
+                p = NumericalPolynomial.from_shifted_basis([(c, s, k)], k + 1)
+                assert len(p.coeffs) == k + 1
+                for point in range(s + 4):
+                    expected = Fraction(c)
+                    for j in range(1, k + 1):
+                        expected *= Fraction(point - s + j, j)
+                    assert p.eval(point) == expected
+    terms = [(2, 0, 2), (-1, 3, 1), (5, 1, 0)]
+    assert NumericalPolynomial.from_shifted_basis(terms, 4).coeffs == (8, -1, 2, 0)
 
 
 def test_text_rendering():
