@@ -30,17 +30,28 @@ class InvalidChainError(ValueError):
 
 
 class DiffChain:
-    """Ordered finite family of non-constant differential polynomials."""
+    """Ordered finite family of non-constant differential polynomials.
+
+    Every derivative must belong to the ranking's ring; one that does not
+    raises ValueError naming the element and the derivative.
+    """
 
     __slots__ = ("elements", "ranking", "leaders", "_report", "_triangularity")
 
     def __init__(self, elements, ranking: Ranking):
         elements = tuple(elements)
-        for p in elements:
+        n, m = ranking.ring.num_derivations, ranking.ring.num_indeterminates
+        for i, p in enumerate(elements):
             if not isinstance(p, DiffPoly) or p.is_constant():
                 raise ConstantPolynomialError(
                     "chain elements must be non-constant differential polynomials"
                 )
+            for d in sorted(p.derivatives()):
+                if not 0 <= d.indeterminate < m or len(d.index) != n:
+                    raise ValueError(
+                        f"chain element {i} has {d!r}, outside the ring of "
+                        f"{m} indeterminates and {n} derivations"
+                    )
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "ranking", ranking)
         object.__setattr__(self, "leaders", tuple(ranking.leader(p) for p in elements))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .numpoly import Ordering
@@ -106,12 +107,18 @@ def derivative_text(d: Derivative, names: tuple[str, ...] | None = None) -> str:
     return name + "[" + ",".join(str(e) for e in d.index) + "]"
 
 
-# A monomial is a sorted tuple of (Derivative, exponent) pairs, exponents > 0.
-Monomial = tuple[tuple[Derivative, int], ...]
+# A monomial is the sorted tuple of its factors, each derivative repeated once
+# per unit of its exponent: u0^2*u1 is (u0, u0, u1).  Its length is its degree.
+Monomial = tuple[Derivative, ...]
 
 
 def _monomial(powers: Mapping[Derivative, int]) -> Monomial:
-    return tuple(sorted((d, e) for d, e in powers.items() if e != 0))
+    return tuple(sorted(d for d, e in powers.items() for _ in range(e)))
+
+
+def _powers(mono: Monomial) -> tuple[tuple[Derivative, int], ...]:
+    """The (derivative, exponent) pairs of a monomial, in order."""
+    return tuple((d, len(list(run))) for d, run in groupby(mono))
 
 
 class DiffPoly:
@@ -119,7 +126,8 @@ class DiffPoly:
 
     The zero polynomial has an empty term map, and the constant monomial is
     the empty tuple, so structural equality of the maps is equality of
-    polynomials.
+    polynomials.  Coefficients must be int or Fraction; anything else, a
+    float included, raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -128,6 +136,8 @@ class DiffPoly:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"coefficients must be int or Fraction, got {coeff!r}")
                 coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
@@ -142,11 +152,11 @@ class DiffPoly:
 
     @classmethod
     def constant(cls, value) -> "DiffPoly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, d: Derivative) -> "DiffPoly":
-        return cls({((d, 1),): Fraction(1)})
+        return cls({(d,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -160,11 +170,7 @@ class DiffPoly:
         return self.terms.get((), Fraction(0))
 
     def derivatives(self) -> set[Derivative]:
-        out: set[Derivative] = set()
-        for mono in self.terms:
-            for d, _ in mono:
-                out.add(d)
-        return out
+        return {d for mono in self.terms for d in mono}
 
     @staticmethod
     def _coerce(value) -> "DiffPoly | None":
@@ -207,10 +213,7 @@ class DiffPoly:
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                powers = dict(m1)
-                for d, e in m2:
-                    powers[d] = powers.get(d, 0) + e
-                key = _monomial(powers)
+                key = tuple(sorted(m1 + m2))
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
         return DiffPoly(acc)
 
@@ -242,57 +245,37 @@ class DiffPoly:
         return f"DiffPoly<{poly_text(self)}>"
 
     def degree_in(self, d: Derivative) -> int:
-        best = 0
-        for mono in self.terms:
-            for d2, e in mono:
-                if d2 == d and e > best:
-                    best = e
-        return best
+        return max((mono.count(d) for mono in self.terms), default=0)
 
     def as_univariate(self, d: Derivative) -> dict[int, "DiffPoly"]:
         """Coefficients of the powers of d, themselves polynomials free of d."""
         buckets: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coeff in self.terms.items():
-            e = 0
-            rest = []
-            for d2, e2 in mono:
-                if d2 == d:
-                    e = e2
-                else:
-                    rest.append((d2, e2))
-            buckets.setdefault(e, {})[tuple(rest)] = coeff
+            rest = tuple(f for f in mono if f != d)
+            buckets.setdefault(len(mono) - len(rest), {})[rest] = coeff
         return {e: DiffPoly(t) for e, t in buckets.items()}
 
     def partial(self, d: Derivative) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative symbol."""
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            powers = dict(mono)
-            e = powers.get(d)
-            if not e:
-                continue
-            if e == 1:
-                del powers[d]
-            else:
-                powers[d] = e - 1
-            key = _monomial(powers)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * e
+            e = mono.count(d)
+            if e:
+                i = mono.index(d)
+                key = mono[:i] + mono[i + 1 :]
+                acc[key] = acc.get(key, Fraction(0)) + coeff * e
         return DiffPoly(acc)
 
     def derive(self, axis: int) -> "DiffPoly":
         """Apply the derivation along one axis, by the Leibniz rule."""
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            for d, e in mono:
-                powers = dict(mono)
-                if e == 1:
-                    del powers[d]
-                else:
-                    powers[d] = e - 1
-                bumped = shift_derivative(d, axis)
-                powers[bumped] = powers.get(bumped, 0) + 1
-                key = _monomial(powers)
-                acc[key] = acc.get(key, Fraction(0)) + coeff * e
+            for i, d in enumerate(mono):
+                if i and mono[i - 1] == d:
+                    continue  # each distinct factor once, weighted by its exponent
+                rest = mono[:i] + (shift_derivative(d, axis),) + mono[i + 1 :]
+                key = tuple(sorted(rest))
+                acc[key] = acc.get(key, Fraction(0)) + coeff * mono.count(d)
         return DiffPoly(acc)
 
     def derive_multi(self, mu: MultiIndex) -> "DiffPoly":
@@ -308,10 +291,11 @@ def poly_text(p: DiffPoly, names: tuple[str, ...] | None = None) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for mono in sorted(p.terms, reverse=True):
-        coeff = p.terms[mono]
+    # Terms run in decreasing order of their (derivative, exponent) pairs.
+    # Monomials are distinct, so the sort never compares coefficients.
+    for powers, coeff in sorted(((_powers(m), c) for m, c in p.terms.items()), reverse=True):
         factors = []
-        for d, e in mono:
+        for d, e in powers:
             text = derivative_text(d, names)
             factors.append(text if e == 1 else f"{text}^{e}")
         mag = abs(coeff)

@@ -11,7 +11,8 @@ A system file declares one ring, one orderly ranking, and named chains:
 
 A polynomial is a signed sum of terms; a term is an optional rational
 coefficient and derivative factors like v[1,0]^2 joined by '*'.  Integers
-are ASCII digits.
+are ASCII digits.  A term's total degree is at most MAX_TERM_DEGREE, since a
+monomial holds one factor per unit of degree.
 
 The tokenizer is one regular expression whose named groups are the token
 kinds; a character that starts no token is a ParseError at its line and
@@ -39,6 +40,9 @@ from .diffpoly import (
     make_derivative,
     poly_text,
 )
+
+
+MAX_TERM_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -231,6 +235,7 @@ class _Parser:
         return DiffPoly(terms)
 
     def term(self) -> tuple[Monomial, Fraction]:
+        start = self.peek()
         coeff = None
         if self.peek().kind == "int":
             coeff = Fraction(self.expect_int())
@@ -246,6 +251,9 @@ class _Parser:
         while self.at_symbol("*"):
             self.next()
             self.factor(powers)
+        degree = sum(powers.values())
+        if degree > MAX_TERM_DEGREE:
+            self.fail(f"term of total degree {degree} exceeds the limit {MAX_TERM_DEGREE}", start)
         return _monomial(powers), Fraction(1) if coeff is None else coeff
 
     def factor(self, powers: dict[Derivative, int]) -> None:

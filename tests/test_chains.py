@@ -31,6 +31,21 @@ def test_chain_rejects_constant_elements():
         _chain([dvar(0, (0,)) - dvar(0, (0,))], 1, 1)
 
 
+def test_chain_rejects_derivative_outside_its_ring():
+    ranking = plain_ranking(2, 1)
+    cases = (
+        # an index longer than the ring's two derivations, after a valid element
+        ([dvar(0, (2, 0)), dvar(0, (0, 1, 2))], "chain element 1 has .*index=\\(0, 1, 2\\)"),
+        # an indeterminate beyond the ring's one
+        ([dvar(1, (1, 0))], "chain element 0 has .*indeterminate=1"),
+        # a lone element, so validation has no pair to reduce
+        ([dvar(0, (0, 1, 2))], "chain element 0 has .*index=\\(0, 1, 2\\)"),
+    )
+    for elements, message in cases:
+        with pytest.raises(ValueError, match=message):
+            DiffChain(elements, ranking)
+
+
 def test_triangularity_detection():
     good = _chain([dvar(0, (1, 0)), dvar(0, (0, 1))], 2, 1)
     assert validate(good).triangular

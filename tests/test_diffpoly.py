@@ -52,6 +52,35 @@ def test_constant_handling():
         u.constant_value()
 
 
+def test_coefficients_must_be_int_or_fraction():
+    u = dvar(0, (0,))
+    for bad in (0.1, "1/3", 2.0):
+        with pytest.raises(TypeError):
+            DiffPoly({(): bad})
+        with pytest.raises(TypeError):
+            DiffPoly.constant(bad)
+        with pytest.raises(TypeError):
+            u + bad
+    assert DiffPoly.constant(3) == DiffPoly({(): Fraction(3)})
+    assert DiffPoly.constant(Fraction(1, 3)).constant_value() == Fraction(1, 3)
+
+
+def test_high_exponents_exact_values():
+    d0, d1, d2 = (make_derivative(0, (k,)) for k in range(3))
+    u0, u1, u2 = (DiffPoly.variable(d) for d in (d0, d1, d2))
+    p = u0**3 * u1**2
+    assert p.derive(0) == 3 * u0**2 * u1**3 + 2 * u0**3 * u1 * u2
+    assert (u1**4).derive(0) == 4 * u1**3 * u2
+    assert p.partial(d0) == 3 * u0**2 * u1**2
+    assert p.partial(d1) == 2 * u0**3 * u1
+    assert p.partial(d2) == DiffPoly.zero()
+    assert (p.degree_in(d0), p.degree_in(d1), p.degree_in(d2)) == (3, 2, 0)
+    q = p + 5 * u0**3 * u2 - u1**4 + 7
+    assert q.as_univariate(d0) == {3: u1**2 + 5 * u2, 0: 7 - u1**4}
+    assert q.as_univariate(d1) == {2: u0**3, 0: 5 * u0**3 * u2 + 7, 4: DiffPoly.constant(-1)}
+    assert q.derivatives() == {d0, d1, d2}
+
+
 def test_derive_leibniz_on_squares():
     u = dvar(0, (0, 0))
     expected = 2 * u * dvar(0, (0, 1))
@@ -201,6 +230,12 @@ def test_poly_text_canonical_form():
     assert poly_text(DiffPoly.zero()) == "0"
     assert poly_text(-u, ("u", "v")) == "-u[1,0]"
     assert poly_text(u * v, ("u", "v")) == "u[1,0]*v[0,1]"
+
+
+def test_poly_text_orders_terms_by_exponent_pairs():
+    u0, u1 = dvar(0, (0,)), dvar(0, (1,))
+    # u[0]^2 comes first: its (u[0], 2) outranks the (u[0], 1) of the others
+    assert poly_text(u0**2 + u0 * u1 + u1**3 * u0, ("u",)) == "u[0]^2 + u[0]*u[1]^3 + u[0]*u[1]"
 
 
 def test_iter_indices_counts():

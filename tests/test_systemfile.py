@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -140,6 +141,36 @@ def test_repeated_factors_and_like_terms_merge():
     assert first == dvar(1, (1, 0))
     assert second * 2 == 3 * dvar(0, (0, 0)) ** 3 * dvar(1, (0, 1)) + 4
     assert third * 2 == 3 * dvar(0, (0, 1))
+
+
+ONE_AXIS = "ring derivations=(t) indeterminates=(u)\nranking orderly tiebreak=(u)\n"
+
+
+@pytest.mark.parametrize("term", ["u[1]^1001", "u[1]^600*u[1]^600", "u[1]^10000000"])
+def test_term_degree_above_limit_is_parse_error(tmp_path, capsys, term):
+    text = ONE_AXIS + f"chain A {{\n  u[0] - 2*{term};\n}}\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert time.perf_counter() - start < 1.0
+    # the error points at the term, after its sign
+    assert (err.value.line, err.value.column) == (4, 10)
+    assert "exceeds the limit 1000" in str(err.value)
+    path = tmp_path / "steep.sys"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert run(["omega", str(path), "--chain", "A"]) == 65
+    assert time.perf_counter() - start < 1.0
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert "line 4, column 10" in stderr
+
+
+def test_term_degree_at_limit_parses():
+    system = parse_system(ONE_AXIS + "chain A { u[1]^1000 + u[1]^400*u[0]*u[1]^599; }\n")
+    (element,) = system.chains["A"].elements
+    u0, u1 = dvar(0, (0,)), dvar(0, (1,))
+    assert element == u1**1000 + u0 * u1**999
 
 
 def test_non_ascii_digit_is_parse_error(tmp_path, capsys):
