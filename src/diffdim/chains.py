@@ -34,9 +34,23 @@ class DiffChain:
 
     Every derivative must belong to the ranking's ring; one that does not
     raises ValueError naming the element and the derivative.
+
+    Validation and reduction read each element's lifts, separant and initial
+    from tables on the chain, filled on first use, so every obstruction pair
+    and reduction step that needs one shares it.  The tables die with the
+    chain; nothing is memoized on the elements themselves.
     """
 
-    __slots__ = ("elements", "ranking", "leaders", "_report", "_triangularity")
+    __slots__ = (
+        "elements",
+        "ranking",
+        "leaders",
+        "_report",
+        "_triangularity",
+        "_lifts",
+        "_separants",
+        "_initials",
+    )
 
     def __init__(self, elements, ranking: Ranking):
         elements = tuple(elements)
@@ -57,6 +71,9 @@ class DiffChain:
         object.__setattr__(self, "leaders", tuple(ranking.leader(p) for p in elements))
         object.__setattr__(self, "_report", None)
         object.__setattr__(self, "_triangularity", None)
+        object.__setattr__(self, "_lifts", tuple({} for _ in elements))
+        object.__setattr__(self, "_separants", {})
+        object.__setattr__(self, "_initials", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffChain is immutable")
@@ -67,6 +84,31 @@ class DiffChain:
 
     def __len__(self):
         return len(self.elements)
+
+    def lift(self, i: int, mu: MultiIndex) -> DiffPoly:
+        """Element i derived mu times, built by one derive from the lift one
+        step below mu on its first nonzero axis."""
+        if not any(mu):
+            return self.elements[i]
+        table = self._lifts[i]
+        out = table.get(mu)
+        if out is None:
+            axis = next(a for a, e in enumerate(mu) if e)
+            below = mu[:axis] + (mu[axis] - 1,) + mu[axis + 1 :]
+            out = table[mu] = self.lift(i, below).derive(axis)
+        return out
+
+    def separant(self, i: int) -> DiffPoly:
+        out = self._separants.get(i)
+        if out is None:
+            out = self._separants[i] = self.ranking.separant(self.elements[i])
+        return out
+
+    def initial(self, i: int) -> DiffPoly:
+        out = self._initials.get(i)
+        if out is None:
+            out = self._initials[i] = self.ranking.initial(self.elements[i])
+        return out
 
     def validation_report(self) -> "ValidationReport":
         if self._report is None:
@@ -157,20 +199,21 @@ def _triangularity_failures(chain: DiffChain) -> list[str]:
     return list(chain._triangularity)
 
 
-def delta_polynomial(p: DiffPoly, q: DiffPoly, ranking: Ranking) -> DiffPoly | None:
-    """Cross-derivation obstruction sep(q)*d^(t-mu) p - sep(p)*d^(t-nu) q.
+def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
+    """Cross-derivation obstruction sep(q)*d^(t-mu) p - sep(p)*d^(t-nu) q
+    of the chain's elements p = i and q = j.
 
-    t is the componentwise max of the two leader multi-indices.  Returns
-    None when the leaders live on distinct indeterminates, where no common
-    derivative exists.
+    t is the componentwise max of the two leader multi-indices mu and nu.
+    Returns None when the leaders live on distinct indeterminates, where no
+    common derivative exists.
     """
-    x, y = ranking.leader(p), ranking.leader(q)
+    x, y = chain.leaders[i], chain.leaders[j]
     if x.indeterminate != y.indeterminate:
         return None
     theta = join_indices(x.index, y.index)
-    lift_p = p.derive_multi(subtract_indices(theta, x.index))
-    lift_q = q.derive_multi(subtract_indices(theta, y.index))
-    return ranking.separant(q) * lift_p - ranking.separant(p) * lift_q
+    lift_p = chain.lift(i, subtract_indices(theta, x.index))
+    lift_q = chain.lift(j, subtract_indices(theta, y.index))
+    return chain.separant(j) * lift_p - chain.separant(i) * lift_q
 
 
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
@@ -223,16 +266,14 @@ def full_pseudo_reduce(
         if target is None:
             break
         x, idx, sigma = target
-        elem = chain.elements[idx]
+        g = chain.lift(idx, sigma)
         if any(sigma):
-            g = elem.derive_multi(sigma)
-            lead = ranking.separant(elem)
+            lead = chain.separant(idx)
             g_degree = 1
             threshold = 1
         else:
-            g = elem
-            lead = ranking.initial(elem)
-            g_degree = elem.degree_in(x)
+            lead = chain.initial(idx)
+            g_degree = g.degree_in(x)
             threshold = g_degree
         while (d := r.degree_in(x)) >= threshold:
             top = r.as_univariate(x)[d]
@@ -265,7 +306,7 @@ def validate(chain: DiffChain) -> ValidationReport:
     report = ValidationReport(triangular=True, coherent=True)
     for i in range(len(chain.elements)):
         for j in range(i + 1, len(chain.elements)):
-            delta = delta_polynomial(chain.elements[i], chain.elements[j], chain.ranking)
+            delta = delta_polynomial(chain, i, j)
             if delta is None:
                 continue
             trace = full_pseudo_reduce(delta, chain)

@@ -76,6 +76,10 @@ def _get_chain(system: SystemFile, name: str, parser):
     return chain
 
 
+def _invalid_chain(name: str, exc: InvalidChainError) -> None:
+    print(f"diffdim: chain {name!r} is not a valid chain: {exc}", file=sys.stderr)
+
+
 def _cmd_validate(system: SystemFile, args) -> int:
     chain = system.chains[args.chain]
     report = chain.validation_report()
@@ -113,7 +117,7 @@ def _cmd_omega(system: SystemFile, args) -> int:
     try:
         result = omega(chain)
     except InvalidChainError as exc:
-        print(f"diffdim: chain {args.chain!r} is not a valid chain: {exc}", file=sys.stderr)
+        _invalid_chain(args.chain, exc)
         return 1
     if args.json:
         payload = {"chain": args.chain, **result.to_json_dict(chain.ring)}
@@ -135,7 +139,7 @@ def _cmd_oracle(system: SystemFile, args) -> int:
         result = omega(chain)
         spec = normalize_leaders(chain)
     except InvalidChainError as exc:
-        print(f"diffdim: chain {args.chain!r} is not a valid chain: {exc}", file=sys.stderr)
+        _invalid_chain(args.chain, exc)
         return 1
     rows = []
     for order in range(args.max_order + 1):
@@ -165,7 +169,9 @@ def _cmd_compare(system: SystemFile, args) -> int:
     try:
         verdict = compare_ideals(smaller, larger, containment_asserted=args.assert_containment)
     except InvalidChainError as exc:
-        print(f"diffdim: {exc}", file=sys.stderr)
+        # compare_ideals checks the smaller chain first; reports are cached
+        failed = args.smaller if not smaller.validation_report().accepted else args.larger
+        _invalid_chain(failed, exc)
         return 2
     if args.json:
         print(json.dumps(verdict.to_json_dict(smaller.ring), indent=2))

@@ -107,6 +107,9 @@ def derivative_text(d: Derivative, names: tuple[str, ...] | None = None) -> str:
     return name + "[" + ",".join(str(e) for e in d.index) + "]"
 
 
+# An integral coefficient is an int; a Fraction holds only a non-integral one.
+Coefficient = int | Fraction
+
 # A monomial is the sorted tuple of its factors, each derivative repeated once
 # per unit of its exponent: u0^2*u1 is (u0, u0, u1).  Its length is its degree.
 Monomial = tuple[Derivative, ...]
@@ -122,23 +125,30 @@ def _powers(mono: Monomial) -> tuple[tuple[Derivative, int], ...]:
 
 
 class DiffPoly:
-    """Differential polynomial as a map from monomials to nonzero Fractions.
+    """Differential polynomial as a map from monomials to nonzero rationals.
 
     The zero polynomial has an empty term map, and the constant monomial is
     the empty tuple, so structural equality of the maps is equality of
     polynomials.  Coefficients must be int or Fraction; anything else, a
-    float included, raises TypeError.
+    float included, raises TypeError.  An integral coefficient is stored as
+    an int and only a non-integral one as a Fraction, so arithmetic on
+    integer polynomials never leaves the ints.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
+        clean: dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(coeff, (int, Fraction)):
-                    raise TypeError(f"coefficients must be int or Fraction, got {coeff!r}")
-                coeff = Fraction(coeff)
+                if type(coeff) is not int:
+                    if isinstance(coeff, Fraction):
+                        if coeff.denominator == 1:
+                            coeff = coeff.numerator
+                    elif isinstance(coeff, int):
+                        coeff = int(coeff)
+                    else:
+                        raise TypeError(f"coefficients must be int or Fraction, got {coeff!r}")
                 if coeff:
                     clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
@@ -164,10 +174,10 @@ class DiffPoly:
     def is_constant(self) -> bool:
         return all(not mono for mono in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def derivatives(self) -> set[Derivative]:
         return {d for mono in self.terms for d in mono}
@@ -186,7 +196,7 @@ class DiffPoly:
             return NotImplemented
         acc = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + coeff
         return DiffPoly(acc)
 
     __radd__ = __add__
@@ -210,11 +220,11 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = tuple(sorted(m1 + m2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+                acc[key] = acc.get(key, 0) + c1 * c2
         return DiffPoly(acc)
 
     __rmul__ = __mul__
@@ -249,7 +259,7 @@ class DiffPoly:
 
     def as_univariate(self, d: Derivative) -> dict[int, "DiffPoly"]:
         """Coefficients of the powers of d, themselves polynomials free of d."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, Coefficient]] = {}
         for mono, coeff in self.terms.items():
             rest = tuple(f for f in mono if f != d)
             buckets.setdefault(len(mono) - len(rest), {})[rest] = coeff
@@ -257,25 +267,25 @@ class DiffPoly:
 
     def partial(self, d: Derivative) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative symbol."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self.terms.items():
             e = mono.count(d)
             if e:
                 i = mono.index(d)
                 key = mono[:i] + mono[i + 1 :]
-                acc[key] = acc.get(key, Fraction(0)) + coeff * e
+                acc[key] = acc.get(key, 0) + coeff * e
         return DiffPoly(acc)
 
     def derive(self, axis: int) -> "DiffPoly":
         """Apply the derivation along one axis, by the Leibniz rule."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self.terms.items():
             for i, d in enumerate(mono):
                 if i and mono[i - 1] == d:
                     continue  # each distinct factor once, weighted by its exponent
                 rest = mono[:i] + (shift_derivative(d, axis),) + mono[i + 1 :]
                 key = tuple(sorted(rest))
-                acc[key] = acc.get(key, Fraction(0)) + coeff * mono.count(d)
+                acc[key] = acc.get(key, 0) + coeff * mono.count(d)
         return DiffPoly(acc)
 
     def derive_multi(self, mu: MultiIndex) -> "DiffPoly":

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .chains import DiffChain
 from .diffpoly import (
+    Coefficient,
     ConstantPolynomialError,
     Derivative,
     DiffPoly,
@@ -226,7 +227,7 @@ class _Parser:
             self.fail(str(exc), name_tok)
 
     def poly(self) -> DiffPoly:
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coefficient] = {}
         sign = self.sign() or 1
         while sign is not None:
             mono, coeff = self.term()
@@ -234,17 +235,18 @@ class _Parser:
             sign = self.sign()
         return DiffPoly(terms)
 
-    def term(self) -> tuple[Monomial, Fraction]:
+    def term(self) -> tuple[Monomial, Coefficient]:
+        """One term: an int coefficient, or a Fraction only for n/d."""
         start = self.peek()
         coeff = None
         if self.peek().kind == "int":
-            coeff = Fraction(self.expect_int())
+            coeff = self.expect_int()
             if self.at_symbol("/"):
                 slash = self.next()
                 denominator = self.expect_int()
                 if denominator == 0:
                     self.fail("zero denominator", slash)
-                coeff /= denominator
+                coeff = Fraction(coeff, denominator)
         powers: dict[Derivative, int] = {}
         if coeff is None or self.peek().kind == "ident":
             self.factor(powers)
@@ -254,7 +256,7 @@ class _Parser:
         degree = sum(powers.values())
         if degree > MAX_TERM_DEGREE:
             self.fail(f"term of total degree {degree} exceeds the limit {MAX_TERM_DEGREE}", start)
-        return _monomial(powers), Fraction(1) if coeff is None else coeff
+        return _monomial(powers), 1 if coeff is None else coeff
 
     def factor(self, powers: dict[Derivative, int]) -> None:
         """Parse one derivative factor and multiply it into `powers`."""

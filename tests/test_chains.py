@@ -58,17 +58,90 @@ def test_triangularity_detection():
 
 
 def test_delta_polynomial_worked_example():
-    ranking = plain_ranking(2, 1)
     p = dvar(0, (1, 0)) ** 2 - dvar(0, (0, 0))
     q = dvar(0, (0, 1))
-    assert delta_polynomial(p, q, ranking) == -dvar(0, (0, 1))
+    assert delta_polynomial(_chain([p, q], 2, 1), 0, 1) == -dvar(0, (0, 1))
     # pure derivative leaders cancel exactly
-    assert delta_polynomial(dvar(0, (1, 0)), dvar(0, (0, 1)), ranking) == DiffPoly.zero()
+    pure = _chain([dvar(0, (1, 0)), dvar(0, (0, 1))], 2, 1)
+    assert delta_polynomial(pure, 0, 1) == DiffPoly.zero()
 
 
 def test_delta_polynomial_none_for_distinct_indeterminates():
-    ranking = plain_ranking(1, 2)
-    assert delta_polynomial(dvar(0, (1,)), dvar(1, (1,)), ranking) is None
+    assert delta_polynomial(_chain([dvar(0, (1,)), dvar(1, (1,))], 1, 2), 0, 1) is None
+
+
+def _random_nonlinear_chain(rng, n):
+    """Triangular chain in u0, u1 whose elements I*x^e + T have their leaders x
+    on u0, pairwise incomparable, with initial I = c*u1 + k and a tail T
+    of products of lower-order derivatives, so every pair has an obstruction."""
+    ranking = plain_ranking(n, 2)
+    candidates = [mu for mu in iter_indices(n, 2) if any(mu)]
+    rng.shuffle(candidates)
+    leaders, count = [], rng.randint(2, 3)
+    for mu in candidates:
+        if len(leaders) < count and not any(
+            all(a >= b for a, b in zip(mu, nu)) or all(b >= a for a, b in zip(mu, nu))
+            for nu in leaders
+        ):
+            leaders.append(mu)
+    elements = []
+    for mu in leaders:
+        x = dvar(0, mu)
+        lower = [dvar(j, nu) for j in (0, 1) for nu in iter_indices(n, sum(mu) - 1)]
+        initial = rng.randint(1, 3) * dvar(1, (0,) * n) + rng.choice((-2, 1, 3))
+        tail = DiffPoly.constant(rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 3)):
+            term = DiffPoly.constant(rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * rng.choice(lower)
+            tail = tail + term
+        elements.append(initial * x ** rng.randint(1, 2) + tail)
+    return elements, ranking
+
+
+def test_chain_lifts_match_derive_multi_in_any_request_order():
+    rng = random.Random(71)
+    for _ in range(12):
+        n = rng.randint(2, 3)
+        elements, ranking = _random_nonlinear_chain(rng, n)
+        requests = [(i, mu) for i in range(len(elements)) for mu in iter_indices(n, 3)]
+        for order in (requests, requests[::-1], rng.sample(requests, len(requests))):
+            chain = DiffChain(elements, ranking)
+            for i, mu in order:
+                assert chain.lift(i, mu) == elements[i].derive_multi(mu), (i, mu)
+            # one entry per nonzero multi-index, however the requests ran
+            per_element = len(requests) // len(elements) - 1
+            assert [len(table) for table in chain._lifts] == [per_element] * len(elements)
+
+
+def test_validate_deltas_match_from_scratch_obstructions():
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(10):
+        elements, ranking = _random_nonlinear_chain(rng, rng.randint(2, 3))
+        report = validate(DiffChain(elements, ranking))
+        assert report.triangular
+        for check in report.delta_checks:
+            p, q = elements[check.first], elements[check.second]
+            x, y = ranking.leader(p), ranking.leader(q)
+            theta = tuple(max(a, b) for a, b in zip(x.index, y.index))
+            lift_p = p.derive_multi(tuple(t - a for t, a in zip(theta, x.index)))
+            lift_q = q.derive_multi(tuple(t - b for t, b in zip(theta, y.index)))
+            assert check.delta == ranking.separant(q) * lift_p - ranking.separant(p) * lift_q
+            checked += 1
+    assert checked >= 10
+
+
+def test_lift_tables_live_on_the_chain():
+    elements, ranking = _random_nonlinear_chain(random.Random(79), 2)
+    first = DiffChain(elements, ranking)
+    second = DiffChain(elements, ranking)
+    assert first.validation_report().delta_checks
+    assert any(first._lifts) and first._separants
+    assert not any(second._lifts) and not second._separants and not second._initials
+    full_pseudo_reduce(elements[0].derive_multi((1, 1)), first)
+    assert first._initials
+    assert not any(second._lifts) and not second._separants and not second._initials
 
 
 def test_coherence_accepts_nontrivial_reduction():

@@ -104,6 +104,23 @@ def test_validate_rejects_incoherent_chain(tmp_path, capsys):
     assert "not a valid chain" in captured.err
 
 
+@pytest.mark.parametrize(
+    "smaller, larger", [("Bad", "Good"), ("Good", "Bad")], ids=["smaller", "larger"]
+)
+def test_compare_names_the_invalid_chain(tmp_path, capsys, smaller, larger):
+    path = tmp_path / "mixed.sys"
+    path.write_text(INCOHERENT + "chain Good {\n  u[1,0];\n}\n")
+    for extra in ([], ["--json"]):
+        code = run(["compare", str(path), "--smaller", smaller, "--larger", larger, *extra])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "diffdim: chain 'Bad' is not a valid chain: "
+            "cross-derivation obstruction of elements 0 and 1 "
+        )
+
+
 def test_compare_properly_contained(data_dir, capsys):
     code = run(
         [

@@ -65,6 +65,47 @@ def test_coefficients_must_be_int_or_fraction():
     assert DiffPoly.constant(Fraction(1, 3)).constant_value() == Fraction(1, 3)
 
 
+def _coefficients_are_reduced(p):
+    """Every integral coefficient is an int, and only a true fraction a Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
+    )
+
+
+def test_integral_results_have_int_coefficients():
+    d0, d1 = make_derivative(0, (0, 0)), make_derivative(0, (1, 0))
+    u0, u1 = DiffPoly.variable(d0), DiffPoly.variable(d1)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p = 3 * u0**2 * u1 - 2 * u1 + 5
+    # integral Fractions are stored as ints, whichever way they come in
+    q = DiffPoly({(d0,): Fraction(4, 2), (d1,): Fraction(-3)}) + Fraction(6, 3)
+    assert q.terms == {(d0,): 2, (d1,): -3, (): 2}
+    assert DiffPoly.constant(Fraction(6, 3)).constant_value() == 2
+    assert type(DiffPoly.constant(Fraction(6, 3)).constant_value()) is int
+    assert type(DiffPoly.zero().constant_value()) is int
+    integral = [
+        p + q, p - q, -p, p * q, p**3, p.derive(0), p.derive(1), p.partial(d0),
+        p.partial(d1), *p.as_univariate(d0).values(), *p.as_univariate(d1).values(),
+        # fractions that cancel to integers come back as ints
+        half * p * 2, half * u0 + half * u0, (half * u0**2).partial(d0),
+        (half * u0**2).derive(0), (half * u0) ** 2 * 4,
+    ]
+    for r in integral:
+        assert r and all(type(c) is int for c in r.terms.values()), r
+    fractional = [
+        (third * p, Fraction(5, 3)),
+        (p + third, Fraction(16, 3)),
+        (p - third, Fraction(14, 3)),
+        ((third * u0) ** 2, Fraction(1, 9)),
+        ((third * u0 * u1).derive(1), third),
+        ((third * u0**2).partial(d0), Fraction(2, 3)),
+        ((third * u0 * u1 + u1).as_univariate(d1)[1], third),
+    ]
+    for r, value in fractional:
+        assert _coefficients_are_reduced(r), r
+        assert value in r.terms.values() and any(type(c) is Fraction for c in r.terms.values())
+
+
 def test_high_exponents_exact_values():
     d0, d1, d2 = (make_derivative(0, (k,)) for k in range(3))
     u0, u1, u2 = (DiffPoly.variable(d) for d in (d0, d1, d2))

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from diffdim import (
     SystemFile,
     UnknownIdentifierError,
     format_system,
+    make_derivative,
     omega,
     parse_system,
 )
@@ -164,6 +166,19 @@ def test_term_degree_above_limit_is_parse_error(tmp_path, capsys, term):
     out, stderr = capsys.readouterr()
     assert out == ""
     assert "line 4, column 10" in stderr
+
+
+def test_parser_stores_integral_coefficients_as_int():
+    text = ONE_AXIS + "chain A {\n  6/3*u[1] + 3/6*u[0] - 4 + u[0]*u[1];\n}\n"
+    (element,) = parse_system(text).chains["A"].elements
+    d0, d1 = make_derivative(0, (0,)), make_derivative(0, (1,))
+    assert element.terms == {(d1,): 2, (d0,): Fraction(1, 2), (): -4, (d0, d1): 1}
+    assert [type(c) for c in element.terms.values()] == [int, Fraction, int, int]
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_system(ONE_AXIS + "chain A { 2/0*u[1]; }")
+    assert format_system(parse_system(text)) == (
+        ONE_AXIS + "chain A {\n  2*u[1] + u[0]*u[1] + 1/2*u[0] - 4;\n}\n"
+    )
 
 
 def test_term_degree_at_limit_parses():
