@@ -87,15 +87,20 @@ class DiffChain:
 
     def lift(self, i: int, mu: MultiIndex) -> DiffPoly:
         """Element i derived mu times, built by one derive from the lift one
-        step below mu on its first nonzero axis."""
-        if not any(mu):
-            return self.elements[i]
+        step below mu on its first nonzero axis.
+
+        Walks down those steps to the nearest lift already in the table (or
+        to the element itself), then derives back up, entering every lift on
+        the way; a loop, so the depth of mu is bounded by time alone."""
         table = self._lifts[i]
-        out = table.get(mu)
-        if out is None:
+        path = []
+        while any(mu) and mu not in table:
             axis = next(a for a, e in enumerate(mu) if e)
-            below = mu[:axis] + (mu[axis] - 1,) + mu[axis + 1 :]
-            out = table[mu] = self.lift(i, below).derive(axis)
+            path.append((mu, axis))
+            mu = mu[:axis] + (mu[axis] - 1,) + mu[axis + 1 :]
+        out = table[mu] if any(mu) else self.elements[i]
+        for nu, axis in reversed(path):
+            out = table[nu] = out.derive(axis)
         return out
 
     def separant(self, i: int) -> DiffPoly:
@@ -161,10 +166,18 @@ class DeltaCheck:
 
 @dataclass
 class ValidationReport:
+    """Verdicts of validate, with the evidence behind them.
+
+    delta_checks holds one DeltaCheck per obstruction pair that was reduced;
+    skipped_pairs holds (first, second, via) for each pair the chain
+    criterion proved redundant by the third element via.
+    """
+
     triangular: bool
     coherent: bool
     messages: list[str] = field(default_factory=list)
     delta_checks: list[DeltaCheck] = field(default_factory=list)
+    skipped_pairs: list[tuple[int, int, int]] = field(default_factory=list)
     regularity_of_initials_and_separants: str = REGULARITY_TAG
 
     @property
@@ -293,28 +306,89 @@ def full_pseudo_reduce(
     )
 
 
+def _join_orders(leaders: tuple[Derivative, ...]) -> list[list[int | None]]:
+    """Total order of join(i, k) for every pair of leaders on one
+    indeterminate; None on the diagonal and across indeterminates."""
+    orders: list[list[int | None]] = [[None] * len(leaders) for _ in leaders]
+    for i, x in enumerate(leaders):
+        for k in range(i + 1, len(leaders)):
+            y = leaders[k]
+            if x.indeterminate == y.indeterminate:
+                orders[i][k] = orders[k][i] = sum(map(max, x.index, y.index))
+    return orders
+
+
+def _implied_by(
+    leaders: tuple[Derivative, ...], orders: list[list[int | None]], i: int, k: int
+) -> int | None:
+    """First element j whose leader divides theta = join(i, k) while
+    join(i, j) and join(j, k) lie strictly below theta, or None.
+
+    Once the leader of j divides theta, both joins divide theta, so
+    "strictly below" is "of lower order": the integer test runs first and
+    theta is built only for a third element that passes it.
+    """
+    top = orders[i][k]
+    theta = None
+    for j, (left, right) in enumerate(zip(orders[i], orders[k])):
+        if left is None or right is None or left >= top or right >= top:
+            continue
+        if theta is None:
+            theta = join_indices(leaders[i].index, leaders[k].index)
+        if dominates(theta, leaders[j].index):
+            return j
+    return None
+
+
 def validate(chain: DiffChain) -> ValidationReport:
     """Check weak triangularity and coherence; regularity is assumed, not checked.
 
-    Coherence asks every cross-derivation obstruction between same-
-    indeterminate leaders to pseudo-reduce to zero against the whole chain.
+    Coherence asks every cross-derivation obstruction Δ(p, q) between
+    same-indeterminate leaders to pseudo-reduce to zero against the whole
+    chain, except the pairs that the chain criterion proves redundant:
+
+    Lemma.  Let p, q, r be elements whose leaders are derivatives θ_p u,
+    θ_q u, θ_r u of one indeterminate u, with separants s_p, s_q, s_r, let
+    θ_ab be the join of θ_a and θ_b, and φ = θ_pq.  If θ_r divides φ and
+    both θ_pr and θ_rq are strictly below φ, then
+
+        s_r·Δ(p,q) = s_q·(φ/θ_pr)Δ(p,r) + s_p·(φ/θ_rq)Δ(r,q)
+
+    modulo derivatives of p, q and r whose leaders lie below φu.
+
+    So Δ(p, q) lies in (A_{<φu}):H_A^∞ once Δ(p, r) and Δ(r, q) do.  Both
+    of their joins are proper divisors of φ, so by induction on φ under
+    divisibility the checked pairs decide coherence on their own, and the
+    skipped pair (p, q) is recorded with r as its witness.  Regularity of
+    the initials and separants, assumed everywhere, is used only to equate
+    "reduces to zero" with membership.
+
+    Each kept pair is reduced in (i, k) order.  A skipped pair that fails
+    is never reduced, so incoherence is reported by a kept pair, which may
+    come later in that order.
     """
     messages = _triangularity_failures(chain)
     if messages:
         messages.append("coherence not evaluated: chain is not triangular")
         return ValidationReport(triangular=False, coherent=False, messages=messages)
     report = ValidationReport(triangular=True, coherent=True)
-    for i in range(len(chain.elements)):
-        for j in range(i + 1, len(chain.elements)):
-            delta = delta_polynomial(chain, i, j)
-            if delta is None:
+    leaders = chain.leaders
+    orders = _join_orders(leaders)
+    for i in range(len(leaders)):
+        for k in range(i + 1, len(leaders)):
+            if orders[i][k] is None:
                 continue
+            via = _implied_by(leaders, orders, i, k)
+            if via is not None:
+                report.skipped_pairs.append((i, k, via))
+                continue
+            delta = delta_polynomial(chain, i, k)
             trace = full_pseudo_reduce(delta, chain)
-            report.delta_checks.append(DeltaCheck(i, j, delta, trace))
+            report.delta_checks.append(DeltaCheck(i, k, delta, trace))
             if not trace.remainder.is_zero():
                 report.coherent = False
                 report.messages.append(
-                    f"cross-derivation obstruction of elements {i} and {j} "
+                    f"cross-derivation obstruction of elements {i} and {k} "
                     f"leaves the nonzero remainder "
                     f"{poly_text(trace.remainder, chain.ring.indeterminate_names)}"
                 )

@@ -95,6 +95,10 @@ def _cmd_validate(system: SystemFile, args) -> int:
                 }
                 for check in report.delta_checks
             ]
+            if report.skipped_pairs:
+                payload["skipped_pairs"] = [
+                    {"elements": [i, k], "via": j} for i, k, j in report.skipped_pairs
+                ]
         print(json.dumps(payload, indent=2))
     else:
         flags = ["yes" if report.triangular else "no", "yes" if report.coherent else "no"]
@@ -108,6 +112,11 @@ def _cmd_validate(system: SystemFile, args) -> int:
                     f"  obstruction({check.first},{check.second}) = "
                     f"{poly_text(check.delta, names)} -> remainder "
                     f"{poly_text(check.trace.remainder, names)}"
+                )
+            for i, k, j in report.skipped_pairs:
+                print(
+                    f"  obstruction({i},{k}) skipped: implied by "
+                    f"({min(i, j)},{max(i, j)}) and ({min(j, k)},{max(j, k)})"
                 )
     return 0 if report.accepted else 1
 

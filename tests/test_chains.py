@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,13 +9,14 @@ from diffdim import (
     DiffPoly,
     InvalidChainError,
     NotTriangularError,
+    chains,
     delta_polynomial,
     full_pseudo_reduce,
     make_derivative,
     membership,
     validate,
 )
-from diffdim.diffpoly import iter_indices
+from diffdim.diffpoly import dominates, iter_indices, join_indices
 from diffdim.dimension import LeaderSpec, count_derivatives
 
 from corpus import dvar, plain_ranking, random_index, random_monomial_chain, random_power_chain
@@ -286,3 +288,125 @@ def test_count_derivatives_matches_distinct_leader_derivatives():
             for theta in iter_indices(ring.num_derivations, bound - ld.order)
         }
         assert count_derivatives(spec, bound) == len(derived)
+
+
+def test_validate_accepts_leaders_of_order_1000_within_budget():
+    chain = _chain([dvar(0, (1000, 0)), dvar(0, (0, 1000))], 2, 1)
+    start = time.process_time()
+    report = validate(chain)
+    assert report.accepted
+    assert time.process_time() - start < 5
+
+
+def test_full_pseudo_reduce_lifts_1500_steps_deep():
+    chain = _chain([dvar(0, (1, 0))], 2, 1)
+    assert full_pseudo_reduce(dvar(0, (1500, 0)), chain).remainder.is_zero()
+
+
+def _every_pair_failures(chain):
+    """The check without the chain criterion: every same-indeterminate pair
+    is reduced, and the failing ones are returned in (i, k) order."""
+    failing = []
+    for i in range(len(chain)):
+        for k in range(i + 1, len(chain)):
+            delta = delta_polynomial(chain, i, k)
+            if delta is not None and not full_pseudo_reduce(delta, chain).remainder.is_zero():
+                failing.append((i, k))
+    return failing
+
+
+def _antichain(rng, n, orders, count):
+    """count pairwise incomparable multi-indices, each of a total order in orders."""
+    pool = [mu for mu in iter_indices(n, max(orders)) if sum(mu) in orders]
+    while True:
+        rng.shuffle(pool)
+        picked = []
+        for mu in pool:
+            if not any(dominates(mu, nu) or dominates(nu, mu) for nu in picked):
+                picked.append(mu)
+        if len(picked) >= count:
+            return picked[:count]
+
+
+def _staircase_chain(rng):
+    """Regular chain in u0 and a free u1 over n = 2 or 3 derivations, with
+    3 leaders on u0 (3-4 when n = 3).  Every element is linear in its leader with a
+    constant or c*u1 + k initial.  Half are constant multiples of
+    prolongations of one element, whose obstructions all cancel (coherent);
+    the rest carry random tails below their leaders, and one prolongation in
+    three of the first half gets such a tail as well (mostly incoherent)."""
+    n = rng.randint(2, 3)
+    ranking = plain_ranking(n, 2)
+    initial = rng.choice((DiffPoly.constant(rng.choice((1, -2, 3))),
+                          rng.randint(1, 3) * dvar(1, (0,) * n) + rng.choice((-2, 1, 3))))
+
+    def tail(order):
+        lower = [dvar(j, nu) for j in (0, 1) for nu in iter_indices(n, order - 1)]
+        out = DiffPoly.constant(rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 2)):
+            term = DiffPoly.constant(rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * rng.choice(lower)
+            out = out + term
+        return out
+
+    count = 3 if n == 2 else rng.randint(3, 4)
+    if rng.random() < 0.5:
+        base = rng.choice([mu for mu in iter_indices(n, 1) if any(mu)])
+        element = initial * dvar(0, base) + tail(1)
+        thetas = _antichain(rng, n, (2,) if n == 2 else (1, 2), count)
+        elements = [rng.choice((1, -1, 2)) * element.derive_multi(t) for t in thetas]
+        if rng.random() < 1 / 3:
+            spot = rng.randrange(len(elements))
+            elements[spot] = elements[spot] + tail(1 + sum(thetas[spot]))
+    else:
+        leaders = _antichain(rng, n, (2,) if n == 2 else (2, 3), count)
+        elements = [initial * dvar(0, mu) + tail(sum(mu)) for mu in leaders]
+    return DiffChain(elements, ranking)
+
+
+def test_chain_criterion_agrees_with_the_every_pair_check():
+    """The pruned validate and the every-pair check give the same triangular,
+    coherent and accepted verdicts on regular chains, and every pair that the
+    pruned check finds failing fails the full check too.  The first failing
+    pair may differ: a failing pair can be skipped when a later pair in
+    (i, k) order witnesses the incoherence."""
+    rng = random.Random(2024)
+    seen = {"skipped": 0, "coherent": 0, "incoherent": 0, "failures_skipped": 0}
+    for _ in range(60):
+        chain = _staircase_chain(rng)
+        report = validate(chain)
+        failing = _every_pair_failures(chain)
+        assert report.triangular
+        assert report.coherent == (not failing)
+        assert report.accepted == (not failing)
+        pruned = [(c.first, c.second) for c in report.delta_checks
+                  if not c.trace.remainder.is_zero()]
+        assert set(pruned) <= set(failing)
+        leaders = chain.leaders
+        for i, k, j in report.skipped_pairs:
+            assert j not in (i, k)
+            assert leaders[i].indeterminate == leaders[j].indeterminate == leaders[k].indeterminate
+            theta = join_indices(leaders[i].index, leaders[k].index)
+            for a, b in ((i, j), (j, k)):
+                below = join_indices(leaders[a].index, leaders[b].index)
+                assert dominates(theta, below) and below != theta
+        seen["skipped"] += bool(report.skipped_pairs)
+        seen["coherent" if report.coherent else "incoherent"] += 1
+        seen["failures_skipped"] += len(set(failing) - set(pruned)) > 0
+    assert all(seen.values()), seen
+
+
+def test_validate_reduces_each_kept_pair_once_and_no_skipped_pair(monkeypatch):
+    calls = []
+    original = chains.delta_polynomial
+
+    def recording(chain, i, k):
+        calls.append((i, k))
+        return original(chain, i, k)
+
+    monkeypatch.setattr(chains, "delta_polynomial", recording)
+    chain = _chain([dvar(0, (2, 0)), dvar(0, (1, 1)), dvar(0, (0, 2)), dvar(1, (1, 0))], 2, 2)
+    report = validate(chain)
+    assert report.skipped_pairs == [(0, 2, 1)]
+    assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2)]

@@ -89,6 +89,23 @@ def test_validate_text_and_json(data_dir, capsys):
     assert payload["delta_traces"][0]["reduced_to_zero"] is True
 
 
+def test_validate_explain_lists_skipped_pairs(data_dir, capsys):
+    path = str(data_dir / "staircase.sys")
+    assert run(["validate", path, "--chain", "Lin", "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert "  obstruction(0,2) skipped: implied by (0,1) and (1,2)\n" in out
+
+    assert run(["validate", path, "--chain", "Prol", "--explain", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    _check(payload, "validation_report.schema.json")
+    assert payload["skipped_pairs"] == [{"elements": [0, 2], "via": 1}]
+    assert [t["elements"] for t in payload["delta_traces"]] == [[0, 1], [1, 2]]
+
+    # without --explain the report carries no per-pair evidence
+    assert run(["validate", path, "--chain", "Prol", "--json"]) == 0
+    assert "skipped_pairs" not in json.loads(capsys.readouterr().out)
+
+
 def test_validate_rejects_incoherent_chain(tmp_path, capsys):
     path = tmp_path / "bad.sys"
     path.write_text(INCOHERENT)
