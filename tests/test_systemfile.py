@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -210,12 +211,12 @@ def test_end_of_input_after_trailing_comment():
     assert str(err.value) == "line 3, column 30: expected ';'"
 
 
-def test_mutated_files_parse_or_raise_parse_error(data_dir):
+def _mutated_texts(data_dir, count=2000):
+    """`count` seeded texts, each tests/data .sys file with 1-3 character edits."""
     texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.sys"))]
     alphabet = "uvtx019 \t\n#=(),<{};^*+-/[]_@²٣½\xa0"
     rng = random.Random(61)
-    outcomes = set()
-    for _ in range(2000):
+    for _ in range(count):
         text = rng.choice(texts)
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(text) + 1)
@@ -226,9 +227,67 @@ def test_mutated_files_parse_or_raise_parse_error(data_dir):
                 text = text[:i] + text[i + 1 :]
             else:
                 text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+        yield text
+
+
+def test_mutated_files_parse_or_raise_parse_error(data_dir):
+    outcomes = set()
+    for text in _mutated_texts(data_dir):
         try:
             outcomes.add(type(parse_system(text)))
         except ParseError as exc:
             assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
             outcomes.add(ParseError)
     assert outcomes == {SystemFile, ParseError}
+
+
+# SHA-256 of the outcomes of the 2,000 mutated texts, taken from the tokenizer
+# that tracked every token's line and column.  It changes when tests/data does.
+MUTATION_OUTCOMES_SHA256 = "094ee9c24c0b1466913543558482e845411116c1e9ab98481ca01c8104751356"
+
+
+def test_mutated_file_outcomes_match_pinned_digest(data_dir):
+    outcomes = []
+    for text in _mutated_texts(data_dir):
+        try:
+            parse_system(text)
+            outcomes.append("ok")
+        except ParseError as exc:
+            outcomes.append((type(exc).__name__, exc.line, exc.column, str(exc)))
+    digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+    assert digest == MUTATION_OUTCOMES_SHA256
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        # CRLF line endings: the \r ends a line's columns, the \n starts the next
+        (
+            HEADER.replace("\n", "\r\n") + "chain C {\r\n  u[1,0]\r\n}\r\n",
+            5, 1, "expected ';', found '}'",
+        ),
+        (HEADER.replace("\n", "\r\n") + "chain C { u[1,0]\r\n", 4, 1, "expected ';'"),
+        (HEADER.replace("\n", "\r\n") + "chain C { u[1,0] @\r\n}", 3, 18, "unexpected character '@'"),
+        # a tab is one column
+        (HEADER + "chain C {\n\tu[1,0] +\t@;\n}\n", 4, 11, "unexpected character '@'"),
+        (HEADER + "chain C {\n\t\tw[1,0];\n}\n", 4, 3, "unknown indeterminate 'w'"),
+        # the token right after a comment
+        (HEADER + "chain C { # first\nw[1,0]; }\n", 4, 1, "unknown indeterminate 'w'"),
+        (HEADER + "chain C { # first\n  @ }\n", 4, 3, "unexpected character '@'"),
+        (HEADER + "chain C { u[1,0] # ; }\n}\n", 4, 1, "expected ';', found '}'"),
+        # columns count code points: a non-BMP character is one column
+        (HEADER + "chain C { u[1,0] # \U0001d518\U0001d519", 3, 22, "expected ';'"),
+        (HEADER + "chain \U0001d518 { u[1,0] @ }\n", 3, 18, "unexpected character '@'"),
+        (HEADER + "chain \U0001d518 { w[1,0]; }\n", 3, 11, "unknown indeterminate 'w'"),
+        # an error in the last token of a file with no trailing newline
+        (HEADER + "chain C { u[1,0]; }}", 3, 20, "expected 'chain', found '}'"),
+        (HEADER + "chain C { u[1,0]; }\n@", 4, 1, "unexpected character '@'"),
+        (HEADER + "chain C { u[1,0]; } chain", 3, 26, "expected an identifier, found ''"),
+        ("", 1, 1, "expected 'ring', found ''"),
+    ],
+)
+def test_error_positions_at_the_edges(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
