@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+@functools.cache  # built on first use, then shared: parsing leaves it unchanged
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="diffdim",

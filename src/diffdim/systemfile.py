@@ -14,11 +14,19 @@ coefficient and derivative factors like v[1,0]^2 joined by '*'.  Integers
 are ASCII digits.  A term's total degree is at most MAX_TERM_DEGREE, since a
 monomial holds one factor per unit of degree.
 
-The tokenizer is one regular expression whose named groups are the token
-kinds; a character that starts no token is a ParseError at its line and
-column.  The parser accumulates each polynomial as a {monomial: coefficient}
-map, one entry per distinct power product (repeated factors add exponents,
-like terms add coefficients), and builds one DiffPoly from it at the end.
+Reading a file takes a few passes, all in C.  Comments are stripped, and one
+regular expression lists the tokens as plain strings, ending with "" for the
+end of input.  A token's kind shows in its text: a symbol, a leading ASCII
+digit for an integer, otherwise an identifier.  Every character that starts no
+token must be whitespace; if one is not, a greedy match of whitespace,
+comments and tokens from the start stops at the first unexpected character.
+No position is kept: a ParseError names its token by number, and only then is
+the text rescanned for that token's line and column, in code points.  An
+integer has at most MAX_INTEGER_DIGITS digits, the fewest that any
+interpreter's limit on int() of a string allows.  The parser accumulates each
+polynomial as a {monomial: coefficient} map, one entry per distinct power
+product (repeated factors add exponents, like terms add coefficients), and
+builds one DiffPoly at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
 
 from .chains import DiffChain
 from .diffpoly import (
@@ -44,6 +52,7 @@ from .diffpoly import (
 
 
 MAX_TERM_DEGREE = 1000
+MAX_INTEGER_DIGITS = 640
 
 
 class ParseError(ValueError):
@@ -61,39 +70,22 @@ class UnknownIdentifierError(ParseError):
     """Name is not a declared indeterminate or derivation."""
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "symbol", "end"
-    value: str
-    line: int
-    column: int
+# Integers are [0-9], not \d, which takes any Unicode digit.
+_TOKEN = r"[0-9]+|[^\W\d]\w*|[=(),<{};^*+\-/\[\]]"
+_COMMENT = r"#[^\n]*"
+# Greedy with nothing after it, so re.match never backtracks into the loop;
+# the loop's stack grows with the text, so it runs only on a text that fails.
+_VALID = re.compile(rf"(?:[ \t\r\n]+|{_COMMENT}|{_TOKEN})*")
+_TOKENS = re.compile(_TOKEN)
+_COMMENTS = re.compile(_COMMENT)
+_COMMENTS_AND_TOKENS = re.compile(rf"{_COMMENT}|{_TOKEN}")
+_SYMBOLS = frozenset("=(),<{};^*+-/[]")
+_DIGITS = frozenset("0123456789")
 
 
-# The group that matched names the token kind.  Integers are [0-9], not \d,
-# which takes any Unicode digit; "other" is a character no token starts with.
-_TOKEN = re.compile(
-    r"(?P<space>[ \t\r]+|#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<int>[0-9]+)"
-    r"|(?P<ident>[^\W\d]\w*)"
-    r"|(?P<symbol>[=(),<{};^*+\-/\[\]])"
-    r"|(?P<other>.)"
-)
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        column = match.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind == "other":
-            raise ParseError(f"unexpected character {match.group()!r}", line, column)
-        elif kind != "space":
-            tokens.append(Token(kind, match.group(), line, column))
-    tokens.append(Token("end", "", line, len(text) - line_start + 1))
-    return tokens
+def _error_at(kind, message: str, text: str, offset: int) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return kind(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 @dataclass
@@ -105,153 +97,152 @@ class SystemFile:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        code = _COMMENTS.sub("", text) if "#" in text else text
+        self.values = _TOKENS.findall(code)
+        # findall skips what starts no token: the text is valid if that is all whitespace
+        if sum(map(len, self.values)) + sum(map(code.count, " \t\r\n")) < len(code):
+            end = _VALID.match(text).end()
+            raise _error_at(ParseError, f"unexpected character {text[end]!r}", text, end)
+        self.values.append("")
+        self.text = text
         self.pos = 0
-        self.ring: RingSpec | None = None
-        self.ranking: Ranking | None = None
+        # name[i,...,j] token values -> Derivative, shared by the factors of this parse
+        self.derivatives: dict[tuple[str, ...], Derivative] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, at: int, kind=ParseError):
+        """Raise `kind` at token number `at`, whose offset only a rescan finds."""
+        starts = (m.start() for m in _COMMENTS_AND_TOKENS.finditer(self.text) if m[0][0] != "#")
+        raise _error_at(kind, message, self.text, next(islice(starts, at, None), len(self.text)))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, *wanted: str) -> int:
+        """Consume the symbols and keywords `wanted`; return the first one's token number."""
+        for word in wanted:
+            value = self.values[self.pos]
+            if value != word:
+                found = f", found {value!r}" if value or word not in _SYMBOLS else ""
+                self.fail(f"expected {word!r}{found}", self.pos)
+            self.pos += 1
+        return self.pos - len(wanted)
+
+    def ident(self) -> str:
+        value = self.values[self.pos]
         self.pos += 1
-        return tok
+        if not value or value[0] in _DIGITS or value in _SYMBOLS:
+            self.fail(f"expected an identifier, found {value!r}", self.pos - 1)
+        return value
 
-    def fail(self, message: str, tok: Token | None = None, kind=ParseError):
-        tok = tok or self.peek()
-        raise kind(message, tok.line, tok.column)
-
-    def expect_symbol(self, sym: str) -> Token:
-        tok = self.next()
-        if tok.kind != "symbol" or tok.value != sym:
-            self.fail(f"expected {sym!r}, found {tok.value!r}" if tok.value else f"expected {sym!r}", tok)
-        return tok
-
-    def expect_ident(self, name: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != "ident" or (name is not None and tok.value != name):
-            wanted = repr(name) if name else "an identifier"
-            self.fail(f"expected {wanted}, found {tok.value!r}", tok)
-        return tok
-
-    def expect_int(self) -> int:
-        tok = self.next()
-        if tok.kind != "int":
-            self.fail(f"expected an integer, found {tok.value!r}", tok)
-        return int(tok.value)
-
-    def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.value == sym
+    def integer(self) -> int:
+        at = self.pos
+        value = self.values[at]
+        self.pos = at + 1
+        if value[:1] not in _DIGITS:
+            self.fail(f"expected an integer, found {value!r}", at)
+        if len(value) > MAX_INTEGER_DIGITS:
+            self.fail(f"integer of {len(value)} digits exceeds the limit {MAX_INTEGER_DIGITS}", at)
+        return int(value)
 
     def separated(self, item, sep: str) -> list:
         """Parse `item (sep item)*` and return the items."""
         items = [item()]
-        while self.at_symbol(sep):
-            self.next()
+        while self.values[self.pos] == sep:
+            self.pos += 1
             items.append(item())
         return items
 
-    def sign(self) -> int | None:
-        """Consume a '+' or '-' and return 1 or -1; None when there is neither."""
-        if self.at_symbol("+") or self.at_symbol("-"):
-            return -1 if self.next().value == "-" else 1
-        return None
-
     def ident_list(self) -> list[str]:
-        self.expect_symbol("(")
-        names = [tok.value for tok in self.separated(self.expect_ident, ",")]
-        self.expect_symbol(")")
+        self.expect("(")
+        names = self.separated(self.ident, ",")
+        self.expect(")")
         return names
 
     def parse(self) -> SystemFile:
-        tok = self.expect_ident("ring")
-        self.expect_ident("derivations")
-        self.expect_symbol("=")
+        at = self.expect("ring", "derivations", "=")
         derivations = self.ident_list()
-        self.expect_ident("indeterminates")
-        self.expect_symbol("=")
+        self.expect("indeterminates", "=")
         indeterminates = self.ident_list()
         try:
             self.ring = RingSpec(tuple(derivations), tuple(indeterminates))
         except ValueError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), at)
+        self.indices = {name: i for i, name in enumerate(indeterminates)}
+        self.span = 2 * len(derivations) + 2  # the tokens of name[i,...,j]
 
-        tok = self.expect_ident("ranking")
-        self.expect_ident("orderly")
-        self.expect_ident("tiebreak")
-        self.expect_symbol("=")
-        self.expect_symbol("(")
+        at = self.expect("ranking", "orderly", "tiebreak", "=", "(")
         order_names = self.separated(self.tiebreak_name, "<")
-        self.expect_symbol(")")
-        if sorted(order_names) != sorted(self.ring.indeterminate_names):
-            self.fail("tiebreak must list every indeterminate exactly once", tok)
-        order = tuple(self.ring.indeterminate_names.index(name) for name in order_names)
-        self.ranking = Ranking(self.ring, order)
+        self.expect(")")
+        if sorted(order_names) != sorted(indeterminates):
+            self.fail("tiebreak must list every indeterminate exactly once", at)
+        self.ranking = Ranking(self.ring, tuple(self.indices[name] for name in order_names))
 
         chains: dict[str, DiffChain] = {}
-        while self.peek().kind != "end":
-            name_tok, chain = self.chain_decl()
-            if name_tok.value in chains:
-                self.fail(f"duplicate chain name {name_tok.value!r}", name_tok)
-            chains[name_tok.value] = chain
+        while self.values[self.pos]:
+            at, name, chain = self.chain_decl()
+            if name in chains:
+                self.fail(f"duplicate chain name {name!r}", at)
+            chains[name] = chain
         if not chains:
-            self.fail("expected at least one chain declaration")
+            self.fail("expected at least one chain declaration", self.pos)
         return SystemFile(self.ring, self.ranking, chains)
 
     def tiebreak_name(self) -> str:
-        tok = self.expect_ident()
-        if tok.value not in self.ring.indeterminate_names:
-            self.fail(f"unknown indeterminate {tok.value!r}", tok, UnknownIdentifierError)
-        return tok.value
+        name = self.ident()
+        if name not in self.indices:
+            self.fail(f"unknown indeterminate {name!r}", self.pos - 1, UnknownIdentifierError)
+        return name
 
-    def chain_decl(self) -> tuple[Token, DiffChain]:
-        self.expect_ident("chain")
-        name_tok = self.expect_ident()
-        self.expect_symbol("{")
+    def chain_decl(self) -> tuple[int, str, DiffChain]:
+        at = self.expect("chain") + 1
+        name = self.ident()
+        self.expect("{")
         polys = []
-        while not self.at_symbol("}"):
-            start = self.peek()
+        while self.values[self.pos] != "}":
+            start = self.pos
             poly = self.poly()
-            self.expect_symbol(";")
+            self.expect(";")
             if poly.is_constant():
                 self.fail("chain elements must be non-constant", start)
             polys.append(poly)
-        self.expect_symbol("}")
+        self.pos += 1
         if not polys:
-            self.fail("chain must contain at least one polynomial", name_tok)
+            self.fail("chain must contain at least one polynomial", at)
         try:
-            return name_tok, DiffChain(polys, self.ranking)
+            return at, name, DiffChain(polys, self.ranking)
         except ConstantPolynomialError as exc:
-            self.fail(str(exc), name_tok)
+            self.fail(str(exc), at)
 
     def poly(self) -> DiffPoly:
         terms: dict[Monomial, Coefficient] = {}
-        sign = self.sign() or 1
-        while sign is not None:
+        sign = self.values[self.pos]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+        while True:
             mono, coeff = self.term()
-            terms[mono] = terms.get(mono, 0) + sign * coeff
-            sign = self.sign()
-        return DiffPoly(terms)
+            terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
+            sign = self.values[self.pos]
+            if sign != "+" and sign != "-":
+                return DiffPoly(terms)
+            self.pos += 1
 
     def term(self) -> tuple[Monomial, Coefficient]:
         """One term: an int coefficient, or a Fraction only for n/d."""
-        start = self.peek()
+        values = self.values
+        start = self.pos
         coeff = None
-        if self.peek().kind == "int":
-            coeff = self.expect_int()
-            if self.at_symbol("/"):
-                slash = self.next()
-                denominator = self.expect_int()
+        if values[start][:1] in _DIGITS:
+            coeff = self.integer()
+            if values[self.pos] == "/":
+                slash = self.pos
+                self.pos += 1
+                denominator = self.integer()
                 if denominator == 0:
                     self.fail("zero denominator", slash)
                 coeff = Fraction(coeff, denominator)
         powers: dict[Derivative, int] = {}
-        if coeff is None or self.peek().kind == "ident":
+        after = values[self.pos]
+        if coeff is None or after and after[0] not in _DIGITS and after not in _SYMBOLS:
             self.factor(powers)
-        while self.at_symbol("*"):
-            self.next()
+        while values[self.pos] == "*":
+            self.pos += 1
             self.factor(powers)
         degree = sum(powers.values())
         if degree > MAX_TERM_DEGREE:
@@ -260,30 +251,36 @@ class _Parser:
 
     def factor(self, powers: dict[Derivative, int]) -> None:
         """Parse one derivative factor and multiply it into `powers`."""
-        tok = self.expect_ident()
-        try:
-            indet = self.ring.indeterminate_names.index(tok.value)
-        except ValueError:
-            self.fail(f"unknown indeterminate {tok.value!r}", tok, UnknownIdentifierError)
-        self.expect_symbol("[")
-        open_tok = self.peek()
-        index = self.separated(self.expect_int, ",")
-        self.expect_symbol("]")
-        if len(index) != self.ring.num_derivations:
-            self.fail(
-                f"multi-index of length {len(index)} for a ring with "
-                f"{self.ring.num_derivations} derivations",
-                open_tok,
-                ArityMismatchError,
-            )
+        at = self.pos
+        key = tuple(self.values[at : at + self.span])
+        d = self.derivatives.get(key)
+        if d is None:
+            d = self.derivatives[key] = self.derivative()
+        else:
+            self.pos = at + self.span
         exponent = 1
-        if self.at_symbol("^"):
-            caret = self.next()
-            exponent = self.expect_int()
+        if self.values[self.pos] == "^":
+            caret = self.pos
+            self.pos += 1
+            exponent = self.integer()
             if exponent < 1:
                 self.fail("exponent must be positive", caret)
-        d = make_derivative(indet, index)
         powers[d] = powers.get(d, 0) + exponent
+
+    def derivative(self) -> Derivative:
+        at = self.pos
+        indet = self.indices.get(self.values[at])
+        if indet is None:
+            self.fail(f"unknown indeterminate {self.ident()!r}", at, UnknownIdentifierError)
+        self.pos += 1
+        open_at = self.expect("[") + 1
+        index = self.separated(self.integer, ",")
+        self.expect("]")
+        n = self.ring.num_derivations
+        if len(index) != n:
+            message = f"multi-index of length {len(index)} for a ring with {n} derivations"
+            self.fail(message, open_at, ArityMismatchError)
+        return make_derivative(indet, index)
 
 
 def parse_system(text: str) -> SystemFile:

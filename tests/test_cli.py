@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import diffdim
-from diffdim import NumericalPolynomial, dimension
+from diffdim import NumericalPolynomial, cli, dimension
 from diffdim.cli import ORACLE_VISIT_LIMIT, run
 
 GOLDEN_OMEGA = "ω(ℓ) = 2ℓ + 1 = 2·C(ℓ+1,1) − 1 (stabilizes at ℓ ≥ 2)"
@@ -290,6 +290,29 @@ def test_omega_cross_checks_large_groups(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "validate" in capsys.readouterr().out
+
+
+def test_reused_argument_parser_carries_no_state(data_dir, capsys):
+    path = str(data_dir / "pde_pair.sys")
+    calls = (
+        ["omega", path, "--chain", "S1", "--frobnicate"],
+        ["--help"],
+        ["compare", path, "--smaller", "S2", "--larger", "S1", "--json"],
+    )
+
+    def outputs(fresh: bool):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    reused = outputs(fresh=False)
+    assert [code for code, _, _ in reused] == [64, 0, 1]
+    assert cli._build_parser() is cli._build_parser()
+    assert reused == outputs(fresh=True)
 
 
 def test_public_surface():

@@ -182,6 +182,33 @@ def test_parser_stores_integral_coefficients_as_int():
     )
 
 
+@pytest.mark.parametrize(
+    "template, column",
+    [
+        ("{n}*u[1]", 10),  # a coefficient
+        ("u[{n}]", 12),  # a multi-index entry
+        ("u[1]^{n}", 15),  # an exponent
+    ],
+)
+def test_integer_above_digit_limit_is_parse_error(tmp_path, capsys, template, column):
+    # 5,000 digits is above the interpreter's default int-from-text limit of 4,300
+    text = ONE_AXIS + "chain A {\n  u[0] - " + template.format(n="7" * 5000) + ";\n}\n"
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert str(err.value) == f"line 4, column {column}: integer of 5000 digits exceeds the limit 640"
+    path = tmp_path / "big.sys"
+    path.write_text(text)
+    assert run(["omega", str(path), "--chain", "A"]) == 65
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert f"big.sys: line 4, column {column}: integer of 5000 digits" in stderr
+    at_limit = ONE_AXIS + "chain A { u[0] - " + "7" * 640 + "*u[1]; }\n"
+    (element,) = parse_system(at_limit).chains["A"].elements
+    assert element == dvar(0, (0,)) - int("7" * 640) * dvar(0, (1,))
+    with pytest.raises(ParseError, match="integer of 641 digits"):
+        parse_system(at_limit.replace("7", "77", 1))
+
+
 def test_term_degree_at_limit_parses():
     system = parse_system(ONE_AXIS + "chain A { u[1]^1000 + u[1]^400*u[0]*u[1]^599; }\n")
     (element,) = system.chains["A"].elements
@@ -211,12 +238,12 @@ def test_end_of_input_after_trailing_comment():
     assert str(err.value) == "line 3, column 30: expected ';'"
 
 
-def _mutated_texts(data_dir, count=2000):
-    """`count` seeded texts, each tests/data .sys file with 1-3 character edits."""
+def _mutated_texts(data_dir):
+    """2,000 seeded texts, each a tests/data .sys file with 1-3 character edits."""
     texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.sys"))]
     alphabet = "uvtx019 \t\n#=(),<{};^*+-/[]_@²٣½\xa0"
     rng = random.Random(61)
-    for _ in range(count):
+    for _ in range(2000):
         text = rng.choice(texts)
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(text) + 1)
