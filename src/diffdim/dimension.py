@@ -11,16 +11,17 @@ brute-force lattice-point oracle they are checked against:
   K(G + {m}) = K(G) - t^|m| K(G : m) (Bayer-Stillman, "Computation of
   Hilbert functions", JSC 1992; Bigatti, "Computation of Hilbert-Poincare
   series", JPAA 1997);
-- Janet completion of the leaders into disjoint cones, with the completed
-  set kept as a Janet tree so that the multiplicative axes of a
-  multi-index and the Janet divisor of a prolongation are each found by
-  one walk from the root (Gerdt-Blinkov-Yanovich, "Construction of Janet
-  bases I. Monomial bases", CASC 2001; Seiler, "Involution", 2010).
+- the minimal Janet basis of the leaders, whose Janet cones are disjoint,
+  built one slice of the first coordinate at a time: every value of that
+  coordinate between two consecutive first exponents of the leaders
+  carries a copy of the minimal basis of the slice's tails in one variable
+  fewer (Gerdt-Blinkov, "Minimal involutive bases", Math. Comput. Simul.
+  45, 1998; Gerdt-Blinkov-Yanovich, "Construction of Janet bases I.
+  Monomial bases", CASC 2001).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -214,76 +215,51 @@ class JanetCone:
     multiplicative: frozenset[int]
 
 
-def _janet_axes(tree: dict, u: MultiIndex) -> frozenset[int]:
-    """Janet's axis assignment: axis i is multiplicative for u when u[i] is
-    the largest key at u's level-i node of the tree."""
-    axes = []
-    node = tree
-    for i, e in enumerate(u):
-        if e == max(node):
-            axes.append(i)
-        node = node[e]
-    return frozenset(axes)
-
-
-def _has_janet_divisor(tree: dict, v: MultiIndex) -> bool:
-    """Whether v lies in the Janet cone of some multi-index in the tree.
-
-    At each level only one key can divide: v[i] itself when it is below the
-    node's largest key, since a smaller key would leave a non-multiplicative
-    gap, and the largest key otherwise.  So the walk has no choices.
-    """
-    node = tree
-    for e in v:
-        top = max(node)
-        if e < top:
-            node = node.get(e)
-            if node is None:
-                return False
+def _janet_basis(gens, n: int) -> list[tuple[MultiIndex, tuple[int, ...]]]:
+    """Minimal Janet basis of the cones over gens in n variables, as
+    (multi-index, multiplicative axes) pairs in increasing order."""
+    if n == 1:
+        return [((min(g[0] for g in gens),), (0,))]
+    slices: dict[int, list[MultiIndex]] = {}
+    for g in gens:
+        slices.setdefault(g[0], []).append(g[1:])
+    firsts = sorted(slices)
+    basis = []
+    tails: tuple[MultiIndex, ...] = ()
+    for i, a in enumerate(firsts):
+        if n == 2:
+            # a one-variable antichain is its minimum: no minimalize pass
+            tails = (min(tails + tuple(slices[a])),)
         else:
-            node = node[top]
-    return True
-
-
-def _tree_insert(tree: dict, u: MultiIndex) -> None:
-    node = tree
-    for e in u:
-        node = node.setdefault(e, {})
-
-
-def _first_uncovered(tree: dict, work: list[MultiIndex], n: int) -> MultiIndex | None:
-    for u in work:
-        axes = _janet_axes(tree, u)
-        for i in range(n):
-            if i in axes:
-                continue
-            v = u[:i] + (u[i] + 1,) + u[i + 1 :]
-            if not _has_janet_divisor(tree, v):
-                return v
-    return None
+            tails = minimalize(tails + tuple(slices[a]))
+        last = i + 1 == len(firsts)
+        head = (0,) if last else ()
+        sub = [(u, head + tuple(k + 1 for k in axes)) for u, axes in _janet_basis(tails, n - 1)]
+        for x in range(a, a + 1 if last else firsts[i + 1]):
+            basis.extend(((x,) + u, axes) for u, axes in sub)
+    return basis
 
 
 def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> list[JanetCone]:
-    """Complete an antichain until the Janet cones cover every prolongation.
+    """The unique minimal Janet basis of the cones over an antichain of
+    generators, such as one group of a LeaderSpec.
 
-    The multi-indices are kept in a Janet tree: nested dicts keyed by the
-    exponent on axis 0, then axis 1, and so on, one root-to-leaf path per
-    multi-index.  Both the axis assignment and the search for a Janet
-    divisor are single walks down that tree.  Scanning the
-    multi-indices in sorted order and their axes in order, the first
-    non-multiplicative prolongation u + e_i with no Janet divisor is
-    inserted and the scan restarts; Dickson's lemma bounds the insertions.
-    The resulting cones are pairwise disjoint and cover exactly the union of
-    the ordinary cones of the input.
+    Slice along axis 0: with a_1 < ... < a_k the distinct first exponents
+    and R_i the antichain of tails g[1:] of the generators with g[0] <= a_i,
+    each x in [a_i, a_(i+1)) carries a copy of the minimal Janet basis of
+    R_i in the remaining axes, with axis 0 non-multiplicative, and x = a_k
+    alone carries R_k's basis with axis 0 multiplicative.  In one variable
+    the basis is the single cone at the minimum.  The cones are pairwise
+    disjoint, cover exactly the union of the ordinary cones of the input,
+    and come sorted by generator.
     """
-    work = sorted(set(tuple(mu) for mu in generators))
-    tree: dict = {}
-    for u in work:
-        _tree_insert(tree, u)
-    while (v := _first_uncovered(tree, work, num_derivations)) is not None:
-        bisect.insort(work, v)
-        _tree_insert(tree, v)
-    return [JanetCone(u, indeterminate, _janet_axes(tree, u)) for u in work]
+    gens = {tuple(mu) for mu in generators}
+    if not gens:
+        return []
+    return [
+        JanetCone(u, indeterminate, frozenset(axes))
+        for u, axes in _janet_basis(gens, num_derivations)
+    ]
 
 
 def cone_contains(cone: JanetCone, mu: MultiIndex) -> bool:
@@ -301,7 +277,7 @@ def omega_janet(spec: LeaderSpec) -> OmegaResult:
 
         omega(l) = m*C(n+l, n) - sum over cones of C(z + l - q, z)
 
-    exact once l reaches the largest completed generator order.
+    exact once l reaches the largest generator order in the basis.
     """
     n = spec.num_derivations
     cones: list[JanetCone] = []

@@ -241,6 +241,26 @@ def test_oracle_table_above_visit_limit_is_usage_error(tmp_path, capsys):
         assert elapsed < 1.0
 
 
+def test_omega_on_a_leader_of_order_2000_stays_fast(tmp_path, capsys):
+    # The Janet basis has 2,001 cones here; a completion that rescans from the
+    # first multi-index after each insertion is quadratic in that count.
+    path = tmp_path / "tall.sys"
+    path.write_text(
+        "ring derivations=(t,x) indeterminates=(u)\n"
+        "ranking orderly tiebreak=(u)\n"
+        "chain A { u[2000,0]; u[0,1]; }\n"
+    )
+    start = time.perf_counter()
+    code = run(["omega", str(path), "--chain", "A", "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["binomial_coeffs"] == [2000, 0, 0]
+    assert payload["stabilization_bound"] == 2000
+    assert len(payload["janet_cones"]) == 2001
+    assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
+
+
 def test_parse_error_exits_65(tmp_path, capsys):
     path = tmp_path / "broken.sys"
     for content, detail in (

@@ -121,42 +121,46 @@ def test_janet_completion_empty():
     assert janet_complete([], 3) == []
 
 
+def _janet_multiplicative(gens, n):
+    """Janet's axis assignment: axis i is multiplicative for u when u[i] is the
+    largest exponent on axis i among the multi-indices that agree with u
+    before axis i."""
+    return {
+        u: frozenset(i for i in range(n) if u[i] == max(v[i] for v in gens if v[:i] == u[:i]))
+        for u in gens
+    }
+
+
+def _first_gap(gens, n):
+    """First non-multiplicative prolongation u + e_i with no Janet divisor in
+    gens, scanning gens in sorted order, or None when gens is complete."""
+    mult = _janet_multiplicative(gens, n)
+    for u in sorted(gens):
+        for i in range(n):
+            if i in mult[u]:
+                continue
+            v = u[:i] + (u[i] + 1,) + u[i + 1 :]
+            covered = any(
+                dimension.dominates(v, w)
+                and all(e == 0 or k in mult[w] for k, e in enumerate(dimension.subtract_indices(v, w)))
+                for w in gens
+            )
+            if not covered:
+                return v
+    return None
+
+
 def _reference_janet_complete(generators, n):
     """The completion as first written: recompute every axis assignment and
-    rescan every prolongation against every multi-index after each insertion."""
-
-    def multiplicative(gens):
-        return {
-            u: frozenset(
-                i for i in range(n) if u[i] == max(v[i] for v in gens if v[:i] == u[:i])
-            )
-            for u in gens
-        }
-
+    rescan every prolongation against every multi-index after each insertion.
+    Its bases are Janet bases, but not always minimal ones."""
     work = sorted(set(generators))
     if not work:
         return []
-    while True:
-        mult = multiplicative(work)
-        inserted = None
-        for u in work:
-            for i in range(n):
-                if i in mult[u]:
-                    continue
-                v = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                covered = any(
-                    dimension.dominates(v, w)
-                    and all(e == 0 or k in mult[w] for k, e in enumerate(dimension.subtract_indices(v, w)))
-                    for w in work
-                )
-                if not covered:
-                    inserted = v
-                    break
-            if inserted:
-                break
-        if inserted is None:
-            return [dimension.JanetCone(u, 0, mult[u]) for u in work]
-        work = sorted(set(work) | {inserted})
+    while (v := _first_gap(work, n)) is not None:
+        work = sorted(set(work) | {v})
+    mult = _janet_multiplicative(work, n)
+    return [dimension.JanetCone(u, 0, mult[u]) for u in work]
 
 
 def _random_antichain(rng, n, size, max_order):
@@ -170,17 +174,26 @@ def _random_antichain(rng, n, size, max_order):
     return gens
 
 
-def test_janet_tree_matches_reference_completion():
-    # a Janet basis that is not minimal: (3,2,1) and (3,2,2) get no axis
+def test_janet_basis_is_the_minimal_subset_of_reference_completion():
+    # the reference adds (3,2,1) and (3,2,2) with no multiplicative axis
     skewed = [(1, 1, 3), (2, 3, 0), (3, 1, 1), (4, 0, 0)]
-    assert len(janet_complete(skewed, 3)) == 10
+    assert len(_reference_janet_complete(skewed, 3)) == 10
+    assert len(janet_complete(skewed, 3)) == 8
     rng = random.Random(2024)
     cases = [(skewed, 3)]
     for _ in range(200):
         n = rng.randint(2, 4)
         cases.append((_random_antichain(rng, n, rng.randint(1, 7), 6), n))
     for gens, n in cases:
-        assert janet_complete(gens, n) == _reference_janet_complete(gens, n), gens
+        cones = janet_complete(gens, n)
+        basis = [c.generator for c in cones]
+        assert basis == sorted(set(basis)), gens
+        assert set(basis) <= {c.generator for c in _reference_janet_complete(gens, n)}, gens
+        mult = _janet_multiplicative(basis, n)
+        assert all(c.multiplicative == mult[c.generator] for c in cones), gens
+        assert _first_gap(basis, n) is None, gens
+        for extra in set(basis) - set(gens):
+            assert _first_gap([u for u in basis if u != extra], n) is not None, (gens, extra)
 
 
 def test_janet_twelve_leaders_in_four_derivations():
@@ -192,7 +205,7 @@ def test_janet_twelve_leaders_in_four_derivations():
     start = time.perf_counter()
     result = omega_janet(spec)
     elapsed = time.perf_counter() - start
-    assert len(result.janet_cones) == 262
+    assert len(result.janet_cones) == 207
     assert result.stabilization_bound == 19
     assert result.omega == omega_incl_excl(spec).omega
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
