@@ -61,7 +61,7 @@ class DiffChain:
                     "chain elements must be non-constant differential polynomials"
                 )
             for d in sorted(p.derivatives()):
-                if not 0 <= d.indeterminate < m or len(d.index) != n:
+                if not 0 <= d.indeterminate < m or len(d.index) != n or min(d.index) < 0:
                     raise ValueError(
                         f"chain element {i} has {d!r}, outside the ring of "
                         f"{m} indeterminates and {n} derivations"
@@ -144,7 +144,7 @@ class ReductionTrace:
             out = out * factor**e
         return out
 
-    def to_json_dict(self, names=None) -> dict:
+    def to_json_dict(self, names: tuple[str, ...]) -> dict:
         return {
             "remainder": poly_text(self.remainder, names),
             "multipliers": [

@@ -8,31 +8,20 @@ import json
 import math
 import sys
 
-from .chains import InvalidChainError
+from .chains import DiffChain, InvalidChainError
 from .compare import compare_ideals
 from .dimension import InternalDisagreementError, krull_oracle, normalize_leaders, omega
 from .diffpoly import derivative_text, poly_text
 from .numpoly import MINUS, binomial_text, standard_text
-from .systemfile import ParseError, SystemFile, parse_system
+from .systemfile import ParseError, parse_system
 
 # Most multi-indices an oracle table may visit: m*C(L+n+1, n+1) for --max-order L.
 ORACLE_VISIT_LIMIT = 10**6
 
 
-class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(self, message)
-
-
 @functools.cache  # built on first use, then shared: parsing leaves it unchanged
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="diffdim",
         description="Dimension polynomials and comparison of differential chains.",
     )
@@ -64,26 +53,7 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _usage_failure(parser: argparse.ArgumentParser, message: str) -> int:
-    parser.print_usage(sys.stderr)
-    print(f"{parser.prog}: error: {message}", file=sys.stderr)
-    return 64
-
-
-def _get_chain(system: SystemFile, name: str, parser):
-    chain = system.chains.get(name)
-    if chain is None:
-        known = ", ".join(sorted(system.chains))
-        raise _UsageError(parser, f"unknown chain {name!r} (file declares: {known})")
-    return chain
-
-
-def _invalid_chain(name: str, exc: InvalidChainError) -> None:
-    print(f"diffdim: chain {name!r} is not a valid chain: {exc}", file=sys.stderr)
-
-
-def _cmd_validate(system: SystemFile, args) -> int:
-    chain = system.chains[args.chain]
+def _cmd_validate(args, chain: DiffChain) -> int:
     report = chain.validation_report()
     names = chain.ring.indeterminate_names
     if args.json:
@@ -123,13 +93,8 @@ def _cmd_validate(system: SystemFile, args) -> int:
     return 0 if report.accepted else 1
 
 
-def _cmd_omega(system: SystemFile, args) -> int:
-    chain = system.chains[args.chain]
-    try:
-        result = omega(chain)
-    except InvalidChainError as exc:
-        _invalid_chain(args.chain, exc)
-        return 1
+def _cmd_omega(args, chain: DiffChain) -> int:
+    result = omega(chain)
     if args.json:
         payload = {"chain": args.chain, **result.to_json_dict(chain.ring)}
         print(json.dumps(payload, indent=2))
@@ -144,14 +109,9 @@ def _cmd_omega(system: SystemFile, args) -> int:
     return 0
 
 
-def _cmd_oracle(system: SystemFile, args) -> int:
-    chain = system.chains[args.chain]
-    try:
-        result = omega(chain)
-        spec = normalize_leaders(chain)
-    except InvalidChainError as exc:
-        _invalid_chain(args.chain, exc)
-        return 1
+def _cmd_oracle(args, chain: DiffChain) -> int:
+    result = omega(chain)
+    spec = normalize_leaders(chain)
     rows = []
     for order in range(args.max_order + 1):
         counted = krull_oracle(spec, order)
@@ -174,16 +134,8 @@ def _cmd_oracle(system: SystemFile, args) -> int:
     return 0
 
 
-def _cmd_compare(system: SystemFile, args) -> int:
-    smaller = system.chains[args.smaller]
-    larger = system.chains[args.larger]
-    try:
-        verdict = compare_ideals(smaller, larger, containment_asserted=args.assert_containment)
-    except InvalidChainError as exc:
-        # compare_ideals checks the smaller chain first; reports are cached
-        failed = args.smaller if not smaller.validation_report().accepted else args.larger
-        _invalid_chain(failed, exc)
-        return 2
+def _cmd_compare(args, smaller: DiffChain, larger: DiffChain) -> int:
+    verdict = compare_ideals(smaller, larger, containment_asserted=args.assert_containment)
     if args.json:
         print(json.dumps(verdict.to_json_dict(smaller.ring), indent=2))
     else:
@@ -208,47 +160,41 @@ def _cmd_compare(system: SystemFile, args) -> int:
 
 
 def run(argv=None) -> int:
+    """Run one command; every outcome maps to its exit code here, checked in this order."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _usage_failure(exc.parser, str(exc))
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
+        system = parse_system(text)
+        names = (args.smaller, args.larger) if args.command == "compare" else (args.chain,)
+        for name in names:
+            if name not in system.chains:
+                known = ", ".join(sorted(system.chains))
+                parser.error(f"unknown chain {name!r} (file declares: {known})")
+        chains = [system.chains[name] for name in names]
+        if args.command == "oracle":
+            if args.max_order < 0:
+                parser.error("--max-order must be nonnegative")
+            ring = chains[0].ring
+            n = ring.num_derivations
+            visits = ring.num_indeterminates * math.comb(args.max_order + n + 1, n + 1)
+            if visits > ORACLE_VISIT_LIMIT:
+                parser.error(
+                    f"--max-order {args.max_order} would visit more multi-indices "
+                    f"than the oracle's limit of {ORACLE_VISIT_LIMIT}"
+                )
+    except SystemExit as exc:  # argparse's error() has printed usage and exits 2; --help 0
+        return 64 if exc.code == 2 else exc.code
     except OSError as exc:
         print(f"diffdim: {exc}", file=sys.stderr)
         return 66
     except UnicodeDecodeError as exc:
         print(f"diffdim: {args.file}: not UTF-8 text: {exc}", file=sys.stderr)
         return 65
-    try:
-        system = parse_system(text)
     except ParseError as exc:
         print(f"diffdim: {args.file}: {exc}", file=sys.stderr)
         return 65
-    try:
-        if args.command == "compare":
-            _get_chain(system, args.smaller, parser)
-            _get_chain(system, args.larger, parser)
-        else:
-            _get_chain(system, args.chain, parser)
-        if args.command == "oracle":
-            if args.max_order < 0:
-                raise _UsageError(parser, "--max-order must be nonnegative")
-            ring = system.chains[args.chain].ring
-            n = ring.num_derivations
-            visits = ring.num_indeterminates * math.comb(args.max_order + n + 1, n + 1)
-            if visits > ORACLE_VISIT_LIMIT:
-                raise _UsageError(
-                    parser,
-                    f"--max-order {args.max_order} would visit more multi-indices "
-                    f"than the oracle's limit of {ORACLE_VISIT_LIMIT}",
-                )
-    except _UsageError as exc:
-        return _usage_failure(exc.parser, str(exc))
     handler = {
         "validate": _cmd_validate,
         "omega": _cmd_omega,
@@ -256,7 +202,14 @@ def run(argv=None) -> int:
         "compare": _cmd_compare,
     }[args.command]
     try:
-        return handler(system, args)
+        return handler(args, *chains)
+    except InvalidChainError as exc:
+        # reports are cached: name the first chain, in command-line order, that failed
+        failed = next(
+            name for name, chain in zip(names, chains) if not chain.validation_report().accepted
+        )
+        print(f"diffdim: chain {failed!r} is not a valid chain: {exc}", file=sys.stderr)
+        return 2 if args.command == "compare" else 1
     except InternalDisagreementError as exc:
         print(f"diffdim: internal error: {exc}", file=sys.stderr)
         return 70

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .chains import DiffChain, _require_valid, membership
-from .diffpoly import Derivative, derivative_text
+from .diffpoly import Derivative, RingSpec, derivative_text
 from .numpoly import NumericalPolynomial, Ordering
 from .dimension import omega
 
@@ -56,8 +56,8 @@ class CompareVerdict:
             return 1
         return 2
 
-    def to_json_dict(self, ring=None) -> dict:
-        names = ring.indeterminate_names if ring is not None else None
+    def to_json_dict(self, ring: RingSpec) -> dict:
+        names = ring.indeterminate_names
         report = {}
         for x in sorted(self.leader_report):
             small, large = self.leader_report[x]

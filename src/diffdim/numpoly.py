@@ -172,14 +172,14 @@ def _signed_sum(coeffs, basis: list[str], sep: str) -> str:
     return " ".join(parts) or "0"
 
 
-def standard_text(p: NumericalPolynomial, var: str = "ℓ") -> str:
-    """Render in falling powers, e.g. '2l + 1'."""
+def standard_text(p: NumericalPolynomial) -> str:
+    """Render in falling powers of ℓ, e.g. '2ℓ + 1'."""
     coeffs = p.to_standard_basis()
-    powers = ["", var] + [f"{var}^{k}" for k in range(2, len(coeffs))]
+    powers = ["", "ℓ"] + [f"ℓ^{k}" for k in range(2, len(coeffs))]
     return _signed_sum(coeffs, powers, "")
 
 
-def binomial_text(p: NumericalPolynomial, var: str = "ℓ") -> str:
-    """Render in the binomial basis, e.g. '2·C(l+1,1) − 1'."""
-    basis = [""] + [f"C({var}+{i},{i})" for i in range(1, len(p.coeffs))]
+def binomial_text(p: NumericalPolynomial) -> str:
+    """Render in the binomial basis, e.g. '2·C(ℓ+1,1) − 1'."""
+    basis = [""] + [f"C(ℓ+{i},{i})" for i in range(1, len(p.coeffs))]
     return _signed_sum(p.coeffs, basis, "·")

@@ -5,6 +5,7 @@ import pytest
 
 from diffdim import (
     ConstantPolynomialError,
+    Derivative,
     DiffChain,
     DiffPoly,
     InvalidChainError,
@@ -42,6 +43,8 @@ def test_chain_rejects_derivative_outside_its_ring():
         ([dvar(1, (1, 0))], "chain element 0 has .*indeterminate=1"),
         # a lone element, so validation has no pair to reduce
         ([dvar(0, (0, 1, 2))], "chain element 0 has .*index=\\(0, 1, 2\\)"),
+        # a negative multi-index, which make_derivative would refuse to build
+        ([DiffPoly.variable(Derivative(0, (0, -1)))], "chain element 0 has .*index=\\(0, -1\\)"),
     )
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import re
@@ -18,6 +19,13 @@ INCOHERENT = (
     "ring derivations=(t,x) indeterminates=(u)\n"
     "ranking orderly tiebreak=(u)\n"
     "chain Bad {\n  u[2,0] - u[0,0];\n  u[1,1] - u[0,0];\n}\n"
+)
+
+# Two incoherent chains and a good one.
+MIXED = (
+    INCOHERENT
+    + "chain Good {\n  u[1,0];\n}\n"
+    + "chain Worse {\n  u[2,0] + u[0,0];\n  u[1,1] - u[0,1];\n}\n"
 )
 
 
@@ -219,6 +227,108 @@ def test_usage_errors_exit_64(data_dir, capsys):
     assert run(["omega", path, "--chain", "B", "--frobnicate"]) == 64
     assert run([]) == 64
     assert run(["oracle", path, "--chain", "B", "--max-order", "-3"]) == 64
+
+
+MAIN_USAGE = "usage: diffdim [-h] command ...\n"
+BAD_REMAINDER = "u[1,0] - u[0,1]"
+
+
+def _not_valid(name, remainder=BAD_REMAINDER):
+    return (
+        f"diffdim: chain {name!r} is not a valid chain: cross-derivation obstruction "
+        f"of elements 0 and 1 leaves the nonzero remainder {remainder}; "
+        "regularity of initials and separants assumed, not verified\n"
+    )
+
+
+def _choices(*choices):
+    """The choices as this Python's argparse lists them; newer releases drop the quotes."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("c", choices=choices)
+    with pytest.raises(argparse.ArgumentError) as info:
+        probe.parse_args(["?"])
+    return str(info.value).split("(choose from ")[1][:-1]
+
+
+# (argv, exit, stdout, stderr) of every error path; "<file>" is MIXED and the
+# temporary directory reads "<tmp>".  argparse wraps usage lines at COLUMNS=80.
+ERROR_PATHS = {
+    "no-command": ([], 64, "", MAIN_USAGE + (
+        "diffdim: error: the following arguments are required: command\n")),
+    "unknown-command": (["frob"], 64, "", MAIN_USAGE + (
+        "diffdim: error: argument command: invalid choice: 'frob' (choose from "
+        + _choices("validate", "omega", "oracle", "compare") + ")\n")),
+    "no-chain": (["omega", "<file>"], 64, "", (
+        "usage: diffdim omega [-h] --chain CHAIN [--json] file\n"
+        "diffdim omega: error: the following arguments are required: --chain\n")),
+    "unknown-option": (["omega", "<file>", "--chain", "Good", "--frobnicate"], 64, "",
+        MAIN_USAGE + "diffdim: error: unrecognized arguments: --frobnicate\n"),
+    "max-order-not-int": (["oracle", "<file>", "--chain", "Good", "--max-order", "x"], 64, "", (
+        "usage: diffdim oracle [-h] --chain CHAIN --max-order MAX_ORDER [--json] file\n"
+        "diffdim oracle: error: argument --max-order: invalid int value: 'x'\n")),
+    "max-order-negative": (["oracle", "<file>", "--chain", "Good", "--max-order", "-3"], 64, "",
+        MAIN_USAGE + "diffdim: error: --max-order must be nonnegative\n"),
+    "visit-limit": (["oracle", "<file>", "--chain", "Good", "--max-order", "2000"], 64, "",
+        MAIN_USAGE + "diffdim: error: --max-order 2000 would visit more multi-indices "
+        "than the oracle's limit of 1000000\n"),
+    "no-larger": (["compare", "<file>", "--smaller", "Good"], 64, "", (
+        "usage: diffdim compare [-h] --smaller SMALLER --larger LARGER\n"
+        "                       [--assert-containment] [--json]\n"
+        "                       file\n"
+        "diffdim compare: error: the following arguments are required: --larger\n")),
+    "unknown-chain": (["omega", "<file>", "--chain", "Nope"], 64, "", MAIN_USAGE + (
+        "diffdim: error: unknown chain 'Nope' (file declares: Bad, Good, Worse)\n")),
+    "help": (["--help"], 0, MAIN_USAGE + (
+        "\n"
+        "Dimension polynomials and comparison of differential chains.\n"
+        "\n"
+        "positional arguments:\n"
+        "  command\n"
+        "    validate  check triangularity and coherence of a chain\n"
+        "    omega     dimension polynomial of a chain\n"
+        "    oracle    tabulate the counting oracle against omega\n"
+        "    compare   relate the ideals of two chains, smaller in larger\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"), ""),
+    "omega-help": (["omega", "--help"], 0, (
+        "usage: diffdim omega [-h] --chain CHAIN [--json] file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --chain CHAIN\n"
+        "  --json\n"), ""),
+    "validate-bad": (["validate", "<file>", "--chain", "Bad"], 1, (
+        "chain Bad: triangular: yes; coherent: no\n"
+        "initial/separant regularity: unverified-assumed\n"
+        "  note: cross-derivation obstruction of elements 0 and 1 leaves the nonzero "
+        f"remainder {BAD_REMAINDER}\n"
+        "  note: regularity of initials and separants assumed, not verified\n"), ""),
+    "omega-bad": (["omega", "<file>", "--chain", "Bad"], 1, "", _not_valid("Bad")),
+    "oracle-bad": (["oracle", "<file>", "--chain", "Bad", "--max-order", "2"], 1, "",
+        _not_valid("Bad")),
+    "compare-bad-good": (["compare", "<file>", "--smaller", "Bad", "--larger", "Good"], 2, "",
+        _not_valid("Bad")),
+    "compare-good-bad": (["compare", "<file>", "--smaller", "Good", "--larger", "Bad"], 2, "",
+        _not_valid("Bad")),
+    "compare-bad-bad": (["compare", "<file>", "--smaller", "Worse", "--larger", "Bad"], 2, "",
+        _not_valid("Worse", "2*u[0,1]")),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_PATHS))
+def test_error_path_output_is_exact(tmp_path, capsys, monkeypatch, case):
+    argv, code, out, err = ERROR_PATHS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "mixed.sys"
+    path.write_text(MIXED)
+    assert run([str(path) if a == "<file>" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    tmp = str(tmp_path)
+    assert (captured.out.replace(tmp, "<tmp>"), captured.err.replace(tmp, "<tmp>")) == (out, err)
 
 
 def test_oracle_table_above_visit_limit_is_usage_error(tmp_path, capsys):
