@@ -13,6 +13,7 @@ from .diffpoly import (
     RingSpec,
     derivative_text,
     dominates,
+    is_multi_index,
     join_indices,
     poly_text,
     subtract_indices,
@@ -46,7 +47,7 @@ class DiffChain:
         "ranking",
         "leaders",
         "_report",
-        "_triangularity",
+        "_leader_table",
         "_lifts",
         "_separants",
         "_initials",
@@ -61,7 +62,7 @@ class DiffChain:
                     "chain elements must be non-constant differential polynomials"
                 )
             for d in sorted(p.derivatives()):
-                if not 0 <= d.indeterminate < m or len(d.index) != n or min(d.index) < 0:
+                if not 0 <= d.indeterminate < m or len(d.index) != n or not is_multi_index(d.index):
                     raise ValueError(
                         f"chain element {i} has {d!r}, outside the ring of "
                         f"{m} indeterminates and {n} derivations"
@@ -70,7 +71,7 @@ class DiffChain:
         object.__setattr__(self, "ranking", ranking)
         object.__setattr__(self, "leaders", tuple(ranking.leader(p) for p in elements))
         object.__setattr__(self, "_report", None)
-        object.__setattr__(self, "_triangularity", None)
+        object.__setattr__(self, "_leader_table", None)
         object.__setattr__(self, "_lifts", tuple({} for _ in elements))
         object.__setattr__(self, "_separants", {})
         object.__setattr__(self, "_initials", {})
@@ -193,23 +194,34 @@ class ValidationReport:
         }
 
 
-def _triangularity_failures(chain: DiffChain) -> list[str]:
-    """Weak-triangularity violations, computed once per chain; a fresh list
-    on every call, since callers extend it."""
-    if chain._triangularity is None:
-        names = chain.ring.indeterminate_names
-        out = []
-        for i, x in enumerate(chain.leaders):
-            for j, y in enumerate(chain.leaders):
-                if i == j:
-                    continue
-                if x.indeterminate == y.indeterminate and dominates(x.index, y.index):
-                    out.append(
-                        f"leader {derivative_text(x, names)} of element {i} is a "
-                        f"derivative of leader {derivative_text(y, names)} of element {j}"
-                    )
-        object.__setattr__(chain, "_triangularity", tuple(out))
-    return list(chain._triangularity)
+def _leader_table(chain: DiffChain):
+    """Pairwise facts about the chain's leaders, computed on first use.
+
+    Returns (orders, failures, by_rank): orders[i][k] is the total order of
+    join(i, k) for leaders on one indeterminate, None on the diagonal and
+    across indeterminates; failures lists the weak-triangularity violations
+    in (i, j) order, read off orders since leader i is a derivative of
+    leader j exactly when their join has leader i's order; by_rank lists
+    the element indices by the rank of their leaders, then by index.
+    """
+    if chain._leader_table is None:
+        leaders, names = chain.leaders, chain.ring.indeterminate_names
+        orders: list[list[int | None]] = [[None] * len(leaders) for _ in leaders]
+        for i, x in enumerate(leaders):
+            for k in range(i + 1, len(leaders)):
+                y = leaders[k]
+                if x.indeterminate == y.indeterminate:
+                    orders[i][k] = orders[k][i] = sum(map(max, x.index, y.index))
+        failures = tuple(
+            f"leader {derivative_text(x, names)} of element {i} is a derivative "
+            f"of leader {derivative_text(leaders[j], names)} of element {j}"
+            for i, x in enumerate(leaders)
+            for j, order in enumerate(orders[i])
+            if order == x.order
+        )
+        by_rank = tuple(sorted(range(len(leaders)), key=lambda i: chain.ranking.key(leaders[i])))
+        object.__setattr__(chain, "_leader_table", (orders, failures, by_rank))
+    return chain._leader_table
 
 
 def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
@@ -230,18 +242,13 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
 
 
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
-    """Chain element whose leader divides x: ranking-minimal leader, then lowest index."""
-    ranking = chain.ranking
-    best = None
-    for idx, ld in enumerate(chain.leaders):
+    """First element, in the rank order of leaders, whose leader divides x,
+    with the quotient x / leader."""
+    for idx in _leader_table(chain)[2]:
+        ld = chain.leaders[idx]
         if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
-            key = (ranking.key(ld), idx)
-            if best is None or key < best[0]:
-                best = (key, idx, ld)
-    if best is None:
-        return None
-    _, idx, ld = best
-    return idx, subtract_indices(x.index, ld.index)
+            return idx, subtract_indices(x.index, ld.index)
+    return None
 
 
 def full_pseudo_reduce(
@@ -257,7 +264,7 @@ def full_pseudo_reduce(
     pseudo-division, multiplying through by the initial.  No derivative
     ranked >= x is ever reintroduced, so the procedure terminates.
     """
-    failures = _triangularity_failures(chain)
+    _, failures, _ = _leader_table(chain)
     if failures:
         raise NotTriangularError("; ".join(failures))
     ranking = chain.ranking
@@ -281,14 +288,10 @@ def full_pseudo_reduce(
         x, idx, sigma = target
         g = chain.lift(idx, sigma)
         if any(sigma):
-            lead = chain.separant(idx)
-            g_degree = 1
-            threshold = 1
+            lead, g_degree = chain.separant(idx), 1
         else:
-            lead = chain.initial(idx)
-            g_degree = g.degree_in(x)
-            threshold = g_degree
-        while (d := r.degree_in(x)) >= threshold:
+            lead, g_degree = chain.initial(idx), g.degree_in(x)
+        while (d := r.degree_in(x)) >= g_degree:
             top = r.as_univariate(x)[d]
             shift = DiffPoly.variable(x) ** (d - g_degree)
             r = lead * r - top * shift * g
@@ -304,18 +307,6 @@ def full_pseudo_reduce(
         multipliers=tuple((f, e) for f, e in multipliers),
         combination=tuple(combination) if combination is not None else None,
     )
-
-
-def _join_orders(leaders: tuple[Derivative, ...]) -> list[list[int | None]]:
-    """Total order of join(i, k) for every pair of leaders on one
-    indeterminate; None on the diagonal and across indeterminates."""
-    orders: list[list[int | None]] = [[None] * len(leaders) for _ in leaders]
-    for i, x in enumerate(leaders):
-        for k in range(i + 1, len(leaders)):
-            y = leaders[k]
-            if x.indeterminate == y.indeterminate:
-                orders[i][k] = orders[k][i] = sum(map(max, x.index, y.index))
-    return orders
 
 
 def _implied_by(
@@ -367,13 +358,12 @@ def validate(chain: DiffChain) -> ValidationReport:
     is never reduced, so incoherence is reported by a kept pair, which may
     come later in that order.
     """
-    messages = _triangularity_failures(chain)
-    if messages:
-        messages.append("coherence not evaluated: chain is not triangular")
+    orders, failures, _ = _leader_table(chain)
+    if failures:
+        messages = [*failures, "coherence not evaluated: chain is not triangular"]
         return ValidationReport(triangular=False, coherent=False, messages=messages)
     report = ValidationReport(triangular=True, coherent=True)
     leaders = chain.leaders
-    orders = _join_orders(leaders)
     for i in range(len(leaders)):
         for k in range(i + 1, len(leaders)):
             if orders[i][k] is None:

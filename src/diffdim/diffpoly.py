@@ -26,6 +26,10 @@ def index_order(mu: MultiIndex) -> int:
     return sum(mu)
 
 
+def is_multi_index(mu) -> bool:
+    return all(isinstance(e, int) and e >= 0 for e in mu)
+
+
 def subtract_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     out = tuple(x - y for x, y in zip(a, b))
     if any(x < 0 for x in out):
@@ -90,7 +94,7 @@ class Derivative(NamedTuple):
 def make_derivative(indeterminate: int, index: Iterable[int]) -> Derivative:
     """Validated constructor; index may be any iterable of nonnegative ints."""
     index = tuple(index)
-    if indeterminate < 0 or any(e < 0 for e in index):
+    if indeterminate < 0 or not is_multi_index(index):
         raise ValueError(f"invalid derivative {(indeterminate, index)}")
     return Derivative(indeterminate, index)
 

@@ -32,6 +32,7 @@ from .diffpoly import (
     RingSpec,
     dominates,
     index_order,
+    is_multi_index,
     iter_indices,
     join_indices,
     subtract_indices,
@@ -78,7 +79,7 @@ class LeaderSpec:
                     raise ValueError(f"bad indeterminate {j!r}")
                 gens = tuple(tuple(mu) for mu in gens)
                 for mu in gens:
-                    if len(mu) != self.num_derivations or any(e < 0 for e in mu):
+                    if len(mu) != self.num_derivations or not is_multi_index(mu):
                         raise ValueError(f"bad multi-index {mu}")
                 groups[j] = minimalize(gens)
         object.__setattr__(self, "generators", tuple(groups))

@@ -116,20 +116,11 @@ class NumericalPolynomial:
     def to_standard_basis(self) -> tuple[Fraction, ...]:
         """Rational coefficients c_0, ..., c_k of the powers l^0, ..., l^k, one per basis coefficient."""
         out = [Fraction(0)] * len(self.coeffs)
+        basis = [Fraction(1)]  # C(l+i, i) by powers of l; times (l+i+1)/(i+1) gives the next
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            # C(l+i, i) = (l+1)(l+2)...(l+i) / i!
-            expanded = [Fraction(1)]
-            for k in range(1, i + 1):
-                bumped = [Fraction(0)] * (len(expanded) + 1)
-                for t, c in enumerate(expanded):
-                    bumped[t + 1] += c
-                    bumped[t] += k * c
-                expanded = bumped
-            scale = Fraction(a, math.factorial(i))
-            for t, c in enumerate(expanded):
-                out[t] += scale * c
+            for t, c in enumerate(basis):
+                out[t] += a * c
+            basis = [c + lower / (i + 1) for c, lower in zip(basis + [0], [Fraction(0)] + basis)]
         for point in range(len(self.coeffs)):
             total = sum(c * point**k for k, c in enumerate(out))
             if total != self.eval(point):

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -15,8 +16,10 @@ from diffdim import (
     full_pseudo_reduce,
     make_derivative,
     membership,
+    parse_system,
     validate,
 )
+from diffdim.cli import run
 from diffdim.diffpoly import dominates, iter_indices, join_indices
 from diffdim.dimension import LeaderSpec, count_derivatives
 
@@ -45,6 +48,10 @@ def test_chain_rejects_derivative_outside_its_ring():
         ([dvar(0, (0, 1, 2))], "chain element 0 has .*index=\\(0, 1, 2\\)"),
         # a negative multi-index, which make_derivative would refuse to build
         ([DiffPoly.variable(Derivative(0, (0, -1)))], "chain element 0 has .*index=\\(0, -1\\)"),
+        # entries that are not ints, even an integral float
+        ([DiffPoly.variable(Derivative(0, (1.5, 0)))], "chain element 0 has .*index=\\(1.5, 0\\)"),
+        ([dvar(0, (1, 0)), DiffPoly.variable(Derivative(0, (0, 1.0)))],
+         "chain element 1 has .*index=\\(0, 1.0\\)"),
     )
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -60,6 +67,53 @@ def test_triangularity_detection():
     assert any("derivative of leader" in msg for msg in report.messages)
     dup = _chain([dvar(0, (1, 0)), dvar(0, (1, 0)) + dvar(0, (0, 0))], 2, 1)
     assert not validate(dup).triangular
+
+
+TANGLE = (
+    "ring derivations=(t,x) indeterminates=(u,v)\n"
+    "ranking orderly tiebreak=(u<v)\n"
+    "chain Tangle {\n  u[2,1];\n  u[1,0];\n  u[1,0] + u[0,0];\n"
+    "  v[0,2];\n  v[0,1];\n  v[1,1];\n}\n"
+)
+
+TANGLE_FAILURES = [
+    "leader u[2,1] of element 0 is a derivative of leader u[1,0] of element 1",
+    "leader u[2,1] of element 0 is a derivative of leader u[1,0] of element 2",
+    "leader u[1,0] of element 1 is a derivative of leader u[1,0] of element 2",
+    "leader u[1,0] of element 2 is a derivative of leader u[1,0] of element 1",
+    "leader v[0,2] of element 3 is a derivative of leader v[0,1] of element 4",
+    "leader v[1,1] of element 5 is a derivative of leader v[0,1] of element 4",
+]
+
+
+def test_triangularity_messages_are_exact(tmp_path, capsys):
+    """Every violating ordered pair, in (i, j) order: a leader dominated by two
+    others, a duplicate leader reported both ways, and violations by an
+    earlier and by a later element on a second indeterminate."""
+    chain = parse_system(TANGLE).chains["Tangle"]
+    with pytest.raises(NotTriangularError) as info:
+        full_pseudo_reduce(chain.elements[0], chain)
+    assert str(info.value) == "; ".join(TANGLE_FAILURES)
+    not_evaluated = "coherence not evaluated: chain is not triangular"
+    assert validate(chain).messages == TANGLE_FAILURES + [not_evaluated]
+
+    path = tmp_path / "tangle.sys"
+    path.write_text(TANGLE)
+    assert run(["validate", str(path), "--chain", "Tangle"]) == 1
+    assert capsys.readouterr().out == (
+        "chain Tangle: triangular: no; coherent: no\n"
+        "initial/separant regularity: unverified-assumed\n"
+        + "".join(f"  note: {m}\n" for m in TANGLE_FAILURES + [not_evaluated])
+    )
+    assert run(["validate", str(path), "--chain", "Tangle", "--json"]) == 1
+    payload = {
+        "chain": "Tangle",
+        "triangular": False,
+        "coherent": False,
+        "regularity_of_initials_and_separants": "unverified-assumed",
+        "messages": TANGLE_FAILURES + [not_evaluated],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_delta_polynomial_worked_example():

@@ -25,8 +25,9 @@ def test_ring_spec_rejects_bad_names():
 
 def test_make_derivative_normalizes_index_and_validates():
     assert make_derivative(0, (1, 2)) == make_derivative(0, [1, 2])
-    with pytest.raises(ValueError):
-        make_derivative(0, (-1,))
+    for index in ((-1,), (1.5,), (1.0,), (0, 2.0)):
+        with pytest.raises(ValueError, match="invalid derivative"):
+            make_derivative(0, index)
 
 
 def test_arithmetic_identities():

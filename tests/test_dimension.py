@@ -39,8 +39,9 @@ def test_leader_spec_validation():
         LeaderSpec(0, 1)
     with pytest.raises(ValueError):
         LeaderSpec(2, 1, {0: [(1,)]})
-    with pytest.raises(ValueError):
-        LeaderSpec(1, 1, {0: [(-1,)]})
+    for mu in ((-1,), (1.5,), (1.0,)):
+        with pytest.raises(ValueError, match="bad multi-index"):
+            LeaderSpec(1, 1, {0: [mu]})
     spec = LeaderSpec(2, 2, {1: [(1, 0), (2, 0)]})
     assert spec.generators == ((), ((1, 0),))
 
