@@ -14,6 +14,7 @@ from .diffpoly import (
     derivative_text,
     dominates,
     is_multi_index,
+    is_natural,
     join_indices,
     poly_text,
     subtract_indices,
@@ -62,7 +63,8 @@ class DiffChain:
                     "chain elements must be non-constant differential polynomials"
                 )
             for d in sorted(p.derivatives()):
-                if not 0 <= d.indeterminate < m or len(d.index) != n or not is_multi_index(d.index):
+                j = d.indeterminate
+                if not is_natural(j) or j >= m or len(d.index) != n or not is_multi_index(d.index):
                     raise ValueError(
                         f"chain element {i} has {d!r}, outside the ring of "
                         f"{m} indeterminates and {n} derivations"

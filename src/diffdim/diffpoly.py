@@ -26,8 +26,14 @@ def index_order(mu: MultiIndex) -> int:
     return sum(mu)
 
 
+def is_natural(x) -> bool:
+    """True for an int >= 0, the one type of an indeterminate index, a
+    multi-index entry or a count."""
+    return isinstance(x, int) and x >= 0
+
+
 def is_multi_index(mu) -> bool:
-    return all(isinstance(e, int) and e >= 0 for e in mu)
+    return all(map(is_natural, mu))
 
 
 def subtract_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -94,7 +100,7 @@ class Derivative(NamedTuple):
 def make_derivative(indeterminate: int, index: Iterable[int]) -> Derivative:
     """Validated constructor; index may be any iterable of nonnegative ints."""
     index = tuple(index)
-    if indeterminate < 0 or not is_multi_index(index):
+    if not is_natural(indeterminate) or not is_multi_index(index):
         raise ValueError(f"invalid derivative {(indeterminate, index)}")
     return Derivative(indeterminate, index)
 

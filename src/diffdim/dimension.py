@@ -33,6 +33,7 @@ from .diffpoly import (
     dominates,
     index_order,
     is_multi_index,
+    is_natural,
     iter_indices,
     join_indices,
     subtract_indices,
@@ -46,10 +47,13 @@ class InternalDisagreementError(RuntimeError):
 
 
 def minimalize(indices) -> tuple[MultiIndex, ...]:
-    """Antichain of the given multi-indices: drop everything dominated."""
-    unique = sorted(set(tuple(mu) for mu in indices))
-    out = [mu for mu in unique if not any(mu != g and dominates(mu, g) for g in unique)]
-    return tuple(out)
+    """Antichain of the given multi-indices: a lexicographic scan keeps an index unless a kept
+    one divides it; lex order extends the componentwise order, so minimal divisors come first."""
+    kept: list[MultiIndex] = []
+    for mu in sorted(set(tuple(mu) for mu in indices)):
+        if not any(dominates(mu, g) for g in kept):
+            kept.append(mu)
+    return tuple(kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +70,8 @@ class LeaderSpec:
     generators: tuple[tuple[MultiIndex, ...], ...] = ()
 
     def __post_init__(self):
-        if self.num_derivations < 1 or self.num_indeterminates < 1:
+        counts = (self.num_derivations, self.num_indeterminates)
+        if not all(is_natural(c) and c > 0 for c in counts):
             raise ValueError("need at least one derivation and one indeterminate")
         groups: list[tuple[MultiIndex, ...]] = [()] * self.num_indeterminates
         generators = self.generators
@@ -75,7 +80,7 @@ class LeaderSpec:
                 generators.items() if hasattr(generators, "items") else enumerate(generators)
             )
             for j, gens in items:
-                if j not in range(self.num_indeterminates):
+                if not is_natural(j) or j >= self.num_indeterminates:
                     raise ValueError(f"bad indeterminate {j!r}")
                 gens = tuple(tuple(mu) for mu in gens)
                 for mu in gens:
@@ -88,8 +93,8 @@ class LeaderSpec:
 def normalize_leaders(chain: DiffChain) -> LeaderSpec:
     """Group the chain's leaders by indeterminate.
 
-    Weak triangularity already makes each group an antichain, which the
-    minimalization pass double-checks.
+    Weak triangularity makes each group an antichain; LeaderSpec minimalizes it
+    anyway, as it does every input, and the count check makes a drop an error.
     """
     _require_valid(chain)
     ring = chain.ring
@@ -111,6 +116,8 @@ def count_derivatives(spec: LeaderSpec, max_order: int) -> int:
 
     Pure enumeration, kept deliberately independent of both closed forms.
     """
+    if max_order < 0:
+        raise ValueError(f"max_order must be nonnegative, got {max_order}")
     total = 0
     for gens in spec.generators:
         if not gens:
@@ -123,9 +130,9 @@ def count_derivatives(spec: LeaderSpec, max_order: int) -> int:
 
 def krull_oracle(spec: LeaderSpec, max_order: int) -> int:
     """Number of derivatives of order <= max_order free of every leader cone."""
+    covered = count_derivatives(spec, max_order)
     n = spec.num_derivations
-    whole = spec.num_indeterminates * math.comb(max_order + n, n)
-    return whole - count_derivatives(spec, max_order)
+    return spec.num_indeterminates * math.comb(max_order + n, n) - covered
 
 
 @dataclass
@@ -228,11 +235,7 @@ def _janet_basis(gens, n: int) -> list[tuple[MultiIndex, tuple[int, ...]]]:
     basis = []
     tails: tuple[MultiIndex, ...] = ()
     for i, a in enumerate(firsts):
-        if n == 2:
-            # a one-variable antichain is its minimum: no minimalize pass
-            tails = (min(tails + tuple(slices[a])),)
-        else:
-            tails = minimalize(tails + tuple(slices[a]))
+        tails = minimalize(tails + tuple(slices[a]))
         last = i + 1 == len(firsts)
         head = (0,) if last else ()
         sub = [(u, head + tuple(k + 1 for k in axes)) for u, axes in _janet_basis(tails, n - 1)]

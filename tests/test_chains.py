@@ -52,6 +52,8 @@ def test_chain_rejects_derivative_outside_its_ring():
         ([DiffPoly.variable(Derivative(0, (1.5, 0)))], "chain element 0 has .*index=\\(1.5, 0\\)"),
         ([dvar(0, (1, 0)), DiffPoly.variable(Derivative(0, (0, 1.0)))],
          "chain element 1 has .*index=\\(0, 1.0\\)"),
+        # an indeterminate that is not an int, even one inside the ring's range
+        ([DiffPoly.variable(Derivative(0.0, (1, 0)))], "chain element 0 has .*indeterminate=0.0"),
     )
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -28,6 +28,9 @@ def test_make_derivative_normalizes_index_and_validates():
     for index in ((-1,), (1.5,), (1.0,), (0, 2.0)):
         with pytest.raises(ValueError, match="invalid derivative"):
             make_derivative(0, index)
+    for indeterminate in (-1, 1.0, "0", None):
+        with pytest.raises(ValueError, match="invalid derivative"):
+            make_derivative(indeterminate, (1,))
 
 
 def test_arithmetic_identities():

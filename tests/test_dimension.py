@@ -28,15 +28,44 @@ from diffdim.diffpoly import index_order, iter_indices, join_indices
 from corpus import dvar, plain_ranking, random_index, random_leader_spec, random_monomial_chain
 
 
+def _minimalize_all_pairs(indices):
+    """The definition: the distinct indices that no other one divides, sorted."""
+    unique = sorted(set(indices))
+    return tuple(
+        mu
+        for mu in unique
+        if not any(g != mu and all(x >= y for x, y in zip(mu, g)) for g in unique)
+    )
+
+
 def test_minimalize():
     assert minimalize([(1, 0), (2, 0), (0, 3), (1, 1)]) == ((0, 3), (1, 0))
     assert minimalize([(2,), (2,), (5,)]) == ((2,),)
     assert minimalize([]) == ()
+    assert minimalize([(1, 1), (1, 2), (2, 2)]) == ((1, 1),)
+    assert minimalize(iter([[0, 2], [1, 1], [0, 2]])) == ((0, 2), (1, 1))
+    # seeded random sets in n = 1..5, with duplicates, empty sets and chains
+    rng = random.Random(15)
+    for trial in range(6000):
+        n = rng.randint(1, 5)
+        indices = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 10))]
+        if indices and trial % 2:
+            # a chain of dominations grown from one of the indices, one axis at a time
+            mu = rng.choice(indices)
+            for _ in range(rng.randint(1, 4)):
+                axis = rng.randrange(n)
+                mu = mu[:axis] + (mu[axis] + 1,) + mu[axis + 1 :]
+                indices.append(mu)
+        indices += rng.sample(indices, min(len(indices), rng.randint(0, 2)))
+        rng.shuffle(indices)
+        assert minimalize(indices) == _minimalize_all_pairs(indices), indices
 
 
 def test_leader_spec_validation():
-    with pytest.raises(ValueError):
-        LeaderSpec(0, 1)
+    # a zero count, and counts that are not ints, even integral floats
+    for counts in ((0, 1), (2.0, 1), (2, 1.0), ("2", 1)):
+        with pytest.raises(ValueError, match="need at least one derivation and one indeterminate"):
+            LeaderSpec(*counts, {0: [(1, 0)]})
     with pytest.raises(ValueError):
         LeaderSpec(2, 1, {0: [(1,)]})
     for mu in ((-1,), (1.5,), (1.0,)):
@@ -51,6 +80,7 @@ def test_leader_spec_rejects_indeterminate_out_of_range():
         {-1: [(1, 0)]},
         {0: [(1, 0)], -2: [(0, 1)]},
         {5: [(1, 0)]},
+        {1.0: [(1, 0)]},
         [[(1, 0)], [(0, 1)], [(1, 1)]],
     ):
         with pytest.raises(ValueError, match="bad indeterminate"):
@@ -102,6 +132,15 @@ def test_count_and_oracle_hand_values():
     empty = LeaderSpec(2, 3)
     assert count_derivatives(empty, 5) == 0
     assert krull_oracle(empty, 5) == 3 * 21
+
+
+def test_count_and_oracle_refuse_a_negative_order():
+    for n in (1, 2, 3):
+        spec = LeaderSpec(n, 1, {0: [(1,) + (0,) * (n - 1)]})
+        for max_order in (-1, -3):
+            for count in (count_derivatives, krull_oracle):
+                with pytest.raises(ValueError, match="max_order must be nonnegative"):
+                    count(spec, max_order)
 
 
 def test_janet_completion_no_insertion_needed():
