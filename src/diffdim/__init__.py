@@ -18,7 +18,6 @@ from .compare import (
     Relation,
     compare_ideals,
     containment_check,
-    degree_product,
 )
 from .diffpoly import (
     ConstantPolynomialError,

@@ -109,13 +109,14 @@ class DiffChain:
     def separant(self, i: int) -> DiffPoly:
         out = self._separants.get(i)
         if out is None:
-            out = self._separants[i] = self.ranking.separant(self.elements[i])
+            out = self._separants[i] = self.elements[i].partial(self.leaders[i])
         return out
 
     def initial(self, i: int) -> DiffPoly:
         out = self._initials.get(i)
         if out is None:
-            out = self._initials[i] = self.ranking.initial(self.elements[i])
+            powers = self.elements[i].as_univariate(self.leaders[i])
+            out = self._initials[i] = powers[max(powers)]
         return out
 
     def validation_report(self) -> "ValidationReport":

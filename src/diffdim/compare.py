@@ -76,16 +76,6 @@ class CompareVerdict:
         }
 
 
-def degree_product(chain: DiffChain) -> int:
-    """Product over the chain of each element's degree in its own leader.
-
-    A chain invariant, not an ideal invariant: two chains for the same ideal
-    share it, but it is only meaningful alongside the chain that produced it.
-    """
-    _require_valid(chain)
-    return math.prod(_leader_degrees(chain).values())
-
-
 def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:
     """Establish I(smaller) inside I(larger) by reducing every element.
 
@@ -100,6 +90,8 @@ def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:
 
 
 def _leader_degrees(chain: DiffChain) -> dict[Derivative, int]:
+    """Each element's degree in its own leader; CompareVerdict.degree_products
+    holds their product, a chain invariant, not an ideal invariant."""
     return {ld: elem.degree_in(ld) for elem, ld in zip(chain.elements, chain.leaders)}
 
 

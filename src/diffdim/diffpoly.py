@@ -8,6 +8,7 @@ power products of derivatives.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -49,7 +50,7 @@ def join_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 def dominates(a: MultiIndex, b: MultiIndex) -> bool:
     """True when a >= b componentwise, i.e. the derivative a derives from b."""
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(operator.ge, a, b))
 
 
 def iter_indices(n: int, max_order: int) -> Iterator[MultiIndex]:

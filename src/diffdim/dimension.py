@@ -9,8 +9,9 @@ brute-force lattice-point oracle they are checked against:
   subsets collapsed into the numerator K(t) of the Hilbert series of the
   monomial ideal the leaders generate, computed by the pivot recursion
   K(G + {m}) = K(G) - t^|m| K(G : m) (Bayer-Stillman, "Computation of
-  Hilbert functions", JSC 1992; Bigatti, "Computation of Hilbert-Poincare
-  series", JPAA 1997);
+  Hilbert functions", JSC 1992), which stops at Bigatti's two-axis closed
+  form once the generators, a lex-sorted antichain, use at most two axes
+  (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997);
 - the minimal Janet basis of the leaders, whose Janet cones are disjoint,
   built one slice of the first coordinate at a time: every value of that
   coordinate between two consecutive first exponents of the leaders
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .chains import DiffChain, _require_valid
@@ -36,7 +38,6 @@ from .diffpoly import (
     is_natural,
     iter_indices,
     join_indices,
-    subtract_indices,
 )
 from .numpoly import NumericalPolynomial
 
@@ -175,22 +176,29 @@ class OmegaResult:
 
 
 def _hilbert_numerator(gens) -> dict[int, int]:
-    """Numerator K(t) of the Hilbert series of the monomial ideal with these
-    generators, as {exponent: nonzero coefficient}.
+    """Numerator K(t) of the Hilbert series of the monomial ideal generated by
+    a lex-sorted antichain gens, as {exponent: nonzero coefficient}.
 
     K(t) is the signed sum over subsets S of the generators of
-    (-1)^|S| t^|join(S)|.  Adding one generator m at a time,
+    (-1)^|S| t^|join(S)|.  On at most two used axes, lex order sorts the
+    generators up one axis and down the other, and Bigatti's closed form
+    K = 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))| applies; it covers
+    the empty set, an order-0 generator and a single generator too.
+    Otherwise the pivot adds one generator m at a time,
     K(done + {m}) = K(done) - t^|m| K(done : m), where the colon ideal
     done : m is generated by the antichain of join(g, m) - m over done.
     """
+    if sum(map(any, zip(*gens))) <= 2:
+        terms = [(sum(g), -1) for g in gens]
+        terms += [(sum(map(max, g, h)), 1) for g, h in zip(gens, gens[1:])]
+    else:
+        terms = []
+        for i, m in enumerate(gens):
+            colon = minimalize(tuple(map(operator.sub, map(max, g, m), m)) for g in gens[:i])
+            terms += [(e + sum(m), -c) for e, c in _hilbert_numerator(colon).items()]
     k = {0: 1}
-    done: list[MultiIndex] = []
-    for m in gens:
-        colon = minimalize(subtract_indices(join_indices(g, m), m) for g in done)
-        shift = index_order(m)
-        for e, c in _hilbert_numerator(colon).items():
-            k[e + shift] = k.get(e + shift, 0) - c
-        done.append(m)
+    for e, c in terms:
+        k[e] = k.get(e, 0) + c
     return {e: c for e, c in k.items() if c}
 
 
@@ -202,9 +210,11 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     the empty one counting every derivative, the signed sum of these counts
     is sum_e K_e C(l - e + n, n), where K(t) = sum_S (-1)^|S| t^|join(S)| is
     the Hilbert numerator computed by the pivot (see _hilbert_numerator), so
-    no subset is enumerated.  A leader of order 0 makes K = 0: its cone is
-    everything.  The identity stabilizes at the largest join order, which is
-    the order of the join of all of a group's generators.
+    no subset is enumerated; each group is a lex-sorted antichain, as
+    LeaderSpec stores it, which the pivot's two-axis base case (Bigatti 1997)
+    needs.  A leader of order 0 makes K = 0: its cone is everything.  The
+    identity stabilizes at the largest join order, which is the order of the
+    join of all of a group's generators.
     """
     n = spec.num_derivations
     numerators = [_hilbert_numerator(gens) for gens in spec.generators]
@@ -264,13 +274,6 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
         JanetCone(u, indeterminate, frozenset(axes))
         for u, axes in _janet_basis(gens, num_derivations)
     ]
-
-
-def cone_contains(cone: JanetCone, mu: MultiIndex) -> bool:
-    if not dominates(mu, cone.generator):
-        return False
-    gap = subtract_indices(mu, cone.generator)
-    return all(e == 0 or i in cone.multiplicative for i, e in enumerate(gap))
 
 
 def omega_janet(spec: LeaderSpec) -> OmegaResult:

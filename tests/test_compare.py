@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from diffdim import (
     Relation,
     compare_ideals,
     containment_check,
-    degree_product,
     make_derivative,
 )
 from diffdim.dimension import minimalize
@@ -70,29 +70,29 @@ def test_containment_check_directions():
     assert containment_check(quadratic, quartic) is Containment.UNKNOWN
 
 
-def test_degree_product_values():
+def test_verdict_degree_product_values():
     ring = plain_ring(1, 2)
     ranking = Ranking.orderly(ring)
     ode = DiffChain(
         [dvar(0, (1,)) ** 2 - dvar(1, (0,)), dvar(1, (1,)) ** 2 - dvar(1, (0,))],
         ranking,
     )
-    assert degree_product(ode) == 4
-    assert degree_product(_u_chain(_power(3))) == 3
+    assert compare_ideals(ode, ode).degree_products == (4, 4)
+    assert compare_ideals(_u_chain(_power(3)), _u_chain(_power(1))).degree_products == (3, 1)
 
 
-
-def test_verdict_degree_products_match_degree_product():
+def test_verdict_degree_products_are_products_of_leader_degrees():
     rng = random.Random(57)
     for _ in range(20):
         chain = random_power_chain(rng)
         head = DiffChain(chain.elements[:1], chain.ranking)
         for smaller, larger in ((chain, head), (head, chain)):
             verdict = compare_ideals(smaller, larger, containment_asserted=True)
-            assert verdict.degree_products == (
-                degree_product(smaller),
-                degree_product(larger),
+            assert verdict.degree_products == tuple(
+                math.prod(p.degree_in(ld) for p, ld in zip(c.elements, c.leaders))
+                for c in (smaller, larger)
             )
+
 
 def test_square_versus_linear_is_properly_contained():
     squares = _u_chain(dvar(0, (0,)) ** 2 - dvar(0, (0,)))

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 import time
 
@@ -22,8 +23,8 @@ from diffdim import (
     omega_incl_excl,
     omega_janet,
 )
-from diffdim.dimension import cone_contains, minimalize
-from diffdim.diffpoly import index_order, iter_indices, join_indices
+from diffdim.dimension import minimalize
+from diffdim.diffpoly import dominates, index_order, iter_indices, join_indices, subtract_indices
 
 from corpus import dvar, plain_ranking, random_index, random_leader_spec, random_monomial_chain
 
@@ -181,8 +182,8 @@ def _first_gap(gens, n):
                 continue
             v = u[:i] + (u[i] + 1,) + u[i + 1 :]
             covered = any(
-                dimension.dominates(v, w)
-                and all(e == 0 or k in mult[w] for k, e in enumerate(dimension.subtract_indices(v, w)))
+                dominates(v, w)
+                and all(e == 0 or k in mult[w] for k, e in enumerate(subtract_indices(v, w)))
                 for w in gens
             )
             if not covered:
@@ -251,6 +252,14 @@ def test_janet_twelve_leaders_in_four_derivations():
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
 
 
+def _cone_contains(cone, mu):
+    """mu lies in the Janet cone: above its generator along multiplicative axes only."""
+    if not dominates(mu, cone.generator):
+        return False
+    gap = subtract_indices(mu, cone.generator)
+    return all(e == 0 or i in cone.multiplicative for i, e in enumerate(gap))
+
+
 def test_janet_cones_partition_the_cone_union():
     rng = random.Random(7)
     for _ in range(60):
@@ -259,7 +268,7 @@ def test_janet_cones_partition_the_cone_union():
         cones = janet_complete(gens, spec.num_derivations)
         bound = max((index_order(c.generator) for c in cones), default=0)
         for mu in iter_indices(spec.num_derivations, bound + 3):
-            hits = sum(cone_contains(c, mu) for c in cones)
+            hits = sum(_cone_contains(c, mu) for c in cones)
             in_union = any(dimension.dominates(mu, g) for g in gens)
             assert hits == (1 if in_union else 0), (gens, mu)
 
@@ -360,6 +369,62 @@ def test_incl_excl_bound_is_order_of_full_join():
             default=0,
         )
         assert omega_incl_excl(spec).stabilization_bound == expected, spec
+
+
+def _numerator_by_subsets(gens):
+    """The definition: sum over subsets S of (-1)^|S| t^|join(S)|, nonzero terms only."""
+    k = {}
+    for size in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, size):
+            e = index_order(functools.reduce(join_indices, subset)) if subset else 0
+            k[e] = k.get(e, 0) + (-1) ** size
+    return {e: c for e, c in k.items() if c}
+
+
+def _embed(gens, axes, n):
+    """Place multi-indices of len(axes) entries on the given axes of an n-entry index."""
+    out = []
+    for g in gens:
+        mu = [0] * n
+        for axis, e in zip(axes, g):
+            mu[axis] = e
+        out.append(tuple(mu))
+    return minimalize(out)
+
+
+def test_hilbert_numerator_matches_subset_sum():
+    rng = random.Random(16)
+    cases = [(), ((0, 0, 0),), ((3,),), ((0, 2, 0, 0),), ((1, 1, 1),)]
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        cases.append(minimalize(_random_antichain(rng, n, rng.randint(0, 10), 6)))
+    for n in range(3, 6):
+        for axes in itertools.combinations(range(n), 2):
+            for _ in range(5):
+                plane = _random_antichain(rng, 2, rng.randint(1, 10), 8)
+                cases.append(_embed(plane, axes, n))
+        for axis in range(n):
+            cases.append(_embed([(rng.randint(1, 6),)], (axis,), n))
+    cases.append(_embed([(2, 0), (1, 3), (0, 5)], (1, 3), 4))
+    for gens in cases:
+        assert dimension._hilbert_numerator(gens) == _numerator_by_subsets(gens), gens
+
+
+def test_hilbert_numerator_two_axis_base_case_skips_the_pivot(monkeypatch):
+    calls = []
+
+    def counting_minimalize(indices):
+        calls.append(1)
+        return minimalize(indices)
+
+    monkeypatch.setattr(dimension, "minimalize", counting_minimalize)
+    staircase = tuple((a, 19 - a) for a in range(20))
+    assert dimension._hilbert_numerator(staircase) == {0: 1, 19: -20, 20: 19}
+    assert dimension._hilbert_numerator(_embed(staircase, (0, 2), 4)) == {0: 1, 19: -20, 20: 19}
+    assert calls == []
+    three_axes = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert dimension._hilbert_numerator(three_axes) == _numerator_by_subsets(three_axes)
+    assert calls
 
 
 def test_incl_excl_twenty_leaders_of_order_nineteen():
