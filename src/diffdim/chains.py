@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .diffpoly import (
@@ -15,7 +18,6 @@ from .diffpoly import (
     dominates,
     is_multi_index,
     is_natural,
-    join_indices,
     poly_text,
     subtract_indices,
 )
@@ -95,13 +97,15 @@ class DiffChain:
         Walks down those steps to the nearest lift already in the table (or
         to the element itself), then derives back up, entering every lift on
         the way; a loop, so the depth of mu is bounded by time alone."""
-        table = self._lifts[i]
-        path = []
-        while any(mu) and mu not in table:
-            axis = next(a for a, e in enumerate(mu) if e)
+        table, path = self._lifts[i], []
+        while (out := table.get(mu)) is None:
+            first = next(filter(None, mu), 0)
+            if not first:
+                out = self.elements[i]
+                break
+            axis = mu.index(first)  # every entry before the first nonzero one is 0
             path.append((mu, axis))
-            mu = mu[:axis] + (mu[axis] - 1,) + mu[axis + 1 :]
-        out = table[mu] if any(mu) else self.elements[i]
+            mu = mu[:axis] + (first - 1,) + mu[axis + 1 :]
         for nu, axis in reversed(path):
             out = table[nu] = out.derive(axis)
         return out
@@ -141,12 +145,6 @@ class ReductionTrace:
     remainder: DiffPoly
     multipliers: tuple[tuple[DiffPoly, int], ...]
     combination: tuple[tuple[DiffPoly, MultiIndex, int], ...] | None = None
-
-    def multiplier_product(self) -> DiffPoly:
-        out = DiffPoly.constant(1)
-        for factor, e in self.multipliers:
-            out = out * factor**e
-        return out
 
     def to_json_dict(self, names: tuple[str, ...]) -> dict:
         return {
@@ -198,32 +196,54 @@ class ValidationReport:
 
 
 def _leader_table(chain: DiffChain):
-    """Pairwise facts about the chain's leaders, computed on first use.
+    """Facts about the chain's leaders as bit masks, computed on first use.
 
-    Returns (orders, failures, by_rank): orders[i][k] is the total order of
-    join(i, k) for leaders on one indeterminate, None on the diagonal and
-    across indeterminates; failures lists the weak-triangularity violations
-    in (i, j) order, read off orders since leader i is a derivative of
-    leader j exactly when their join has leader i's order; by_rank lists
-    the element indices by the rank of their leaders, then by index.
+    Returns (below, above, failures, by_rank).  Bit t of below[j][a] is set
+    when leader t is on leader j's indeterminate with l_t[a] <= l_j[a], and
+    bit t of above[j][a] when l_t[a] >= l_j[a]: the prefix and suffix
+    unions of each axis sorted once.  failures lists the weak-triangularity
+    violations in (i, j) order: leader i is a derivative of leader j exactly
+    when bit j is set in every below[i][a].  by_rank lists the element
+    indices by the rank of their leaders, then by index.
+
+    The chain criterion for a pair (i, k) reads the masks, with θ the join
+    of l_i and l_k.  Leader j divides θ exactly when on each axis it lies
+    below l_i where l_i >= l_k and below l_k elsewhere.  For such j,
+    join(l_i, l_j) agrees with θ where l_i >= l_k, and where l_k > l_i it
+    reaches θ[a] = l_k[a] exactly when l_j[a] >= l_k[a].  So join(i, j) = θ
+    exactly when j lies in above[k][a] on every axis where l_k > l_i, and
+    join(j, k) = θ in the mirror case; otherwise both joins lie strictly
+    below θ.  When l_i and l_k are incomparable, as in a triangular chain,
+    i and k themselves fail that test, so neither is its own witness.
     """
     if chain._leader_table is None:
         leaders, names = chain.leaders, chain.ring.indeterminate_names
-        orders: list[list[int | None]] = [[None] * len(leaders) for _ in leaders]
-        for i, x in enumerate(leaders):
-            for k in range(i + 1, len(leaders)):
-                y = leaders[k]
-                if x.indeterminate == y.indeterminate:
-                    orders[i][k] = orders[k][i] = sum(map(max, x.index, y.index))
+        below, above = [[] for _ in leaders], [[] for _ in leaders]
+        groups: dict[int, list[int]] = {}
+        for t, x in enumerate(leaders):
+            groups.setdefault(x.indeterminate, []).append(t)
+        for group, a in itertools.product(groups.values(), range(chain.ring.num_derivations)):
+            at: dict[int, int] = {}  # the elements with each value on axis a
+            for t in group:
+                at[leaders[t].index[a]] = at.get(leaders[t].index[a], 0) | 1 << t
+            values = sorted(at)
+            le = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
+            values.reverse()
+            ge = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
+            for t in group:
+                e = leaders[t].index[a]
+                below[t].append(le[e])
+                above[t].append(ge[e])
         failures = tuple(
             f"leader {derivative_text(x, names)} of element {i} is a derivative "
             f"of leader {derivative_text(leaders[j], names)} of element {j}"
             for i, x in enumerate(leaders)
-            for j, order in enumerate(orders[i])
-            if order == x.order
+            if (divisors := functools.reduce(operator.and_, below[i]) & ~(1 << i))
+            for j in range(divisors.bit_length())
+            if divisors >> j & 1
         )
         by_rank = tuple(sorted(range(len(leaders)), key=lambda i: chain.ranking.key(leaders[i])))
-        object.__setattr__(chain, "_leader_table", (orders, failures, by_rank))
+        object.__setattr__(chain, "_leader_table", (below, above, failures, by_rank))
     return chain._leader_table
 
 
@@ -238,16 +258,16 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     x, y = chain.leaders[i], chain.leaders[j]
     if x.indeterminate != y.indeterminate:
         return None
-    theta = join_indices(x.index, y.index)
-    lift_p = chain.lift(i, subtract_indices(theta, x.index))
-    lift_q = chain.lift(j, subtract_indices(theta, y.index))
+    theta = tuple(map(max, x.index, y.index))
+    lift_p = chain.lift(i, tuple(map(operator.sub, theta, x.index)))
+    lift_q = chain.lift(j, tuple(map(operator.sub, theta, y.index)))
     return chain.separant(j) * lift_p - chain.separant(i) * lift_q
 
 
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     """First element, in the rank order of leaders, whose leader divides x,
     with the quotient x / leader."""
-    for idx in _leader_table(chain)[2]:
+    for idx in _leader_table(chain)[3]:
         ld = chain.leaders[idx]
         if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
             return idx, subtract_indices(x.index, ld.index)
@@ -267,9 +287,11 @@ def full_pseudo_reduce(
     pseudo-division, multiplying through by the initial.  No derivative
     ranked >= x is ever reintroduced, so the procedure terminates.
     """
-    _, failures, _ = _leader_table(chain)
+    failures = _leader_table(chain)[2]
     if failures:
         raise NotTriangularError("; ".join(failures))
+    if not p:
+        return ReductionTrace(p, (), () if track_combination else None)
     ranking = chain.ranking
     r = p
     multipliers: list[list] = []
@@ -312,26 +334,17 @@ def full_pseudo_reduce(
     )
 
 
-def _implied_by(
-    leaders: tuple[Derivative, ...], orders: list[list[int | None]], i: int, k: int
-) -> int | None:
-    """First element j whose leader divides theta = join(i, k) while
-    join(i, j) and join(j, k) lie strictly below theta, or None.
-
-    Once the leader of j divides theta, both joins divide theta, so
-    "strictly below" is "of lower order": the integer test runs first and
-    theta is built only for a third element that passes it.
-    """
-    top = orders[i][k]
-    theta = None
-    for j, (left, right) in enumerate(zip(orders[i], orders[k])):
-        if left is None or right is None or left >= top or right >= top:
-            continue
-        if theta is None:
-            theta = join_indices(leaders[i].index, leaders[k].index)
-        if dominates(theta, leaders[j].index):
-            return j
-    return None
+def _witnesses(below, above, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:
+    """Mask of the elements j whose leader divides θ = join(i, k) while
+    join(i, j) and join(j, k) lie strictly below θ; see _leader_table."""
+    divides = ei = ek = -1
+    for s, t, bi, bk, ai, ak in zip(x, y, below[i], below[k], above[i], above[k]):
+        divides &= bi if s >= t else bk
+        if s > t:
+            ei &= ai
+        elif s < t:
+            ek &= ak
+    return divides & ~ei & ~ek
 
 
 def validate(chain: DiffChain) -> ValidationReport:
@@ -361,19 +374,21 @@ def validate(chain: DiffChain) -> ValidationReport:
     is never reduced, so incoherence is reported by a kept pair, which may
     come later in that order.
     """
-    orders, failures, _ = _leader_table(chain)
+    below, above, failures, _ = _leader_table(chain)
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
         return ValidationReport(triangular=False, coherent=False, messages=messages)
     report = ValidationReport(triangular=True, coherent=True)
     leaders = chain.leaders
-    for i in range(len(leaders)):
+    for i, x in enumerate(leaders):
         for k in range(i + 1, len(leaders)):
-            if orders[i][k] is None:
+            y = leaders[k]
+            if x.indeterminate != y.indeterminate:
                 continue
-            via = _implied_by(leaders, orders, i, k)
-            if via is not None:
-                report.skipped_pairs.append((i, k, via))
+            witnesses = _witnesses(below, above, x.index, y.index, i, k)
+            if witnesses:
+                # the lowest witness, as a scan in index order would find first
+                report.skipped_pairs.append((i, k, (witnesses & -witnesses).bit_length() - 1))
                 continue
             delta = delta_polynomial(chain, i, k)
             trace = full_pseudo_reduce(delta, chain)

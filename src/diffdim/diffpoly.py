@@ -164,6 +164,18 @@ class DiffPoly:
                     clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, terms: Mapping[Monomial, Coefficient]) -> "DiffPoly":
+        """Arithmetic result on ints and Fractions: drops the zeros and stores
+        an integral Fraction as an int, without the constructor's type checks."""
+        out = object.__new__(cls)
+        clean = {
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c
+        }
+        object.__setattr__(out, "terms", clean)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
 
@@ -208,35 +220,42 @@ class DiffPoly:
         acc = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc[mono] = acc.get(mono, 0) + coeff
-        return DiffPoly(acc)
+        return DiffPoly._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly({mono: -coeff for mono, coeff in self.terms.items()})
+        return DiffPoly._of({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            acc[mono] = acc.get(mono, 0) - coeff
+        return DiffPoly._of(acc)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        for p, q in ((self, other.terms), (other, self.terms)):
+            if len(q) == 1 and () in q:  # a constant factor only scales p
+                c = q[()]
+                return p if c == 1 else DiffPoly._of({m: x * c for m, x in p.terms.items()})
         acc: dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = tuple(sorted(m1 + m2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-        return DiffPoly(acc)
+        return DiffPoly._of(acc)
 
     __rmul__ = __mul__
 
@@ -274,7 +293,7 @@ class DiffPoly:
         for mono, coeff in self.terms.items():
             rest = tuple(f for f in mono if f != d)
             buckets.setdefault(len(mono) - len(rest), {})[rest] = coeff
-        return {e: DiffPoly(t) for e, t in buckets.items()}
+        return {e: DiffPoly._of(t) for e, t in buckets.items()}
 
     def partial(self, d: Derivative) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative symbol."""
@@ -285,19 +304,23 @@ class DiffPoly:
                 i = mono.index(d)
                 key = mono[:i] + mono[i + 1 :]
                 acc[key] = acc.get(key, 0) + coeff * e
-        return DiffPoly(acc)
+        return DiffPoly._of(acc)
 
     def derive(self, axis: int) -> "DiffPoly":
         """Apply the derivation along one axis, by the Leibniz rule."""
+        for mono in filter(None, self.terms):  # a ring's derivatives share one width
+            shift_derivative(mono[0], axis)
+            break
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self.terms.items():
             for i, d in enumerate(mono):
                 if i and mono[i - 1] == d:
                     continue  # each distinct factor once, weighted by its exponent
-                rest = mono[:i] + (shift_derivative(d, axis),) + mono[i + 1 :]
-                key = tuple(sorted(rest))
+                j, mu = d
+                bumped = Derivative(j, mu[:axis] + (mu[axis] + 1,) + mu[axis + 1 :])
+                key = tuple(sorted(mono[:i] + (bumped,) + mono[i + 1 :]))
                 acc[key] = acc.get(key, 0) + coeff * mono.count(d)
-        return DiffPoly(acc)
+        return DiffPoly._of(acc)
 
     def derive_multi(self, mu: MultiIndex) -> "DiffPoly":
         out = self

@@ -20,8 +20,8 @@ from diffdim import (
     validate,
 )
 from diffdim.cli import run
-from diffdim.diffpoly import dominates, iter_indices, join_indices
-from diffdim.dimension import LeaderSpec, count_derivatives
+from diffdim.diffpoly import derivative_text, dominates, iter_indices, join_indices
+from diffdim.dimension import LeaderSpec, count_derivatives, minimalize
 
 from corpus import dvar, plain_ranking, random_index, random_monomial_chain, random_power_chain
 
@@ -232,8 +232,19 @@ def test_validation_report_carries_regularity_tag():
 
 def test_full_pseudo_reduce_requires_triangular_chain():
     bad = _chain([dvar(0, (1, 0)), dvar(0, (2, 0))], 2, 1)
-    with pytest.raises(NotTriangularError):
-        full_pseudo_reduce(dvar(0, (0, 0)), bad)
+    for p in (dvar(0, (0, 0)), DiffPoly.zero()):
+        with pytest.raises(NotTriangularError):
+            full_pseudo_reduce(p, bad)
+
+
+def test_full_pseudo_reduce_of_zero():
+    chain = _chain([dvar(0, (2, 0)) - dvar(0, (0, 0)), dvar(0, (0, 1))], 2, 1)
+    trace = full_pseudo_reduce(DiffPoly.zero(), chain)
+    assert trace.remainder == DiffPoly.zero() and trace.multipliers == ()
+    assert trace.combination is None
+    tracked = full_pseudo_reduce(DiffPoly.zero(), chain, track_combination=True)
+    assert tracked.remainder == DiffPoly.zero() and tracked.multipliers == ()
+    assert tracked.combination == ()
 
 
 def test_reduction_examples():
@@ -276,8 +287,15 @@ def _remainder_is_fully_reduced(trace, chain):
                 assert remainder.degree_in(x) < elem.degree_in(ld)
 
 
+def _multiplier_product(trace):
+    out = DiffPoly.constant(1)
+    for factor, e in trace.multipliers:
+        out = out * factor**e
+    return out
+
+
 def _certificate_holds(p, trace, chain):
-    lhs = trace.multiplier_product() * p
+    lhs = _multiplier_product(trace) * p
     rhs = trace.remainder
     for coeff, mu, idx in trace.combination:
         rhs = rhs + coeff * chain.elements[idx].derive_multi(mu)
@@ -454,6 +472,102 @@ def test_chain_criterion_agrees_with_the_every_pair_check():
         seen["coherent" if report.coherent else "incoherent"] += 1
         seen["failures_skipped"] += len(set(failing) - set(pruned)) > 0
     assert all(seen.values()), seen
+
+
+def _implied_by(leaders, i, k):
+    """The chain criterion by its definition, as a scan: the first element j
+    on the indeterminate of i and k whose leader divides theta = join(i, k)
+    while join(i, j) and join(j, k) have lower order than theta, or None."""
+    x, y = leaders[i].index, leaders[k].index
+    theta = join_indices(x, y)
+    for j, z in enumerate(leaders):
+        if j in (i, k) or z.indeterminate != leaders[i].indeterminate:
+            continue
+        if (sum(join_indices(x, z.index)) < sum(theta) > sum(join_indices(z.index, y))
+                and dominates(theta, z.index)):
+            return j
+    return None
+
+
+def _reference_validation(chain):
+    """(triangularity failures, skipped pairs, kept pairs) of a chain, each
+    in (i, j) or (i, k) order, read off the leaders one pair at a time."""
+    leaders, names = chain.leaders, chain.ring.indeterminate_names
+    failures = [
+        f"leader {derivative_text(x, names)} of element {i} is a derivative "
+        f"of leader {derivative_text(y, names)} of element {j}"
+        for i, x in enumerate(leaders)
+        for j, y in enumerate(leaders)
+        if j != i and x.indeterminate == y.indeterminate and dominates(x.index, y.index)
+    ]
+    if failures:
+        return failures, [], []
+    skipped, kept = [], []
+    for i in range(len(leaders)):
+        for k in range(i + 1, len(leaders)):
+            if leaders[i].indeterminate != leaders[k].indeterminate:
+                continue
+            via = _implied_by(leaders, i, k)
+            if via is None:
+                kept.append((i, k))
+            else:
+                skipped.append((i, k, via))
+    return failures, skipped, kept
+
+
+def _random_leader_chain(rng):
+    """Pure-derivative chain in n = 1-4, m = 1-3 with at most 12 elements, in
+    a shuffled order: half of them antichains on each indeterminate (so the
+    chain is triangular), the rest free leaders, some of them repeated."""
+    n, m = rng.randint(1, 4), rng.randint(1, 3)
+    max_order = rng.randint(1, 5)
+    elements = []
+    if rng.random() < 0.5:
+        for j in range(m):
+            low = rng.randint(1, 4)
+            pool = [mu for mu in iter_indices(n, low + 2) if sum(mu) >= low]
+            picked = rng.sample(pool, min(len(pool), rng.randint(1, 12 // m)))
+            elements += [dvar(j, mu) for mu in minimalize(picked)]
+    else:
+        for _ in range(rng.randint(1, 12)):
+            repeat = elements and rng.random() < 0.2
+            elements.append(rng.choice(elements) if repeat
+                            else dvar(rng.randrange(m), random_index(rng, n, max_order)))
+    rng.shuffle(elements)
+    return _chain(elements, n, m)
+
+
+def test_chain_criterion_masks_match_the_scan_by_definition():
+    rng = random.Random(4208)
+    seen = {"not triangular": 0, "skipped": 0, "kept": 0}
+    for _ in range(600):
+        chain = _random_leader_chain(rng)
+        failures, skipped, kept = _reference_validation(chain)
+        report = validate(chain)
+        assert report.triangular == (not failures)
+        if failures:
+            assert report.messages == failures + [
+                "coherence not evaluated: chain is not triangular"
+            ]
+        assert report.skipped_pairs == skipped
+        assert [(c.first, c.second) for c in report.delta_checks] == kept
+        seen["not triangular"] += bool(failures)
+        seen["skipped"] += bool(skipped)
+        seen["kept"] += bool(kept)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_staircase_of_400_leaders_keeps_its_consecutive_pairs():
+    size = 400
+    report = validate(_chain([dvar(0, (i, size - 1 - i)) for i in range(size)], 2, 1))
+    assert report.accepted
+    assert [(c.first, c.second) for c in report.delta_checks] == [
+        (i, i + 1) for i in range(size - 1)
+    ]
+    # every element strictly between i and k is a witness; the lowest is kept
+    assert report.skipped_pairs == [
+        (i, k, i + 1) for i in range(size) for k in range(i + 2, size)
+    ]
 
 
 def test_validate_reduces_each_kept_pair_once_and_no_skipped_pair(monkeypatch):

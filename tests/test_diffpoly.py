@@ -93,6 +93,9 @@ def test_integral_results_have_int_coefficients():
         # fractions that cancel to integers come back as ints
         half * p * 2, half * u0 + half * u0, (half * u0**2).partial(d0),
         (half * u0**2).derive(0), (half * u0) ** 2 * 4,
+        # products by a constant scale, and differences take one pass
+        p * 1, 1 * p, p * DiffPoly.constant(-2), DiffPoly.constant(Fraction(6, 3)) * p,
+        (half * p) * DiffPoly.constant(2), p - half * u0 - half * u0, 7 - p,
     ]
     for r in integral:
         assert r and all(type(c) is int for c in r.terms.values()), r
@@ -104,6 +107,9 @@ def test_integral_results_have_int_coefficients():
         ((third * u0 * u1).derive(1), third),
         ((third * u0**2).partial(d0), Fraction(2, 3)),
         ((third * u0 * u1 + u1).as_univariate(d1)[1], third),
+        (p * DiffPoly.constant(third), -Fraction(2, 3)),
+        (p - third * u0, -third),
+        (third - p, Fraction(-14, 3)),
     ]
     for r, value in fractional:
         assert _coefficients_are_reduced(r), r
@@ -135,8 +141,10 @@ def test_derive_leibniz_on_squares():
 
 def test_derive_axis_bounds():
     u = dvar(0, (0, 0))
-    with pytest.raises(IndexError):
-        u.derive(2)
+    for p in (u, 3 * u * dvar(0, (1, 0)) + 1):
+        for axis in (-1, 2):
+            with pytest.raises(IndexError):
+                p.derive(axis)
 
 
 def _random_poly(rng, n, m, max_order=2, terms=3):
@@ -147,6 +155,22 @@ def _random_poly(rng, n, m, max_order=2, terms=3):
             mono = mono * dvar(rng.randrange(m), random_index(rng, n, max_order))
         out = out + mono
     return out
+
+
+def test_products_by_constants_and_differences():
+    rng = random.Random(19)
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        p, q = _random_poly(rng, n, m), _random_poly(rng, n, m)
+        for c in (1, -1, 0, 3, Fraction(1, 2), Fraction(-4, 3)):
+            termwise = DiffPoly({mono: coeff * c for mono, coeff in p.terms.items()})
+            for product in (p * c, c * p, p * DiffPoly.constant(c), DiffPoly.constant(c) * p):
+                assert product == termwise
+        assert p * 1 is p
+        if not p.is_constant():
+            assert DiffPoly.constant(1) * p is p
+        assert p - q == p + (-q)
+        assert 5 - p == 5 + (-p) and p - Fraction(1, 2) == p + Fraction(-1, 2)
 
 
 def test_derive_satisfies_leibniz_rule():
