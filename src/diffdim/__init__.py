@@ -46,7 +46,6 @@ from .systemfile import (
     ParseError,
     SystemFile,
     UnknownIdentifierError,
-    format_system,
     parse_system,
 )
 

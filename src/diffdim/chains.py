@@ -19,7 +19,6 @@ from .diffpoly import (
     is_multi_index,
     is_natural,
     poly_text,
-    subtract_indices,
 )
 
 REGULARITY_TAG = "unverified-assumed"
@@ -131,20 +130,25 @@ class DiffChain:
 
 @dataclass
 class ReductionTrace:
-    """Outcome of full pseudo-reduction.
+    """Outcome of full pseudo-reduction, with the log of its steps.
 
-    multipliers lists the initial/separant factors, kept factored as
-    (polynomial, exponent) pairs.  combination, when tracked, lists triples
-    (coefficient, mu, element index) such that
+    steps holds one (lead, coefficient, mu, element index) tuple per
+    pseudo-division step, in order: the step replaced the remainder r by
+    lead*r - coefficient*(the element derived mu times).  Unwound, the log
+    is the membership certificate that the tests check,
 
-        prod(factor**e) * p  ==  remainder + sum(coeff * elem.derive_multi(mu))
-
-    which is the membership certificate checked by the tests.
+        prod(lead) * p  ==  remainder + sum(coefficient * (product of the
+                            later leads) * element derived mu times).
     """
 
     remainder: DiffPoly
-    multipliers: tuple[tuple[DiffPoly, int], ...]
-    combination: tuple[tuple[DiffPoly, MultiIndex, int], ...] | None = None
+    steps: tuple[tuple[DiffPoly, DiffPoly, MultiIndex, int], ...] = ()
+
+    @property
+    def multipliers(self) -> tuple[tuple[DiffPoly, int], ...]:
+        """The leads as (factor, exponent) pairs, one per run of equal leads."""
+        runs = itertools.groupby(step[0] for step in self.steps)
+        return tuple((lead, sum(1 for _ in run)) for lead, run in runs)
 
     def to_json_dict(self, names: tuple[str, ...]) -> dict:
         return {
@@ -270,13 +274,11 @@ def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     for idx in _leader_table(chain)[3]:
         ld = chain.leaders[idx]
         if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
-            return idx, subtract_indices(x.index, ld.index)
+            return idx, tuple(map(operator.sub, x.index, ld.index))
     return None
 
 
-def full_pseudo_reduce(
-    p: DiffPoly, chain: DiffChain, track_combination: bool = False
-) -> ReductionTrace:
+def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
     """Ritt full pseudo-reduction of p by the chain.
 
     Repeatedly takes the highest-ranking derivative x of the remainder that
@@ -291,13 +293,10 @@ def full_pseudo_reduce(
     if failures:
         raise NotTriangularError("; ".join(failures))
     if not p:
-        return ReductionTrace(p, (), () if track_combination else None)
+        return ReductionTrace(p)
     ranking = chain.ranking
     r = p
-    multipliers: list[list] = []
-    combination: list[tuple[DiffPoly, MultiIndex, int]] | None = (
-        [] if track_combination else None
-    )
+    steps = []
     while True:
         target = None
         for x in sorted(r.derivatives(), key=ranking.key, reverse=True):
@@ -317,21 +316,10 @@ def full_pseudo_reduce(
         else:
             lead, g_degree = chain.initial(idx), g.degree_in(x)
         while (d := r.degree_in(x)) >= g_degree:
-            top = r.as_univariate(x)[d]
-            shift = DiffPoly.variable(x) ** (d - g_degree)
-            r = lead * r - top * shift * g
-            if multipliers and multipliers[-1][0] == lead:
-                multipliers[-1][1] += 1
-            else:
-                multipliers.append([lead, 1])
-            if combination is not None:
-                combination = [(c * lead, s, i) for c, s, i in combination]
-                combination.append((top * shift, sigma, idx))
-    return ReductionTrace(
-        remainder=r,
-        multipliers=tuple((f, e) for f, e in multipliers),
-        combination=tuple(combination) if combination is not None else None,
-    )
+            coefficient = r.as_univariate(x)[d] * DiffPoly.variable(x) ** (d - g_degree)
+            r = lead * r - coefficient * g
+            steps.append((lead, coefficient, sigma, idx))
+    return ReductionTrace(r, tuple(steps))
 
 
 def _witnesses(below, above, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .numpoly import Ordering
-
 MultiIndex = tuple[int, ...]
 
 
@@ -35,13 +33,6 @@ def is_natural(x) -> bool:
 
 def is_multi_index(mu) -> bool:
     return all(map(is_natural, mu))
-
-
-def subtract_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
-        raise ValueError(f"{a} does not dominate {b}")
-    return out
 
 
 def join_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -387,19 +378,9 @@ class Ranking:
             tuple(-e for e in reversed(d.index)),
         )
 
-    def compare(self, d1: Derivative, d2: Derivative) -> Ordering:
-        return Ordering.of(self.key(d1), self.key(d2))
-
     def leader(self, p: DiffPoly) -> Derivative:
         """Highest-ranking derivative occurring in p."""
         found = p.derivatives()
         if not found:
             raise ConstantPolynomialError("constant polynomial has no leader")
         return max(found, key=self.key)
-
-    def initial(self, p: DiffPoly) -> DiffPoly:
-        x = self.leader(p)
-        return p.as_univariate(x)[p.degree_in(x)]
-
-    def separant(self, p: DiffPoly) -> DiffPoly:
-        return p.partial(self.leader(p))

@@ -4,8 +4,8 @@ A polynomial is stored as integer coefficients a_0, ..., a_k of the basis
 functions C(l+i, i).  Every polynomial that takes integer values at all
 sufficiently large integers has a unique such expansion, and the combinatorial
 counting formulas used elsewhere in this package land in this basis directly.
-The module also holds Ordering, the three-valued comparison outcome shared by
-the ranking and polynomial orders.
+The module also holds Ordering, the three-valued outcome of comparing two
+such polynomials.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ class Ordering(enum.Enum):
     LESS = "Less"
     EQUAL = "Equal"
     GREATER = "Greater"
-
-    @staticmethod
-    def of(left, right) -> "Ordering":
-        """Compare two values that support < and ==."""
-        if left == right:
-            return Ordering.EQUAL
-        return Ordering.LESS if left < right else Ordering.GREATER
 
 
 class NumericalPolynomial:

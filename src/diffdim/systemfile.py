@@ -1,4 +1,4 @@
-"""Parser and printer for chain system files.
+"""Parser for chain system files.
 
 A system file declares one ring, one orderly ranking, and named chains:
 
@@ -47,7 +47,6 @@ from .diffpoly import (
     RingSpec,
     _monomial,
     make_derivative,
-    poly_text,
 )
 
 
@@ -286,20 +285,3 @@ class _Parser:
 def parse_system(text: str) -> SystemFile:
     return _Parser(text).parse()
 
-
-def format_system(system: SystemFile) -> str:
-    ring = system.ring
-    lines = [
-        "ring derivations=({}) indeterminates=({})".format(
-            ",".join(ring.derivation_names), ",".join(ring.indeterminate_names)
-        ),
-        "ranking orderly tiebreak=({})".format(
-            "<".join(ring.indeterminate_names[j] for j in system.ranking.indeterminate_order)
-        ),
-    ]
-    for name, chain in system.chains.items():
-        lines.append(f"chain {name} {{")
-        for poly in chain.elements:
-            lines.append(f"  {poly_text(poly, ring.indeterminate_names)};")
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -188,7 +188,8 @@ def test_validate_deltas_match_from_scratch_obstructions():
             theta = tuple(max(a, b) for a, b in zip(x.index, y.index))
             lift_p = p.derive_multi(tuple(t - a for t, a in zip(theta, x.index)))
             lift_q = q.derive_multi(tuple(t - b for t, b in zip(theta, y.index)))
-            assert check.delta == ranking.separant(q) * lift_p - ranking.separant(p) * lift_q
+            sep_p, sep_q = p.partial(x), q.partial(y)
+            assert check.delta == sep_q * lift_p - sep_p * lift_q
             checked += 1
     assert checked >= 10
 
@@ -241,10 +242,7 @@ def test_full_pseudo_reduce_of_zero():
     chain = _chain([dvar(0, (2, 0)) - dvar(0, (0, 0)), dvar(0, (0, 1))], 2, 1)
     trace = full_pseudo_reduce(DiffPoly.zero(), chain)
     assert trace.remainder == DiffPoly.zero() and trace.multipliers == ()
-    assert trace.combination is None
-    tracked = full_pseudo_reduce(DiffPoly.zero(), chain, track_combination=True)
-    assert tracked.remainder == DiffPoly.zero() and tracked.multipliers == ()
-    assert tracked.combination == ()
+    assert trace.steps == ()
 
 
 def test_reduction_examples():
@@ -295,11 +293,15 @@ def _multiplier_product(trace):
 
 
 def _certificate_holds(p, trace, chain):
-    lhs = _multiplier_product(trace) * p
-    rhs = trace.remainder
-    for coeff, mu, idx in trace.combination:
-        rhs = rhs + coeff * chain.elements[idx].derive_multi(mu)
-    return lhs == rhs
+    """prod(lead) * p == remainder + sum(c * (product of the later leads) * θb),
+    unwound from the step log in one backward sweep, with the elements
+    derived from scratch rather than read from the chain's lift tables."""
+    rhs, later = trace.remainder, DiffPoly.constant(1)
+    for lead, coefficient, mu, idx in reversed(trace.steps):
+        rhs = rhs + later * coefficient * chain.elements[idx].derive_multi(mu)
+        later = later * lead
+    assert later == _multiplier_product(trace)
+    return later * p == rhs
 
 
 def test_reduction_invariants_on_random_chains():
@@ -315,7 +317,7 @@ def test_reduction_invariants_on_random_chains():
             for _ in range(rng.randint(1, 2)):
                 term = term * dvar(rng.randrange(m), random_index(rng, n, 3))
             p = p + term
-        trace = full_pseudo_reduce(p, chain, track_combination=True)
+        trace = full_pseudo_reduce(p, chain)
         _remainder_is_fully_reduced(trace, chain)
         assert _certificate_holds(p, trace, chain)
         checked += 1
@@ -583,3 +585,42 @@ def test_validate_reduces_each_kept_pair_once_and_no_skipped_pair(monkeypatch):
     report = validate(chain)
     assert report.skipped_pairs == [(0, 2, 1)]
     assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2)]
+
+
+def _chain_families(data_dir):
+    """Lists of chains over one ranking: the chains of each tests/data file,
+    then seeded random nonlinear, staircase and power chains grouped by
+    their ranking."""
+    for path in sorted(data_dir.glob("*.sys")):
+        yield list(parse_system(path.read_text(encoding="utf-8")).chains.values())
+    rng = random.Random(89)
+    families: dict = {}
+    for _ in range(12):
+        for chain in (
+            DiffChain(*_random_nonlinear_chain(rng, rng.randint(2, 3))),
+            _staircase_chain(rng),
+            random_power_chain(rng),
+        ):
+            families.setdefault(chain.ranking, []).append(chain)
+    yield from families.values()
+
+
+def test_every_reduction_the_library_makes_has_a_certificate(data_dir):
+    """The trace of every obstruction that validate reduces, and of every
+    element of one chain reduced by each triangular chain over the same
+    ranking, unwinds to its certificate."""
+    seen = {"obstructions": 0, "elements": 0, "steps": 0}
+    for family in _chain_families(data_dir):
+        for chain in family:
+            for check in chain.validation_report().delta_checks:
+                assert _certificate_holds(check.delta, check.trace, chain)
+                seen["obstructions"] += 1
+                seen["steps"] += len(check.trace.steps)
+        for reducer in (c for c in family if c.validation_report().triangular):
+            for chain in family:
+                for p in chain.elements:
+                    trace = full_pseudo_reduce(p, reducer)
+                    assert _certificate_holds(p, trace, reducer)
+                    seen["elements"] += 1
+                    seen["steps"] += len(trace.steps)
+    assert seen["obstructions"] >= 50 and seen["elements"] >= 500 and seen["steps"] >= 500, seen

@@ -458,10 +458,9 @@ def test_public_surface():
         "NumericalPolynomial", "OmegaResult", "Ordering", "ParseError", "Ranking",
         "RankingMismatchError", "ReductionTrace", "Relation", "RingSpec", "SystemFile",
         "UnknownIdentifierError", "ValidationReport", "compare_ideals", "containment_check",
-        "count_derivatives", "delta_polynomial", "format_system",
-        "full_pseudo_reduce", "janet_complete", "krull_oracle", "make_derivative",
-        "membership", "normalize_leaders", "omega", "omega_incl_excl", "omega_janet",
-        "parse_system", "validate",
+        "count_derivatives", "delta_polynomial", "full_pseudo_reduce", "janet_complete",
+        "krull_oracle", "make_derivative", "membership", "normalize_leaders", "omega",
+        "omega_incl_excl", "omega_janet", "parse_system", "validate",
     ]
 
 

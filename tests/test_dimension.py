@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 import time
 
@@ -24,7 +25,7 @@ from diffdim import (
     omega_janet,
 )
 from diffdim.dimension import minimalize
-from diffdim.diffpoly import dominates, index_order, iter_indices, join_indices, subtract_indices
+from diffdim.diffpoly import dominates, index_order, iter_indices, join_indices
 
 from corpus import dvar, plain_ranking, random_index, random_leader_spec, random_monomial_chain
 
@@ -183,7 +184,7 @@ def _first_gap(gens, n):
             v = u[:i] + (u[i] + 1,) + u[i + 1 :]
             covered = any(
                 dominates(v, w)
-                and all(e == 0 or k in mult[w] for k, e in enumerate(subtract_indices(v, w)))
+                and all(e == 0 or k in mult[w] for k, e in enumerate(map(operator.sub, v, w)))
                 for w in gens
             )
             if not covered:
@@ -256,7 +257,7 @@ def _cone_contains(cone, mu):
     """mu lies in the Janet cone: above its generator along multiplicative axes only."""
     if not dominates(mu, cone.generator):
         return False
-    gap = subtract_indices(mu, cone.generator)
+    gap = map(operator.sub, mu, cone.generator)
     return all(e == 0 or i in cone.multiplicative for i, e in enumerate(gap))
 
 

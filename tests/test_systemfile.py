@@ -10,17 +10,36 @@ from diffdim import (
     ParseError,
     SystemFile,
     UnknownIdentifierError,
-    format_system,
     make_derivative,
     omega,
     parse_system,
 )
 
 from diffdim.cli import run
+from diffdim.diffpoly import poly_text
 
 from corpus import dvar, random_power_chain
 
 HEADER = "ring derivations=(t,x) indeterminates=(u,v)\nranking orderly tiebreak=(u<v)\n"
+
+
+def format_system(system: SystemFile) -> str:
+    """The system as text that parse_system reads back to an equal system."""
+    ring = system.ring
+    lines = [
+        "ring derivations=({}) indeterminates=({})".format(
+            ",".join(ring.derivation_names), ",".join(ring.indeterminate_names)
+        ),
+        "ranking orderly tiebreak=({})".format(
+            "<".join(ring.indeterminate_names[j] for j in system.ranking.indeterminate_order)
+        ),
+    ]
+    for name, chain in system.chains.items():
+        lines.append(f"chain {name} {{")
+        for poly in chain.elements:
+            lines.append(f"  {poly_text(poly, ring.indeterminate_names)};")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_burgers_file(data_dir):
