@@ -18,6 +18,7 @@ from .diffpoly import (
     dominates,
     is_multi_index,
     is_natural,
+    mul_sub,
     poly_text,
 )
 
@@ -50,6 +51,7 @@ class DiffChain:
         "leaders",
         "_report",
         "_leader_table",
+        "_by_rank",
         "_lifts",
         "_separants",
         "_initials",
@@ -75,6 +77,7 @@ class DiffChain:
         object.__setattr__(self, "leaders", tuple(ranking.leader(p) for p in elements))
         object.__setattr__(self, "_report", None)
         object.__setattr__(self, "_leader_table", None)
+        object.__setattr__(self, "_by_rank", None)
         object.__setattr__(self, "_lifts", tuple({} for _ in elements))
         object.__setattr__(self, "_separants", {})
         object.__setattr__(self, "_initials", {})
@@ -118,8 +121,9 @@ class DiffChain:
     def initial(self, i: int) -> DiffPoly:
         out = self._initials.get(i)
         if out is None:
-            powers = self.elements[i].as_univariate(self.leaders[i])
-            out = self._initials[i] = powers[max(powers)]
+            p, x = self.elements[i], self.leaders[i]
+            degree = p.degree_in(x)
+            out = self._initials[i] = p.top_part(x, degree, degree)
         return out
 
     def validation_report(self) -> "ValidationReport":
@@ -202,13 +206,12 @@ class ValidationReport:
 def _leader_table(chain: DiffChain):
     """Facts about the chain's leaders as bit masks, computed on first use.
 
-    Returns (below, above, failures, by_rank).  Bit t of below[j][a] is set
+    Returns (below, above, failures).  Bit t of below[j][a] is set
     when leader t is on leader j's indeterminate with l_t[a] <= l_j[a], and
     bit t of above[j][a] when l_t[a] >= l_j[a]: the prefix and suffix
     unions of each axis sorted once.  failures lists the weak-triangularity
     violations in (i, j) order: leader i is a derivative of leader j exactly
-    when bit j is set in every below[i][a].  by_rank lists the element
-    indices by the rank of their leaders, then by index.
+    when bit j is set in every below[i][a].
 
     The chain criterion for a pair (i, k) reads the masks, with θ the join
     of l_i and l_k.  Leader j divides θ exactly when on each axis it lies
@@ -246,8 +249,7 @@ def _leader_table(chain: DiffChain):
             for j in range(divisors.bit_length())
             if divisors >> j & 1
         )
-        by_rank = tuple(sorted(range(len(leaders)), key=lambda i: chain.ranking.key(leaders[i])))
-        object.__setattr__(chain, "_leader_table", (below, above, failures, by_rank))
+        object.__setattr__(chain, "_leader_table", (below, above, failures))
     return chain._leader_table
 
 
@@ -265,14 +267,18 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     theta = tuple(map(max, x.index, y.index))
     lift_p = chain.lift(i, tuple(map(operator.sub, theta, x.index)))
     lift_q = chain.lift(j, tuple(map(operator.sub, theta, y.index)))
-    return chain.separant(j) * lift_p - chain.separant(i) * lift_q
+    return mul_sub(chain.separant(j), lift_p, chain.separant(i), lift_q)
 
 
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     """First element, in the rank order of leaders, whose leader divides x,
-    with the quotient x / leader."""
-    for idx in _leader_table(chain)[3]:
-        ld = chain.leaders[idx]
+    with the quotient x / leader.  The rank order is sorted on first use."""
+    leaders = chain.leaders
+    if chain._by_rank is None:
+        by_rank = sorted(range(len(leaders)), key=lambda i: chain.ranking.key(leaders[i]))
+        object.__setattr__(chain, "_by_rank", by_rank)
+    for idx in chain._by_rank:
+        ld = leaders[idx]
         if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
             return idx, tuple(map(operator.sub, x.index, ld.index))
     return None
@@ -316,8 +322,8 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
         else:
             lead, g_degree = chain.initial(idx), g.degree_in(x)
         while (d := r.degree_in(x)) >= g_degree:
-            coefficient = r.as_univariate(x)[d] * DiffPoly.variable(x) ** (d - g_degree)
-            r = lead * r - coefficient * g
+            coefficient = r.top_part(x, d, g_degree)
+            r = mul_sub(lead, r, coefficient, g)
             steps.append((lead, coefficient, sigma, idx))
     return ReductionTrace(r, tuple(steps))
 
@@ -362,7 +368,7 @@ def validate(chain: DiffChain) -> ValidationReport:
     is never reduced, so incoherence is reported by a kept pair, which may
     come later in that order.
     """
-    below, above, failures, _ = _leader_table(chain)
+    below, above, failures = _leader_table(chain)
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
         return ValidationReport(triangular=False, coherent=False, messages=messages)

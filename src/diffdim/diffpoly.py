@@ -8,6 +8,7 @@ power products of derivatives.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,6 +127,27 @@ def _powers(mono: Monomial) -> tuple[tuple[Derivative, int], ...]:
     return tuple((d, len(list(run))) for d, run in groupby(mono))
 
 
+def _add_products(acc: dict, p: Mapping, q: Mapping) -> dict:
+    """Add the product of the term maps p and q into acc and return acc.
+
+    A constant monomial of p adds q's terms as they stand, without a sort."""
+    for m1, c1 in p.items():
+        if not m1:
+            for m2, c2 in q.items():
+                acc[m2] = acc.get(m2, 0) + c1 * c2
+            continue
+        for m2, c2 in q.items():
+            key = tuple(sorted(m1 + m2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return acc
+
+
+def mul_sub(a: "DiffPoly", x: "DiffPoly", b: "DiffPoly", y: "DiffPoly") -> "DiffPoly":
+    """a*x - b*y, accumulated in one pass without building either product."""
+    acc = _add_products({}, a.terms, x.terms)
+    return DiffPoly._of(_add_products(acc, {m: -c for m, c in b.terms.items()}, y.terms))
+
+
 class DiffPoly:
     """Differential polynomial as a map from monomials to nonzero rationals.
 
@@ -241,12 +263,7 @@ class DiffPoly:
             if len(q) == 1 and () in q:  # a constant factor only scales p
                 c = q[()]
                 return p if c == 1 else DiffPoly._of({m: x * c for m, x in p.terms.items()})
-        acc: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return DiffPoly._of(acc)
+        return DiffPoly._of(_add_products({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -278,13 +295,15 @@ class DiffPoly:
     def degree_in(self, d: Derivative) -> int:
         return max((mono.count(d) for mono in self.terms), default=0)
 
-    def as_univariate(self, d: Derivative) -> dict[int, "DiffPoly"]:
-        """Coefficients of the powers of d, themselves polynomials free of d."""
-        buckets: dict[int, dict[Monomial, Coefficient]] = {}
+    def top_part(self, d: Derivative, degree: int, drop: int) -> "DiffPoly":
+        """The terms of exactly the given degree in d, each with drop copies
+        of d divided out: the coefficient of d^degree times d^(degree - drop)."""
+        acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self.terms.items():
-            rest = tuple(f for f in mono if f != d)
-            buckets.setdefault(len(mono) - len(rest), {})[rest] = coeff
-        return {e: DiffPoly._of(t) for e, t in buckets.items()}
+            if mono.count(d) == degree:
+                i = mono.index(d) if drop else 0
+                acc[mono[:i] + mono[i + drop :]] = coeff
+        return DiffPoly._of(acc)
 
     def partial(self, d: Derivative) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative symbol."""
@@ -299,17 +318,19 @@ class DiffPoly:
 
     def derive(self, axis: int) -> "DiffPoly":
         """Apply the derivation along one axis, by the Leibniz rule."""
-        for mono in filter(None, self.terms):  # a ring's derivatives share one width
-            shift_derivative(mono[0], axis)
-            break
+        bumped: dict[Derivative, Derivative] = {}  # each distinct factor, shifted once
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self.terms.items():
             for i, d in enumerate(mono):
                 if i and mono[i - 1] == d:
                     continue  # each distinct factor once, weighted by its exponent
-                j, mu = d
-                bumped = Derivative(j, mu[:axis] + (mu[axis] + 1,) + mu[axis + 1 :])
-                key = tuple(sorted(mono[:i] + (bumped,) + mono[i + 1 :]))
+                up = bumped.get(d)
+                if up is None:
+                    up = bumped[d] = shift_derivative(d, axis)
+                rest = mono[:i] + mono[i + 1 :]
+                # up exceeds d in tuple order, so it sorts at or after d's place
+                j = bisect.bisect(rest, up, i)
+                key = rest[:j] + (up,) + rest[j:]
                 acc[key] = acc.get(key, 0) + coeff * mono.count(d)
         return DiffPoly._of(acc)
 

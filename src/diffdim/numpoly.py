@@ -107,18 +107,24 @@ class NumericalPolynomial:
         return Ordering.EQUAL
 
     def to_standard_basis(self) -> tuple[Fraction, ...]:
-        """Rational coefficients c_0, ..., c_k of the powers l^0, ..., l^k, one per basis coefficient."""
-        out = [Fraction(0)] * len(self.coeffs)
-        basis = [Fraction(1)]  # C(l+i, i) by powers of l; times (l+i+1)/(i+1) gives the next
+        """Rational coefficients c_0, ..., c_k of the powers l^0, ..., l^k, one per basis coefficient.
+
+        k! * C(l+i, i) is k!/i! times the rising product (l+1)...(l+i), an
+        integer polynomial, so the sum runs in integers over the one
+        denominator k!, divided out once per coefficient."""
+        k = len(self.coeffs) - 1
+        out = [0] * (k + 1)
+        rising = [1]  # (l+1)...(l+i) by powers of l; times (l+i+1) gives the next
         for i, a in enumerate(self.coeffs):
-            for t, c in enumerate(basis):
-                out[t] += a * c
-            basis = [c + lower / (i + 1) for c, lower in zip(basis + [0], [Fraction(0)] + basis)]
-        for point in range(len(self.coeffs)):
-            total = sum(c * point**k for k, c in enumerate(out))
-            if total != self.eval(point):
+            weight = a * math.perm(k, k - i)  # a * k!/i!
+            for t, c in enumerate(rising):
+                out[t] += weight * c
+            rising = [(i + 1) * c + lower for c, lower in zip(rising + [0], [0] + rising)]
+        scale = math.factorial(k)
+        for point in range(k + 1):
+            if sum(c * point**t for t, c in enumerate(out)) != scale * self.eval(point):
                 raise ArithmeticError("basis conversion lost exactness")
-        return tuple(out)
+        return tuple(Fraction(c, scale) for c in out)
 
     def to_json_dict(self) -> dict:
         return {

@@ -70,7 +70,8 @@ class UnknownIdentifierError(ParseError):
 
 
 # Integers are [0-9], not \d, which takes any Unicode digit.
-_TOKEN = r"[0-9]+|[^\W\d]\w*|[=(),<{};^*+\-/\[\]]"
+# Symbols first, as most tokens are; the three classes start with disjoint characters.
+_TOKEN = r"[=(),<{};^*+\-/\[\]]|[0-9]+|[^\W\d]\w*"
 _COMMENT = r"#[^\n]*"
 # Greedy with nothing after it, so re.match never backtracks into the loop;
 # the loop's stack grows with the text, so it runs only on a text that fails.

@@ -202,8 +202,12 @@ def test_lift_tables_live_on_the_chain():
     assert any(first._lifts) and first._separants
     assert not any(second._lifts) and not second._separants and not second._initials
     full_pseudo_reduce(elements[0].derive_multi((1, 1)), first)
-    assert first._initials
+    assert first._initials and first._by_rank
     assert not any(second._lifts) and not second._separants and not second._initials
+    assert second._by_rank is None
+    # pure derivatives have zero obstructions only, so nothing ranks their leaders
+    staircase = _chain([dvar(0, (i, 3 - i)) for i in range(4)], 2, 1)
+    assert validate(staircase).accepted and staircase._by_rank is None
 
 
 def test_coherence_accepts_nontrivial_reduction():

@@ -11,7 +11,7 @@ from diffdim import (
     RingSpec,
     make_derivative,
 )
-from diffdim.diffpoly import iter_indices, poly_text
+from diffdim.diffpoly import iter_indices, mul_sub, poly_text, shift_derivative
 
 from corpus import dvar, plain_ranking, plain_ring, random_index
 
@@ -69,6 +69,37 @@ def test_coefficients_must_be_int_or_fraction():
     assert DiffPoly.constant(Fraction(1, 3)).constant_value() == Fraction(1, 3)
 
 
+def _as_univariate(p, d):
+    """Coefficients of the powers of d, themselves polynomials free of d."""
+    buckets = {}
+    for mono, coeff in p.terms.items():
+        rest = tuple(f for f in mono if f != d)
+        buckets.setdefault(len(mono) - len(rest), {})[rest] = coeff
+    return {e: DiffPoly(t) for e, t in buckets.items()}
+
+
+def _reference_product(p, q):
+    """p*q by the plain double loop, sorting every product monomial."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            key = tuple(sorted(m1 + m2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return DiffPoly(acc)
+
+
+def _reference_derive(p, axis):
+    """The Leibniz rule, shifting each factor afresh and sorting the result."""
+    acc = {}
+    for mono, coeff in p.terms.items():
+        for i, d in enumerate(mono):
+            if i and mono[i - 1] == d:
+                continue
+            key = tuple(sorted(mono[:i] + (shift_derivative(d, axis),) + mono[i + 1 :]))
+            acc[key] = acc.get(key, 0) + coeff * mono.count(d)
+    return DiffPoly(acc)
+
+
 def _coefficients_are_reduced(p):
     """Every integral coefficient is an int, and only a true fraction a Fraction."""
     return all(
@@ -89,7 +120,7 @@ def test_integral_results_have_int_coefficients():
     assert type(DiffPoly.zero().constant_value()) is int
     integral = [
         p + q, p - q, -p, p * q, p**3, p.derive(0), p.derive(1), p.partial(d0),
-        p.partial(d1), *p.as_univariate(d0).values(), *p.as_univariate(d1).values(),
+        p.partial(d1), p.top_part(d0, 2, 2), p.top_part(d0, 2, 1), p.top_part(d1, 1, 1),
         # fractions that cancel to integers come back as ints
         half * p * 2, half * u0 + half * u0, (half * u0**2).partial(d0),
         (half * u0**2).derive(0), (half * u0) ** 2 * 4,
@@ -106,7 +137,8 @@ def test_integral_results_have_int_coefficients():
         ((third * u0) ** 2, Fraction(1, 9)),
         ((third * u0 * u1).derive(1), third),
         ((third * u0**2).partial(d0), Fraction(2, 3)),
-        ((third * u0 * u1 + u1).as_univariate(d1)[1], third),
+        ((third * u0 * u1 + u1).top_part(d1, 1, 1), third),
+        (mul_sub(DiffPoly.constant(third), p, u0, u1), Fraction(5, 3)),
         (p * DiffPoly.constant(third), -Fraction(2, 3)),
         (p - third * u0, -third),
         (third - p, Fraction(-14, 3)),
@@ -127,8 +159,12 @@ def test_high_exponents_exact_values():
     assert p.partial(d2) == DiffPoly.zero()
     assert (p.degree_in(d0), p.degree_in(d1), p.degree_in(d2)) == (3, 2, 0)
     q = p + 5 * u0**3 * u2 - u1**4 + 7
-    assert q.as_univariate(d0) == {3: u1**2 + 5 * u2, 0: 7 - u1**4}
-    assert q.as_univariate(d1) == {2: u0**3, 0: 5 * u0**3 * u2 + 7, 4: DiffPoly.constant(-1)}
+    assert q.top_part(d0, 3, 3) == u1**2 + 5 * u2
+    assert q.top_part(d0, 3, 1) == (u1**2 + 5 * u2) * u0**2
+    assert q.top_part(d0, 0, 0) == 7 - u1**4
+    assert q.top_part(d1, 4, 4) == DiffPoly.constant(-1)
+    assert q.top_part(d1, 2, 2) == u0**3
+    assert q.top_part(d2, 1, 1) == 5 * u0**3
     assert q.derivatives() == {d0, d1, d2}
 
 
@@ -184,6 +220,38 @@ def test_derive_satisfies_leibniz_rule():
         assert (p + q).derive(axis) == p.derive(axis) + q.derive(axis)
 
 
+def _varied_poly(rng, n, m):
+    """A random polynomial over a pool of few derivatives, so factors repeat,
+    with int and Fraction coefficients; zero and constants come up too."""
+    pool = [make_derivative(rng.randrange(m), random_index(rng, n, 2)) for _ in range(3)]
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        mono = tuple(sorted(rng.choice(pool) for _ in range(rng.randint(0, 4))))
+        terms[mono] = rng.choice((1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-4, 3), Fraction(5, 6)))
+    return DiffPoly(terms)
+
+
+def test_kernel_matches_the_sort_based_reference():
+    """The fused a*x - b*y, the product, derive and top_part against the
+    plain loops they replace."""
+    rng = random.Random(29)
+    for _ in range(400):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        a, x, b, y = (_varied_poly(rng, n, m) for _ in range(4))
+        expected = _reference_product(a, x) - _reference_product(b, y)
+        for got in (mul_sub(a, x, b, y), a * x - b * y, x * y, x.derive(rng.randrange(n))):
+            assert _coefficients_are_reduced(got), got
+        assert mul_sub(a, x, b, y) == expected
+        assert mul_sub(a, x, a, x) == DiffPoly.zero()
+        assert x * y == _reference_product(x, y)
+        for axis in range(n):
+            assert x.derive(axis) == _reference_derive(x, axis)
+        for d in x.derivatives():
+            for e, coeff in _as_univariate(x, d).items():
+                for drop in range(e + 1):
+                    assert x.top_part(d, e, drop) == coeff * DiffPoly.variable(d) ** (e - drop)
+
+
 def test_derivations_commute():
     rng = random.Random(13)
     for _ in range(40):
@@ -217,7 +285,7 @@ def _compare(ranking, d1, d2):
 
 def _initial(ranking, p):
     x = ranking.leader(p)
-    return p.as_univariate(x)[p.degree_in(x)]
+    return _as_univariate(p, x)[p.degree_in(x)]
 
 
 def _separant(ranking, p):
@@ -301,7 +369,7 @@ def test_univariate_reconstruction():
         x = ranking.leader(p)
         xpoly = DiffPoly.variable(x)
         rebuilt = DiffPoly.zero()
-        for e, coeff in p.as_univariate(x).items():
+        for e, coeff in _as_univariate(p, x).items():
             assert coeff.degree_in(x) == 0
             rebuilt = rebuilt + coeff * xpoly**e
         assert rebuilt == p

@@ -90,6 +90,27 @@ def test_standard_basis_known_expansions():
     )
 
 
+def _fraction_standard_basis(p):
+    """Standard coefficients summed in Fractions, one basis polynomial at a time."""
+    out = [Fraction(0)] * len(p.coeffs)
+    basis = [Fraction(1)]  # C(l+i, i) by powers of l; times (l+i+1)/(i+1) gives the next
+    for i, a in enumerate(p.coeffs):
+        for t, c in enumerate(basis):
+            out[t] += a * c
+        basis = [c + lower / (i + 1) for c, lower in zip(basis + [0], [Fraction(0)] + basis)]
+    return tuple(out)
+
+
+def test_standard_basis_matches_the_fraction_sum():
+    rng = random.Random(31)
+    for width in range(1, 12):
+        for _ in range(20):
+            p = NumericalPolynomial(rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(width))
+            got = p.to_standard_basis()
+            assert got == _fraction_standard_basis(p)
+            assert all(type(c) is Fraction for c in got)
+
+
 def test_standard_basis_agrees_with_eval_everywhere():
     rng = random.Random(99)
     for _ in range(200):
