@@ -33,54 +33,49 @@ class InvalidChainError(ValueError):
     """The chain failed validation and cannot feed the dimension machinery."""
 
 
+def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
+    """Raise ValueError naming the least derivative of p outside the ring."""
+    n, m = ring.num_derivations, ring.num_indeterminates
+    outside = [
+        d for d in p.derivatives()
+        if not is_natural(d.indeterminate) or d.indeterminate >= m
+        or len(d.index) != n or not is_multi_index(d.index)
+    ]
+    if outside:
+        raise ValueError(
+            f"{what} has {min(outside)!r}, outside the ring of "
+            f"{m} indeterminates and {n} derivations"
+        )
+
+
 class DiffChain:
     """Ordered finite family of non-constant differential polynomials.
 
     Every derivative must belong to the ranking's ring; one that does not
     raises ValueError naming the element and the derivative.
 
-    Validation and reduction read each element's lifts, separant and initial
-    from tables on the chain, filled on first use, so every obstruction pair
-    and reduction step that needs one shares it.  The tables die with the
+    Each fact about the elements that validation, reduction and compare
+    read is a cached attribute, computed for every element on its first
+    use: separants, initials, degrees (each element's degree in its own
+    leader), by_rank, leader_table and the validation report.  Lifts fill
+    per-element tables one derivative at a time.  All of them die with the
     chain; nothing is memoized on the elements themselves.
     """
 
-    __slots__ = (
-        "elements",
-        "ranking",
-        "leaders",
-        "_report",
-        "_leader_table",
-        "_by_rank",
-        "_lifts",
-        "_separants",
-        "_initials",
-    )
-
     def __init__(self, elements, ranking: Ranking):
         elements = tuple(elements)
-        n, m = ranking.ring.num_derivations, ranking.ring.num_indeterminates
         for i, p in enumerate(elements):
             if not isinstance(p, DiffPoly) or p.is_constant():
                 raise ConstantPolynomialError(
                     "chain elements must be non-constant differential polynomials"
                 )
-            for d in sorted(p.derivatives()):
-                j = d.indeterminate
-                if not is_natural(j) or j >= m or len(d.index) != n or not is_multi_index(d.index):
-                    raise ValueError(
-                        f"chain element {i} has {d!r}, outside the ring of "
-                        f"{m} indeterminates and {n} derivations"
-                    )
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "ranking", ranking)
-        object.__setattr__(self, "leaders", tuple(ranking.leader(p) for p in elements))
-        object.__setattr__(self, "_report", None)
-        object.__setattr__(self, "_leader_table", None)
-        object.__setattr__(self, "_by_rank", None)
-        object.__setattr__(self, "_lifts", tuple({} for _ in elements))
-        object.__setattr__(self, "_separants", {})
-        object.__setattr__(self, "_initials", {})
+            _require_in_ring(p, ranking.ring, f"chain element {i}")
+        vars(self).update(
+            elements=elements,
+            ranking=ranking,
+            leaders=tuple(ranking.leader(p) for p in elements),
+            _lifts=tuple({} for _ in elements),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffChain is immutable")
@@ -112,24 +107,87 @@ class DiffChain:
             out = table[nu] = out.derive(axis)
         return out
 
-    def separant(self, i: int) -> DiffPoly:
-        out = self._separants.get(i)
-        if out is None:
-            out = self._separants[i] = self.elements[i].partial(self.leaders[i])
-        return out
+    @functools.cached_property
+    def separants(self) -> tuple[DiffPoly, ...]:
+        return tuple(p.partial(x) for p, x in zip(self.elements, self.leaders))
 
-    def initial(self, i: int) -> DiffPoly:
-        out = self._initials.get(i)
-        if out is None:
-            p, x = self.elements[i], self.leaders[i]
-            degree = p.degree_in(x)
-            out = self._initials[i] = p.top_part(x, degree, degree)
-        return out
+    @functools.cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Each element's degree in its own leader."""
+        return tuple(p.degree_in(x) for p, x in zip(self.elements, self.leaders))
+
+    @functools.cached_property
+    def initials(self) -> tuple[DiffPoly, ...]:
+        return tuple(
+            p.top_part(x, e, e) for p, x, e in zip(self.elements, self.leaders, self.degrees)
+        )
+
+    @functools.cached_property
+    def by_rank(self) -> tuple[int, ...]:
+        """The element indices in the rank order of their leaders."""
+        return tuple(sorted(range(len(self)), key=lambda i: self.ranking.key(self.leaders[i])))
+
+    @functools.cached_property
+    def leader_table(self):
+        """Facts about the chain's leaders as bit masks.
+
+        Returns (below, above, failures).  Bit t of below[j][a] is set
+        when leader t is on leader j's indeterminate with l_t[a] <= l_j[a], and
+        bit t of above[j][a] when l_t[a] >= l_j[a]: the prefix and suffix
+        unions of each axis sorted once.  failures lists the weak-triangularity
+        violations in (i, j) order: leader i is a derivative of leader j exactly
+        when bit j is set in every below[i][a].
+
+        The chain criterion for a pair (i, k) reads the masks, with θ the join
+        of l_i and l_k.  Leader j divides θ exactly when on each axis it lies
+        below l_i where l_i >= l_k and below l_k elsewhere.  For such j,
+        join(l_i, l_j) agrees with θ where l_i >= l_k, and where l_k > l_i it
+        reaches θ[a] = l_k[a] exactly when l_j[a] >= l_k[a].  So join(i, j) = θ
+        exactly when j lies in above[k][a] on every axis where l_k > l_i, and
+        join(j, k) = θ in the mirror case; otherwise both joins lie strictly
+        below θ.  When l_i and l_k are incomparable, as in a triangular chain,
+        i and k themselves fail that test, so neither is its own witness.
+        """
+        leaders, names = self.leaders, self.ring.indeterminate_names
+        below, above = [[] for _ in leaders], [[] for _ in leaders]
+        groups: dict[int, list[int]] = {}
+        for t, x in enumerate(leaders):
+            groups.setdefault(x.indeterminate, []).append(t)
+        for group, a in itertools.product(groups.values(), range(self.ring.num_derivations)):
+            at: dict[int, int] = {}  # the elements with each value on axis a
+            for t in group:
+                at[leaders[t].index[a]] = at.get(leaders[t].index[a], 0) | 1 << t
+            values = sorted(at)
+            le = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
+            values.reverse()
+            ge = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
+            for t in group:
+                e = leaders[t].index[a]
+                below[t].append(le[e])
+                above[t].append(ge[e])
+        failures = tuple(
+            f"leader {derivative_text(x, names)} of element {i} is a derivative "
+            f"of leader {derivative_text(leaders[j], names)} of element {j}"
+            for i, x in enumerate(leaders)
+            if (divisors := functools.reduce(operator.and_, below[i]) & ~(1 << i))
+            for j in range(divisors.bit_length())
+            if divisors >> j & 1
+        )
+        return below, above, failures
+
+    @functools.cached_property
+    def _report(self) -> "ValidationReport":
+        return validate(self)
 
     def validation_report(self) -> "ValidationReport":
-        if self._report is None:
-            object.__setattr__(self, "_report", validate(self))
         return self._report
+
+    def require_valid(self) -> None:
+        """Raise InvalidChainError with the report's messages unless the
+        chain is weakly triangular and coherent."""
+        report = self._report
+        if not report.accepted:
+            raise InvalidChainError("; ".join(report.messages))
 
 
 @dataclass
@@ -203,56 +261,6 @@ class ValidationReport:
         }
 
 
-def _leader_table(chain: DiffChain):
-    """Facts about the chain's leaders as bit masks, computed on first use.
-
-    Returns (below, above, failures).  Bit t of below[j][a] is set
-    when leader t is on leader j's indeterminate with l_t[a] <= l_j[a], and
-    bit t of above[j][a] when l_t[a] >= l_j[a]: the prefix and suffix
-    unions of each axis sorted once.  failures lists the weak-triangularity
-    violations in (i, j) order: leader i is a derivative of leader j exactly
-    when bit j is set in every below[i][a].
-
-    The chain criterion for a pair (i, k) reads the masks, with θ the join
-    of l_i and l_k.  Leader j divides θ exactly when on each axis it lies
-    below l_i where l_i >= l_k and below l_k elsewhere.  For such j,
-    join(l_i, l_j) agrees with θ where l_i >= l_k, and where l_k > l_i it
-    reaches θ[a] = l_k[a] exactly when l_j[a] >= l_k[a].  So join(i, j) = θ
-    exactly when j lies in above[k][a] on every axis where l_k > l_i, and
-    join(j, k) = θ in the mirror case; otherwise both joins lie strictly
-    below θ.  When l_i and l_k are incomparable, as in a triangular chain,
-    i and k themselves fail that test, so neither is its own witness.
-    """
-    if chain._leader_table is None:
-        leaders, names = chain.leaders, chain.ring.indeterminate_names
-        below, above = [[] for _ in leaders], [[] for _ in leaders]
-        groups: dict[int, list[int]] = {}
-        for t, x in enumerate(leaders):
-            groups.setdefault(x.indeterminate, []).append(t)
-        for group, a in itertools.product(groups.values(), range(chain.ring.num_derivations)):
-            at: dict[int, int] = {}  # the elements with each value on axis a
-            for t in group:
-                at[leaders[t].index[a]] = at.get(leaders[t].index[a], 0) | 1 << t
-            values = sorted(at)
-            le = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
-            values.reverse()
-            ge = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
-            for t in group:
-                e = leaders[t].index[a]
-                below[t].append(le[e])
-                above[t].append(ge[e])
-        failures = tuple(
-            f"leader {derivative_text(x, names)} of element {i} is a derivative "
-            f"of leader {derivative_text(leaders[j], names)} of element {j}"
-            for i, x in enumerate(leaders)
-            if (divisors := functools.reduce(operator.and_, below[i]) & ~(1 << i))
-            for j in range(divisors.bit_length())
-            if divisors >> j & 1
-        )
-        object.__setattr__(chain, "_leader_table", (below, above, failures))
-    return chain._leader_table
-
-
 def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     """Cross-derivation obstruction sep(q)*d^(t-mu) p - sep(p)*d^(t-nu) q
     of the chain's elements p = i and q = j.
@@ -267,17 +275,15 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     theta = tuple(map(max, x.index, y.index))
     lift_p = chain.lift(i, tuple(map(operator.sub, theta, x.index)))
     lift_q = chain.lift(j, tuple(map(operator.sub, theta, y.index)))
-    return mul_sub(chain.separant(j), lift_p, chain.separant(i), lift_q)
+    separants = chain.separants
+    return mul_sub(separants[j], lift_p, separants[i], lift_q)
 
 
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     """First element, in the rank order of leaders, whose leader divides x,
-    with the quotient x / leader.  The rank order is sorted on first use."""
+    with the quotient x / leader."""
     leaders = chain.leaders
-    if chain._by_rank is None:
-        by_rank = sorted(range(len(leaders)), key=lambda i: chain.ranking.key(leaders[i]))
-        object.__setattr__(chain, "_by_rank", by_rank)
-    for idx in chain._by_rank:
+    for idx in chain.by_rank:
         ld = leaders[idx]
         if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
             return idx, tuple(map(operator.sub, x.index, ld.index))
@@ -295,11 +301,12 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
     pseudo-division, multiplying through by the initial.  No derivative
     ranked >= x is ever reintroduced, so the procedure terminates.
     """
-    failures = _leader_table(chain)[2]
+    failures = chain.leader_table[2]
     if failures:
         raise NotTriangularError("; ".join(failures))
     if not p:
         return ReductionTrace(p)
+    _require_in_ring(p, chain.ring, "the polynomial to reduce")
     ranking = chain.ranking
     r = p
     steps = []
@@ -310,7 +317,7 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
             if found is None:
                 continue
             idx, sigma = found
-            if any(sigma) or r.degree_in(x) >= chain.elements[idx].degree_in(x):
+            if any(sigma) or r.degree_in(x) >= chain.degrees[idx]:
                 target = (x, idx, sigma)
                 break
         if target is None:
@@ -318,9 +325,9 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
         x, idx, sigma = target
         g = chain.lift(idx, sigma)
         if any(sigma):
-            lead, g_degree = chain.separant(idx), 1
+            lead, g_degree = chain.separants[idx], 1
         else:
-            lead, g_degree = chain.initial(idx), g.degree_in(x)
+            lead, g_degree = chain.initials[idx], chain.degrees[idx]
         while (d := r.degree_in(x)) >= g_degree:
             coefficient = r.top_part(x, d, g_degree)
             r = mul_sub(lead, r, coefficient, g)
@@ -330,7 +337,7 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
 
 def _witnesses(below, above, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:
     """Mask of the elements j whose leader divides θ = join(i, k) while
-    join(i, j) and join(j, k) lie strictly below θ; see _leader_table."""
+    join(i, j) and join(j, k) lie strictly below θ; see DiffChain.leader_table."""
     divides = ei = ek = -1
     for s, t, bi, bk, ai, ak in zip(x, y, below[i], below[k], above[i], above[k]):
         divides &= bi if s >= t else bk
@@ -368,7 +375,7 @@ def validate(chain: DiffChain) -> ValidationReport:
     is never reduced, so incoherence is reported by a kept pair, which may
     come later in that order.
     """
-    below, above, failures = _leader_table(chain)
+    below, above, failures = chain.leader_table
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
         return ValidationReport(triangular=False, coherent=False, messages=messages)
@@ -398,13 +405,7 @@ def validate(chain: DiffChain) -> ValidationReport:
     return report
 
 
-def _require_valid(chain: DiffChain) -> None:
-    report = chain.validation_report()
-    if not report.accepted:
-        raise InvalidChainError("; ".join(report.messages))
-
-
 def membership(p: DiffPoly, chain: DiffChain) -> bool:
     """Zero-remainder test for membership in the saturated differential ideal."""
-    _require_valid(chain)
+    chain.require_valid()
     return full_pseudo_reduce(p, chain).remainder.is_zero()

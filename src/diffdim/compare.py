@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .chains import DiffChain, _require_valid, membership
+from .chains import DiffChain, membership
 from .diffpoly import Derivative, RingSpec, derivative_text
 from .numpoly import NumericalPolynomial, Ordering
 from .dimension import omega
@@ -82,17 +82,11 @@ def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:
     Zero remainders prove containment; a nonzero remainder proves nothing
     either way, so the answer is then Unknown rather than a refutation.
     """
-    _require_valid(smaller)
-    _require_valid(larger)
+    smaller.require_valid()
+    larger.require_valid()
     if all(membership(p, larger) for p in smaller.elements):
         return Containment.CONTAINED
     return Containment.UNKNOWN
-
-
-def _leader_degrees(chain: DiffChain) -> dict[Derivative, int]:
-    """Each element's degree in its own leader; CompareVerdict.degree_products
-    holds their product, a chain invariant, not an ideal invariant."""
-    return {ld: elem.degree_in(ld) for elem, ld in zip(chain.elements, chain.leaders)}
 
 
 def _relation_under_containment(
@@ -129,8 +123,10 @@ def compare_ideals(
         raise RankingMismatchError("chains must share one ring and ranking")
     omega_small = omega(smaller).omega
     omega_large = omega(larger).omega
-    degrees_small = _leader_degrees(smaller)
-    degrees_large = _leader_degrees(larger)
+    # CompareVerdict.degree_products holds the product of each chain's leader
+    # degrees, a chain invariant, not an ideal invariant
+    degrees_small = dict(zip(smaller.leaders, smaller.degrees))
+    degrees_large = dict(zip(larger.leaders, larger.degrees))
     if containment_asserted:
         containment = Containment.ASSERTED
     else:

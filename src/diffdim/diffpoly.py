@@ -153,34 +153,31 @@ class DiffPoly:
 
     The zero polynomial has an empty term map, and the constant monomial is
     the empty tuple, so structural equality of the maps is equality of
-    polynomials.  Coefficients must be int or Fraction; anything else, a
-    float included, raises TypeError.  An integral coefficient is stored as
-    an int and only a non-integral one as a Fraction, so arithmetic on
-    integer polynomials never leaves the ints.
+    polynomials.  The constructor sorts each monomial's factors and adds
+    the coefficients of monomials that then coincide.  Coefficients must be
+    int or Fraction; anything else, a float included, raises TypeError.  An
+    integral coefficient is stored as an int and only a non-integral one as
+    a Fraction, so arithmetic on integer polynomials never leaves the ints.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
-        clean: dict[Monomial, Coefficient] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if type(coeff) is not int:
-                    if isinstance(coeff, Fraction):
-                        if coeff.denominator == 1:
-                            coeff = coeff.numerator
-                    elif isinstance(coeff, int):
-                        coeff = int(coeff)
-                    else:
-                        raise TypeError(f"coefficients must be int or Fraction, got {coeff!r}")
-                if coeff:
-                    clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
+        acc: dict[Monomial, Coefficient] = {}
+        for mono, coeff in (terms or {}).items():
+            if isinstance(coeff, int):
+                coeff = int(coeff)
+            elif not isinstance(coeff, Fraction):
+                raise TypeError(f"coefficients must be int or Fraction, got {coeff!r}")
+            key = tuple(sorted(mono))
+            acc[key] = acc.get(key, 0) + coeff
+        object.__setattr__(self, "terms", DiffPoly._of(acc).terms)
 
     @classmethod
     def _of(cls, terms: Mapping[Monomial, Coefficient]) -> "DiffPoly":
-        """Arithmetic result on ints and Fractions: drops the zeros and stores
-        an integral Fraction as an int, without the constructor's type checks."""
+        """Arithmetic result on ints and Fractions over sorted monomials: drops
+        the zeros and stores an integral Fraction as an int, without the
+        constructor's type checks and sorts."""
         out = object.__new__(cls)
         clean = {
             m: c if type(c) is int or c.denominator != 1 else c.numerator
@@ -244,25 +241,18 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc[mono] = acc.get(mono, 0) - coeff
-        return DiffPoly._of(acc)
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        for p, q in ((self, other.terms), (other, self.terms)):
-            if len(q) == 1 and () in q:  # a constant factor only scales p
-                c = q[()]
-                return p if c == 1 else DiffPoly._of({m: x * c for m, x in p.terms.items()})
         return DiffPoly._of(_add_products({}, self.terms, other.terms))
 
     __rmul__ = __mul__

@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .chains import DiffChain, _require_valid
+from .chains import DiffChain
 from .diffpoly import (
     MultiIndex,
     RingSpec,
@@ -97,7 +97,7 @@ def normalize_leaders(chain: DiffChain) -> LeaderSpec:
     Weak triangularity makes each group an antichain; LeaderSpec minimalizes it
     anyway, as it does every input, and the count check makes a drop an error.
     """
-    _require_valid(chain)
+    chain.require_valid()
     ring = chain.ring
     groups: dict[int, list[MultiIndex]] = {}
     for ld in chain.leaders:

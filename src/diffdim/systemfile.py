@@ -220,7 +220,7 @@ class _Parser:
             terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
             sign = self.values[self.pos]
             if sign != "+" and sign != "-":
-                return DiffPoly(terms)
+                return DiffPoly._of(terms)
             self.pos += 1
 
     def term(self) -> tuple[Monomial, Coefficient]:

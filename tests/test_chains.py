@@ -60,6 +60,22 @@ def test_chain_rejects_derivative_outside_its_ring():
             DiffChain(elements, ranking)
 
 
+def test_reduction_rejects_derivative_outside_the_chain_ring():
+    chain = _chain([dvar(0, (1, 0))], 2, 1)
+    cases = (
+        # a longer index, which the componentwise test would truncate to u[1,0]
+        (dvar(0, (1, 0, 0)), "index=\\(1, 0, 0\\)"),
+        # a shorter one, dividing the leader by the same truncation
+        (dvar(0, (1,)), "index=\\(1,\\)"),
+        # an indeterminate beyond the ring's one, which the ranking cannot place
+        (dvar(1, (1, 0)) + dvar(0, (2, 0)), "indeterminate=1"),
+    )
+    for p, message in cases:
+        for reduce in (full_pseudo_reduce, membership):
+            with pytest.raises(ValueError, match="polynomial to reduce has .*" + message):
+                reduce(p, chain)
+
+
 def test_triangularity_detection():
     good = _chain([dvar(0, (1, 0)), dvar(0, (0, 1))], 2, 1)
     assert validate(good).triangular
@@ -199,15 +215,17 @@ def test_lift_tables_live_on_the_chain():
     first = DiffChain(elements, ranking)
     second = DiffChain(elements, ranking)
     assert first.validation_report().delta_checks
-    assert any(first._lifts) and first._separants
-    assert not any(second._lifts) and not second._separants and not second._initials
+    cached = {"separants", "degrees", "initials", "by_rank", "leader_table", "_report"}
+    assert any(first._lifts) and {"separants", "leader_table", "_report"} <= set(vars(first))
+    assert not any(second._lifts) and not cached & set(vars(second))
     full_pseudo_reduce(elements[0].derive_multi((1, 1)), first)
-    assert first._initials and first._by_rank
-    assert not any(second._lifts) and not second._separants and not second._initials
-    assert second._by_rank is None
+    assert cached <= set(vars(first))
+    assert len(first.separants) == len(first.initials) == len(first.degrees) == len(elements)
+    assert sorted(first.by_rank) == list(range(len(elements)))
+    assert not any(second._lifts) and not cached & set(vars(second))
     # pure derivatives have zero obstructions only, so nothing ranks their leaders
     staircase = _chain([dvar(0, (i, 3 - i)) for i in range(4)], 2, 1)
-    assert validate(staircase).accepted and staircase._by_rank is None
+    assert validate(staircase).accepted and "by_rank" not in vars(staircase)
 
 
 def test_coherence_accepts_nontrivial_reduction():

@@ -6,6 +6,7 @@ import pytest
 from diffdim import (
     Containment,
     DiffChain,
+    DiffPoly,
     InvalidChainError,
     Ordering,
     Ranking,
@@ -14,6 +15,7 @@ from diffdim import (
     compare_ideals,
     containment_check,
     make_derivative,
+    parse_system,
 )
 from diffdim.dimension import minimalize
 
@@ -218,3 +220,15 @@ def test_enlarged_cones_never_look_equal():
         )
         assert verdict.omega_larger.compare(verdict.omega_smaller) is Ordering.LESS
         assert verdict.exit_code == 1
+
+
+def test_compare_takes_each_separant_once(monkeypatch, data_dir):
+    system = parse_system((data_dir / "prolong_pair.sys").read_text(encoding="utf-8"))
+    smaller, larger = system.chains["S"], system.chains["A"]
+    calls = []
+    partial = DiffPoly.partial
+    monkeypatch.setattr(DiffPoly, "partial", lambda p, d: calls.append(d) or partial(p, d))
+    verdict = compare_ideals(smaller, larger)
+    assert verdict.relation is Relation.OMEGA_DISTINCT
+    # validation and the containment reductions share them
+    assert sorted(calls) == sorted(smaller.leaders + larger.leaders)
