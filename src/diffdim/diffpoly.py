@@ -4,12 +4,20 @@ The ring has m differential indeterminates and n pairwise commuting
 derivations.  A derivative is an indeterminate together with a multi-index
 over the derivation axes; polynomials are finite rational combinations of
 power products of derivatives.
+
+Inside a polynomial every derivative is an int id from one interning table
+per process, append-only like sys.intern: ids come in first-seen order, so
+they are canonical within a process and nowhere else.  Every result that is
+printed, compared for output or checked against a ring is decoded back to
+Derivative first, and the table grows with the distinct derivatives the
+process has seen.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -113,17 +121,51 @@ def derivative_text(d: Derivative, names: tuple[str, ...] | None = None) -> str:
 # An integral coefficient is an int; a Fraction holds only a non-integral one.
 Coefficient = int | Fraction
 
-# A monomial is the sorted tuple of its factors, each derivative repeated once
-# per unit of its exponent: u0^2*u1 is (u0, u0, u1).  Its length is its degree.
-Monomial = tuple[Derivative, ...]
+# A monomial is the sorted tuple of the interned ids of its factors, each id
+# repeated once per unit of its exponent: u0^2*u1 is (i, i, j) when i < j are
+# the ids of u0 and u1.  Its length is its degree.  The decoded form that
+# DiffPoly.terms shows and its constructor takes is the same tuple of
+# Derivatives, sorted as Derivatives.
+Monomial = tuple[int, ...]
+
+_DERIVATIVES: list[Derivative] = []  # id -> derivative, append-only
+_IDS: dict[tuple, int] = {}  # (derivative, the type of each field) -> id
+_NEW_ID = threading.Lock()  # two threads must not give one id to two derivatives
+_SHIFTS: dict[tuple[int, int], int] = {}  # (id, axis) -> id of the shifted derivative
 
 
-def _monomial(powers: Mapping[Derivative, int]) -> Monomial:
-    return tuple(sorted(d for d, e in powers.items() for _ in range(e)))
+def _intern(d: Derivative) -> int:
+    """The id of d, given d a new one the first time it is seen; TypeError
+    naming d if it is not a Derivative."""
+    if not isinstance(d, Derivative):
+        raise TypeError(f"expected a Derivative, got {d!r}")
+    # 1, 1.0 and True are equal numbers but name different derivatives, which
+    # a ring check must tell apart, so the key holds the type of each field
+    key = (d, type(d), type(d.indeterminate), *map(type, d.index))
+    i = _IDS.get(key)
+    if i is None:
+        with _NEW_ID:
+            i = _IDS.get(key)
+            if i is None:
+                _DERIVATIVES.append(d)  # before the id is published
+                i = _IDS[key] = len(_DERIVATIVES) - 1
+    return i
 
 
-def _powers(mono: Monomial) -> tuple[tuple[Derivative, int], ...]:
-    """The (derivative, exponent) pairs of a monomial, in order."""
+def _shift(i: int, axis: int) -> int:
+    """The id of derivative i derived once along axis."""
+    up = _SHIFTS.get((i, axis))
+    if up is None:
+        up = _SHIFTS[i, axis] = _intern(shift_derivative(_DERIVATIVES[i], axis))
+    return up
+
+
+def _monomial(powers: Mapping[int, int]) -> Monomial:
+    return tuple(sorted(i for i, e in powers.items() for _ in range(e)))
+
+
+def _powers(mono: tuple[Derivative, ...]) -> tuple[tuple[Derivative, int], ...]:
+    """The (derivative, exponent) pairs of a decoded monomial, in order."""
     return tuple((d, len(list(run))) for d, run in groupby(mono))
 
 
@@ -144,8 +186,8 @@ def _add_products(acc: dict, p: Mapping, q: Mapping) -> dict:
 
 def mul_sub(a: "DiffPoly", x: "DiffPoly", b: "DiffPoly", y: "DiffPoly") -> "DiffPoly":
     """a*x - b*y, accumulated in one pass without building either product."""
-    acc = _add_products({}, a.terms, x.terms)
-    return DiffPoly._of(_add_products(acc, {m: -c for m, c in b.terms.items()}, y.terms))
+    acc = _add_products({}, a._terms, x._terms)
+    return DiffPoly._of(_add_products(acc, {m: -c for m, c in b._terms.items()}, y._terms))
 
 
 class DiffPoly:
@@ -153,38 +195,48 @@ class DiffPoly:
 
     The zero polynomial has an empty term map, and the constant monomial is
     the empty tuple, so structural equality of the maps is equality of
-    polynomials.  The constructor sorts each monomial's factors and adds
-    the coefficients of monomials that then coincide.  Coefficients must be
-    int or Fraction; anything else, a float included, raises TypeError.  An
-    integral coefficient is stored as an int and only a non-integral one as
-    a Fraction, so arithmetic on integer polynomials never leaves the ints.
+    polynomials.  The constructor takes monomials as tuples of Derivatives,
+    interns their factors, sorts each monomial and adds the coefficients of
+    monomials that then coincide; a factor that is not a Derivative raises
+    TypeError.  degree_in, top_part and partial take a Derivative, and raise
+    TypeError for anything else.  Coefficients must be int or Fraction; anything else, a float
+    included, raises TypeError.  An integral coefficient is stored as an int
+    and only a non-integral one as a Fraction, so arithmetic on integer
+    polynomials never leaves the ints.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
+    def __init__(self, terms: Mapping[tuple[Derivative, ...], Coefficient] | None = None):
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in (terms or {}).items():
             if isinstance(coeff, int):
                 coeff = int(coeff)
             elif not isinstance(coeff, Fraction):
                 raise TypeError(f"coefficients must be int or Fraction, got {coeff!r}")
-            key = tuple(sorted(mono))
+            key = tuple(sorted(map(_intern, mono)))
             acc[key] = acc.get(key, 0) + coeff
-        object.__setattr__(self, "terms", DiffPoly._of(acc).terms)
+        object.__setattr__(self, "_terms", DiffPoly._of(acc)._terms)
 
     @classmethod
     def _of(cls, terms: Mapping[Monomial, Coefficient]) -> "DiffPoly":
-        """Arithmetic result on ints and Fractions over sorted monomials: drops
-        the zeros and stores an integral Fraction as an int, without the
-        constructor's type checks and sorts."""
+        """Arithmetic result on ints and Fractions over sorted id monomials:
+        drops the zeros and stores an integral Fraction as an int, without the
+        constructor's type checks, interning and sorts."""
         out = object.__new__(cls)
         clean = {
             m: c if type(c) is int or c.denominator != 1 else c.numerator
             for m, c in terms.items() if c
         }
-        object.__setattr__(out, "terms", clean)
+        object.__setattr__(out, "_terms", clean)
         return out
+
+    @property
+    def terms(self) -> dict[tuple[Derivative, ...], Coefficient]:
+        """The term map over decoded monomials, each a sorted tuple of
+        Derivatives; a new dict built on every access."""
+        decode = _DERIVATIVES.__getitem__
+        return {tuple(sorted(map(decode, mono))): coeff for mono, coeff in self._terms.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
@@ -202,18 +254,18 @@ class DiffPoly:
         return cls({(d,): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not mono for mono in self.terms)
+        return all(not mono for mono in self._terms)
 
     def constant_value(self) -> Coefficient:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), 0)
+        return self._terms.get((), 0)
 
     def derivatives(self) -> set[Derivative]:
-        return {d for mono in self.terms for d in mono}
+        return set(map(_DERIVATIVES.__getitem__, {i for mono in self._terms for i in mono}))
 
     @staticmethod
     def _coerce(value) -> "DiffPoly | None":
@@ -227,15 +279,15 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        acc = dict(self._terms)
+        for mono, coeff in other._terms.items():
             acc[mono] = acc.get(mono, 0) + coeff
         return DiffPoly._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly._of({mono: -coeff for mono, coeff in self.terms.items()})
+        return DiffPoly._of({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -253,11 +305,13 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return DiffPoly._of(_add_products({}, self.terms, other.terms))
+        return DiffPoly._of(_add_products({}, self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            raise TypeError(f"exponent of a polynomial must be an int, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = DiffPoly.constant(1)
@@ -274,54 +328,57 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __repr__(self):
         return f"DiffPoly<{poly_text(self)}>"
 
     def degree_in(self, d: Derivative) -> int:
-        return max((mono.count(d) for mono in self.terms), default=0)
+        i = _intern(d)
+        return max((mono.count(i) for mono in self._terms), default=0)
 
     def top_part(self, d: Derivative, degree: int, drop: int) -> "DiffPoly":
         """The terms of exactly the given degree in d, each with drop copies
         of d divided out: the coefficient of d^degree times d^(degree - drop)."""
+        i = _intern(d)
         acc: dict[Monomial, Coefficient] = {}
-        for mono, coeff in self.terms.items():
-            if mono.count(d) == degree:
-                i = mono.index(d) if drop else 0
-                acc[mono[:i] + mono[i + drop :]] = coeff
+        for mono, coeff in self._terms.items():
+            if mono.count(i) == degree:
+                k = mono.index(i) if drop else 0
+                acc[mono[:k] + mono[k + drop :]] = coeff
         return DiffPoly._of(acc)
 
     def partial(self, d: Derivative) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative symbol."""
+        i = _intern(d)
         acc: dict[Monomial, Coefficient] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.count(d)
+        for mono, coeff in self._terms.items():
+            e = mono.count(i)
             if e:
-                i = mono.index(d)
-                key = mono[:i] + mono[i + 1 :]
+                k = mono.index(i)
+                key = mono[:k] + mono[k + 1 :]
                 acc[key] = acc.get(key, 0) + coeff * e
         return DiffPoly._of(acc)
 
     def derive(self, axis: int) -> "DiffPoly":
         """Apply the derivation along one axis, by the Leibniz rule."""
-        bumped: dict[Derivative, Derivative] = {}  # each distinct factor, shifted once
+        bumped: dict[int, int] = {}  # each distinct factor, shifted once
         acc: dict[Monomial, Coefficient] = {}
-        for mono, coeff in self.terms.items():
-            for i, d in enumerate(mono):
-                if i and mono[i - 1] == d:
+        for mono, coeff in self._terms.items():
+            for k, i in enumerate(mono):
+                if k and mono[k - 1] == i:
                     continue  # each distinct factor once, weighted by its exponent
-                up = bumped.get(d)
+                up = bumped.get(i)
                 if up is None:
-                    up = bumped[d] = shift_derivative(d, axis)
-                rest = mono[:i] + mono[i + 1 :]
-                # up exceeds d in tuple order, so it sorts at or after d's place
-                j = bisect.bisect(rest, up, i)
+                    up = bumped[i] = _shift(i, axis)
+                rest = mono[:k] + mono[k + 1 :]
+                # ids follow no order of derivatives: up may sort anywhere in rest
+                j = bisect.bisect(rest, up)
                 key = rest[:j] + (up,) + rest[j:]
-                acc[key] = acc.get(key, 0) + coeff * mono.count(d)
+                acc[key] = acc.get(key, 0) + coeff * mono.count(i)
         return DiffPoly._of(acc)
 
     def derive_multi(self, mu: MultiIndex) -> "DiffPoly":

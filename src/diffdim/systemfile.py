@@ -24,9 +24,10 @@ No position is kept: a ParseError names its token by number, and only then is
 the text rescanned for that token's line and column, in code points.  An
 integer has at most MAX_INTEGER_DIGITS digits, the fewest that any
 interpreter's limit on int() of a string allows.  The parser accumulates each
-polynomial as a {monomial: coefficient} map, one entry per distinct power
-product (repeated factors add exponents, like terms add coefficients), and
-builds one DiffPoly at the end.
+polynomial as a {monomial: coefficient} map over interned derivative ids, one
+entry per distinct power product (repeated factors add exponents, like terms
+add coefficients), and builds one DiffPoly at the end; each distinct
+derivative text is interned once per parse.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .diffpoly import (
     Monomial,
     Ranking,
     RingSpec,
+    _intern,
     _monomial,
     make_derivative,
 )
@@ -106,8 +108,8 @@ class _Parser:
         self.values.append("")
         self.text = text
         self.pos = 0
-        # name[i,...,j] token values -> Derivative, shared by the factors of this parse
-        self.derivatives: dict[tuple[str, ...], Derivative] = {}
+        # name[i,...,j] token values -> derivative id, shared by the factors of this parse
+        self.derivatives: dict[tuple[str, ...], int] = {}
 
     def fail(self, message: str, at: int, kind=ParseError):
         """Raise `kind` at token number `at`, whose offset only a rescan finds."""
@@ -237,7 +239,7 @@ class _Parser:
                 if denominator == 0:
                     self.fail("zero denominator", slash)
                 coeff = Fraction(coeff, denominator)
-        powers: dict[Derivative, int] = {}
+        powers: dict[int, int] = {}
         after = values[self.pos]
         if coeff is None or after and after[0] not in _DIGITS and after not in _SYMBOLS:
             self.factor(powers)
@@ -249,13 +251,13 @@ class _Parser:
             self.fail(f"term of total degree {degree} exceeds the limit {MAX_TERM_DEGREE}", start)
         return _monomial(powers), 1 if coeff is None else coeff
 
-    def factor(self, powers: dict[Derivative, int]) -> None:
+    def factor(self, powers: dict[int, int]) -> None:
         """Parse one derivative factor and multiply it into `powers`."""
         at = self.pos
         key = tuple(self.values[at : at + self.span])
         d = self.derivatives.get(key)
         if d is None:
-            d = self.derivatives[key] = self.derivative()
+            d = self.derivatives[key] = _intern(self.derivative())
         else:
             self.pos = at + self.span
         exponent = 1

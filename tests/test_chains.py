@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -58,6 +62,40 @@ def test_chain_rejects_derivative_outside_its_ring():
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):
             DiffChain(elements, ranking)
+
+
+def test_interning_keeps_numerically_equal_derivatives_apart():
+    """1, 1.0 and False are equal numbers, but only the int names an index
+    entry; the id of Derivative(0, (0, 1)), interned first in a fresh
+    process, must not stand in for the others."""
+    script = """
+import sys
+from diffdim import Derivative, DiffChain, DiffPoly
+from corpus import plain_ranking
+ranking = plain_ranking(2, 1)
+DiffPoly.variable(Derivative(0, (0, 1)))
+for d in (Derivative(0, (0, 1.0)), Derivative(0.0, (0, 1))):
+    try:
+        DiffChain([DiffPoly.variable(d)], ranking)
+    except ValueError as exc:
+        print(exc)
+# bool passes the in-ring rule (ROADMAP item 17) and is kept as given
+chain = DiffChain([DiffPoly.variable(Derivative(0, (False, 1)))], ranking)
+print(repr(chain.leaders[0]))
+print(DiffPoly.variable(Derivative(0, (0, 1.0))) == DiffPoly.variable(Derivative(0, (0, 1))))
+"""
+    tests = pathlib.Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    ring = "outside the ring of 1 indeterminates and 2 derivations"
+    assert out == [
+        f"chain element 0 has Derivative(indeterminate=0, index=(0, 1.0)), {ring}",
+        f"chain element 0 has Derivative(indeterminate=0.0, index=(0, 1)), {ring}",
+        "Derivative(indeterminate=0, index=(False, 1))",
+        "False",
+    ]
 
 
 def test_reduction_rejects_derivative_outside_the_chain_ring():
@@ -285,7 +323,7 @@ def test_reduction_eliminates_proper_derivatives():
     trace = full_pseudo_reduce(u2 * u1 + u0, chain)
     assert trace.remainder == 2 * u0 * u1 + u0
     assert all(d.order <= 1 for d in trace.remainder.derivatives())
-    assert trace.remainder.degree_in(u1) < 2
+    assert trace.remainder.degree_in(Derivative(0, (1,))) == 1
     # differential step multiplied by the separant 2*u_{1}
     assert any(factor == 2 * u1 for factor, _ in trace.multipliers)
 

@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -31,6 +34,77 @@ def test_make_derivative_normalizes_index_and_validates():
     for indeterminate in (-1, 1.0, "0", None):
         with pytest.raises(ValueError, match="invalid derivative"):
             make_derivative(indeterminate, (1,))
+
+
+def test_monomial_factors_must_be_derivatives():
+    for bad in (5, (0, (1,)), "u"):
+        with pytest.raises(TypeError, match=re.escape(f"expected a Derivative, got {bad!r}")):
+            DiffPoly({(bad,): 1})
+
+
+def test_derivative_arguments_must_be_derivatives():
+    d = make_derivative(0, (1,))
+    p = DiffPoly.variable(d) ** 3
+    for bad in (DiffPoly.variable(d), (0, (1,)), 0):
+        with pytest.raises(TypeError, match="expected a Derivative"):
+            p.degree_in(bad)
+        with pytest.raises(TypeError, match="expected a Derivative"):
+            p.top_part(bad, 3, 3)
+        with pytest.raises(TypeError, match="expected a Derivative"):
+            p.partial(bad)
+    # a derivative that no polynomial has held yet is simply absent
+    fresh = make_derivative(7, (123_456_789,))
+    assert (p.degree_in(fresh), p.partial(fresh)) == (0, DiffPoly.zero())
+    assert p.top_part(fresh, 0, 0) == p and not p.top_part(fresh, 1, 1)
+
+
+def test_power_exponent_must_be_a_natural_int():
+    u = dvar(0, (0,))
+    for bad in (1.5, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match=re.escape(f"must be an int, got {bad!r}")):
+            u ** bad
+    with pytest.raises(ValueError, match="negative power"):
+        u ** -1
+
+
+def test_terms_view_is_decoded_and_sorted_by_derivative():
+    a, b, c = (make_derivative(0, (k,)) for k in (3, 1, 2))
+    # interned in the order a, b, c, so their ids do not follow the derivative order
+    p = DiffPoly({(a, b, c): 1, (c,): 2})
+    assert p.terms == {(b, c, a): 1, (c,): 2}
+    assert p.terms is not p.terms
+
+
+def test_concurrent_interning_gives_each_derivative_one_id():
+    """Threads that intern the same new derivatives at once, in different
+    orders and with thread switches forced often, must agree on one id per
+    derivative and never give one id to two."""
+    from diffdim.diffpoly import _DERIVATIVES, _intern
+
+    def work(fresh, seed, found):
+        order = fresh[:]
+        random.Random(seed).shuffle(order)
+        ids = dict(zip(order, map(_intern, order)))
+        found.append([ids[d] for d in fresh])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(25):
+            fresh = [make_derivative(10_000 + trial, (k,)) for k in range(2000)]
+            found: list[list[int]] = []
+            workers = [
+                threading.Thread(target=work, args=(fresh, seed, found)) for seed in range(8)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers) and len(found) == 8
+            assert all(ids == found[0] for ids in found)
+            assert [_DERIVATIVES[i] for i in found[0]] == fresh
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_arithmetic_identities():

@@ -15,7 +15,9 @@ Regenerate the expectations, after checking that a change is intended:
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -83,6 +85,28 @@ def test_golden_cases_cover_every_command():
 def test_golden_cli_output(argv):
     expected = next(case for case in _expected() if case["argv"] == argv)
     assert run_case(argv) == expected
+
+
+def test_golden_cli_output_does_not_depend_on_derivative_ids():
+    """Derivative ids come in first-seen order.  A fresh process that
+    interns a seeded shuffle of derivatives before any case runs gives the
+    cases other ids, and must still print every case byte for byte."""
+    script = """
+import json, random
+from diffdim.diffpoly import _intern, iter_indices, make_derivative
+from test_golden_cli import golden_cases, run_case
+found = [make_derivative(j, mu) for n in (1, 2, 3) for j in range(3) for mu in iter_indices(n, 5)]
+random.Random(21).shuffle(found)
+for d in found:
+    _intern(d)
+print(json.dumps([run_case(argv) for argv in golden_cases()], ensure_ascii=False))
+"""
+    tests = pathlib.Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True
+    ).stdout
+    assert json.loads(out.decode("utf-8")) == _expected()
 
 
 if __name__ == "__main__":
