@@ -1,11 +1,27 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and helpers shared by the test modules."""
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 from diffdim import DiffChain, DiffPoly, LeaderSpec, Ranking, RingSpec, make_derivative
 from diffdim.dimension import minimalize
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def run_in_fresh_process(script: str) -> str:
+    """Standard output of a Python script run in a new interpreter that
+    imports diffdim from src/ and the test modules from tests/."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    return run.stdout.decode("utf-8")
 
 
 def dvar(j, mu) -> DiffPoly:

@@ -1,9 +1,5 @@
 import json
-import os
-import pathlib
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -27,7 +23,14 @@ from diffdim.cli import run
 from diffdim.diffpoly import derivative_text, dominates, iter_indices, join_indices
 from diffdim.dimension import LeaderSpec, count_derivatives, minimalize
 
-from corpus import dvar, plain_ranking, random_index, random_monomial_chain, random_power_chain
+from corpus import (
+    dvar,
+    plain_ranking,
+    random_index,
+    random_monomial_chain,
+    random_power_chain,
+    run_in_fresh_process,
+)
 
 
 def _chain(polys, n, m):
@@ -69,7 +72,6 @@ def test_interning_keeps_numerically_equal_derivatives_apart():
     entry; the id of Derivative(0, (0, 1)), interned first in a fresh
     process, must not stand in for the others."""
     script = """
-import sys
 from diffdim import Derivative, DiffChain, DiffPoly
 from corpus import plain_ranking
 ranking = plain_ranking(2, 1)
@@ -79,16 +81,12 @@ for d in (Derivative(0, (0, 1.0)), Derivative(0.0, (0, 1))):
         DiffChain([DiffPoly.variable(d)], ranking)
     except ValueError as exc:
         print(exc)
-# bool passes the in-ring rule (ROADMAP item 17) and is kept as given
+# is_natural accepts bool, so False passes the in-ring rule; it is kept as given
 chain = DiffChain([DiffPoly.variable(Derivative(0, (False, 1)))], ranking)
 print(repr(chain.leaders[0]))
 print(DiffPoly.variable(Derivative(0, (0, 1.0))) == DiffPoly.variable(Derivative(0, (0, 1))))
 """
-    tests = pathlib.Path(__file__).parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
+    out = run_in_fresh_process(script).splitlines()
     ring = "outside the ring of 1 indeterminates and 2 derivations"
     assert out == [
         f"chain element 0 has Derivative(indeterminate=0, index=(0, 1.0)), {ring}",

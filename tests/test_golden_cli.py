@@ -15,15 +15,15 @@ Regenerate the expectations, after checking that a change is intended:
 import contextlib
 import io
 import json
-import os
 import pathlib
-import subprocess
 import sys
 
 import pytest
 
 from diffdim import parse_system
 from diffdim.cli import run
+
+from corpus import run_in_fresh_process
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
@@ -101,12 +101,7 @@ for d in found:
     _intern(d)
 print(json.dumps([run_case(argv) for argv in golden_cases()], ensure_ascii=False))
 """
-    tests = pathlib.Path(__file__).parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, check=True
-    ).stdout
-    assert json.loads(out.decode("utf-8")) == _expected()
+    assert json.loads(run_in_fresh_process(script)) == _expected()
 
 
 if __name__ == "__main__":
