@@ -37,13 +37,15 @@ def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
     """Raise ValueError naming the least derivative of p outside the ring."""
     n, m = ring.num_derivations, ring.num_indeterminates
     outside = [
-        d for d in p.derivatives()
+        d for d in p.distinct_derivatives()
         if not is_natural(d.indeterminate) or d.indeterminate >= m
         or len(d.index) != n or not is_multi_index(d.index)
     ]
     if outside:
+        # u[0,1.0] and u[0,True] are equal; repr breaks the tie, not the ids
+        least = min(outside, key=lambda d: (d, repr(d)))
         raise ValueError(
-            f"{what} has {min(outside)!r}, outside the ring of "
+            f"{what} has {least!r}, outside the ring of "
             f"{m} indeterminates and {n} derivations"
         )
 

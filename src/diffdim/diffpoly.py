@@ -9,8 +9,8 @@ Inside a polynomial every derivative is an int id from one interning table
 per process, append-only like sys.intern: ids come in first-seen order, so
 they are canonical within a process and nowhere else.  Every result that is
 printed, compared for output or checked against a ring is decoded back to
-Derivative first, and the table grows with the distinct derivatives the
-process has seen.
+Derivative first, and the table grows with the distinct derivatives that
+polynomials of the process have held; a query such as degree_in adds none.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ def index_order(mu: MultiIndex) -> int:
 
 def is_natural(x) -> bool:
     """True for an int >= 0, the one type of an indeterminate index, a
-    multi-index entry or a count."""
-    return isinstance(x, int) and x >= 0
+    multi-index entry or a count.  A bool or another subclass of int is not
+    one: it would be a second derivative equal by value to the int one."""
+    return type(x) is int and x >= 0
 
 
 def is_multi_index(mu) -> bool:
@@ -134,14 +135,23 @@ _NEW_ID = threading.Lock()  # two threads must not give one id to two derivative
 _SHIFTS: dict[tuple[int, int], int] = {}  # (id, axis) -> id of the shifted derivative
 
 
-def _intern(d: Derivative) -> int:
-    """The id of d, given d a new one the first time it is seen; TypeError
-    naming d if it is not a Derivative."""
+def _key(d: Derivative) -> tuple:
+    """The interning key of d; TypeError naming d if it is not a Derivative."""
     if not isinstance(d, Derivative):
         raise TypeError(f"expected a Derivative, got {d!r}")
     # 1, 1.0 and True are equal numbers but name different derivatives, which
     # a ring check must tell apart, so the key holds the type of each field
-    key = (d, type(d), type(d.indeterminate), *map(type, d.index))
+    return (d, type(d), type(d.indeterminate), *map(type, d.index))
+
+
+def _lookup(d: Derivative) -> int | None:
+    """The id of d, or None if no polynomial has held d; never adds one."""
+    return _IDS.get(_key(d))
+
+
+def _intern(d: Derivative) -> int:
+    """The id of d, given d a new one the first time it is seen."""
+    key = _key(d)
     i = _IDS.get(key)
     if i is None:
         with _NEW_ID:
@@ -265,7 +275,14 @@ class DiffPoly:
         return self._terms.get((), 0)
 
     def derivatives(self) -> set[Derivative]:
-        return set(map(_DERIVATIVES.__getitem__, {i for mono in self._terms for i in mono}))
+        """The derivatives in p.  Of two that are equal as numbers but not as
+        types, such as u[0,1] and u[0,1.0], the set keeps one;
+        distinct_derivatives keeps both."""
+        return set(self.distinct_derivatives())
+
+    def distinct_derivatives(self) -> list[Derivative]:
+        """The derivatives in p, one per interned id, in no fixed order."""
+        return list(map(_DERIVATIVES.__getitem__, {i for mono in self._terms for i in mono}))
 
     @staticmethod
     def _coerce(value) -> "DiffPoly | None":
@@ -336,14 +353,17 @@ class DiffPoly:
     def __repr__(self):
         return f"DiffPoly<{poly_text(self)}>"
 
+    # In degree_in, top_part and partial a derivative that was never interned
+    # looks up as None, which occurs in no monomial.
+
     def degree_in(self, d: Derivative) -> int:
-        i = _intern(d)
+        i = _lookup(d)
         return max((mono.count(i) for mono in self._terms), default=0)
 
     def top_part(self, d: Derivative, degree: int, drop: int) -> "DiffPoly":
         """The terms of exactly the given degree in d, each with drop copies
         of d divided out: the coefficient of d^degree times d^(degree - drop)."""
-        i = _intern(d)
+        i = _lookup(d)
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
             if mono.count(i) == degree:
@@ -353,7 +373,7 @@ class DiffPoly:
 
     def partial(self, d: Derivative) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative symbol."""
-        i = _intern(d)
+        i = _lookup(d)
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
             e = mono.count(i)
@@ -365,15 +385,12 @@ class DiffPoly:
 
     def derive(self, axis: int) -> "DiffPoly":
         """Apply the derivation along one axis, by the Leibniz rule."""
-        bumped: dict[int, int] = {}  # each distinct factor, shifted once
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
             for k, i in enumerate(mono):
                 if k and mono[k - 1] == i:
                     continue  # each distinct factor once, weighted by its exponent
-                up = bumped.get(i)
-                if up is None:
-                    up = bumped[i] = _shift(i, axis)
+                up = _shift(i, axis)
                 rest = mono[:k] + mono[k + 1 :]
                 # ids follow no order of derivatives: up may sort anywhere in rest
                 j = bisect.bisect(rest, up)

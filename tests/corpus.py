@@ -15,12 +15,15 @@ from diffdim.dimension import minimalize
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def run_in_fresh_process(script: str) -> str:
+def run_in_fresh_process(script: str, timeout: float | None = None) -> str:
     """Standard output of a Python script run in a new interpreter that
-    imports diffdim from src/ and the test modules from tests/."""
+    imports diffdim from src/ and the test modules from tests/; a run past
+    timeout seconds raises subprocess.TimeoutExpired."""
     path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
     env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=timeout
+    )
     return run.stdout.decode("utf-8")
 
 

@@ -70,29 +70,57 @@ def test_chain_rejects_derivative_outside_its_ring():
 def test_interning_keeps_numerically_equal_derivatives_apart():
     """1, 1.0 and False are equal numbers, but only the int names an index
     entry; the id of Derivative(0, (0, 1)), interned first in a fresh
-    process, must not stand in for the others."""
+    process, must not stand in for the others, alone or beside it."""
     script = """
 from diffdim import Derivative, DiffChain, DiffPoly
 from corpus import plain_ranking
 ranking = plain_ranking(2, 1)
-DiffPoly.variable(Derivative(0, (0, 1)))
-for d in (Derivative(0, (0, 1.0)), Derivative(0.0, (0, 1))):
-    try:
-        DiffChain([DiffPoly.variable(d)], ranking)
-    except ValueError as exc:
-        print(exc)
-# is_natural accepts bool, so False passes the in-ring rule; it is kept as given
-chain = DiffChain([DiffPoly.variable(Derivative(0, (False, 1)))], ranking)
-print(repr(chain.leaders[0]))
-print(DiffPoly.variable(Derivative(0, (0, 1.0))) == DiffPoly.variable(Derivative(0, (0, 1))))
+u01 = DiffPoly.variable(Derivative(0, (0, 1)))
+for d in (Derivative(0, (0, 1.0)), Derivative(0, (0.0, 1)), Derivative(0.0, (0, 1)),
+          Derivative(0, (False, 1))):
+    for p in (DiffPoly.variable(d), u01 * DiffPoly.variable(d)):
+        try:
+            DiffChain([p], ranking)
+        except ValueError as exc:
+            print(exc)
 """
     out = run_in_fresh_process(script).splitlines()
     ring = "outside the ring of 1 indeterminates and 2 derivations"
+    named = ("indeterminate=0, index=(0, 1.0)", "indeterminate=0, index=(0.0, 1)",
+             "indeterminate=0.0, index=(0, 1)", "indeterminate=0, index=(False, 1)")
+    assert out == [f"chain element 0 has Derivative({d}), {ring}" for d in named for _ in "ab"]
+
+
+def test_reduction_by_bool_indexed_derivatives_raises_instead_of_looping():
+    """An id per type once let u[False,1] match a leader u[0,1] by value
+    while its degree, read by id, never fell, so reduction looped forever;
+    the in-ring rule now refuses the bool on either side.  Run in a fresh
+    process with a time limit, so that a return of the loop fails the test
+    instead of hanging the suite."""
+    script = """
+from diffdim import Derivative, DiffChain, DiffPoly, full_pseudo_reduce, make_derivative, membership
+from corpus import plain_ranking
+ranking = plain_ranking(2, 1)
+u01, b01 = DiffPoly.variable(Derivative(0, (0, 1))), DiffPoly.variable(Derivative(0, (False, 1)))
+for call in (
+    lambda: make_derivative(0, (False, 1)),
+    lambda: DiffChain([b01], ranking),
+    lambda: full_pseudo_reduce(b01, DiffChain([u01], ranking)),
+    lambda: membership(b01 + u01, DiffChain([u01], ranking)),
+):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+    out = run_in_fresh_process(script, timeout=60).splitlines()
+    ring = "outside the ring of 1 indeterminates and 2 derivations"
+    bad = "Derivative(indeterminate=0, index=(False, 1))"
     assert out == [
-        f"chain element 0 has Derivative(indeterminate=0, index=(0, 1.0)), {ring}",
-        f"chain element 0 has Derivative(indeterminate=0.0, index=(0, 1)), {ring}",
-        "Derivative(indeterminate=0, index=(False, 1))",
-        "False",
+        "invalid derivative (0, (False, 1))",
+        f"chain element 0 has {bad}, {ring}",
+        f"the polynomial to reduce has {bad}, {ring}",
+        f"the polynomial to reduce has {bad}, {ring}",
     ]
 
 

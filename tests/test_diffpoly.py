@@ -28,10 +28,10 @@ def test_ring_spec_rejects_bad_names():
 
 def test_make_derivative_normalizes_index_and_validates():
     assert make_derivative(0, (1, 2)) == make_derivative(0, [1, 2])
-    for index in ((-1,), (1.5,), (1.0,), (0, 2.0)):
+    for index in ((-1,), (1.5,), (1.0,), (0, 2.0), (False,), (0, True)):
         with pytest.raises(ValueError, match="invalid derivative"):
             make_derivative(0, index)
-    for indeterminate in (-1, 1.0, "0", None):
+    for indeterminate in (-1, 1.0, "0", None, False):
         with pytest.raises(ValueError, match="invalid derivative"):
             make_derivative(indeterminate, (1,))
 
@@ -52,10 +52,15 @@ def test_derivative_arguments_must_be_derivatives():
             p.top_part(bad, 3, 3)
         with pytest.raises(TypeError, match="expected a Derivative"):
             p.partial(bad)
-    # a derivative that no polynomial has held yet is simply absent
+    # a derivative that no polynomial has held yet is simply absent, and
+    # asking for it does not add it to the interning table
+    from diffdim.diffpoly import _DERIVATIVES
+
     fresh = make_derivative(7, (123_456_789,))
+    held = len(_DERIVATIVES)
     assert (p.degree_in(fresh), p.partial(fresh)) == (0, DiffPoly.zero())
     assert p.top_part(fresh, 0, 0) == p and not p.top_part(fresh, 1, 1)
+    assert len(_DERIVATIVES) == held
 
 
 def test_power_exponent_must_be_a_natural_int():
