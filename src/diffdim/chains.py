@@ -58,10 +58,10 @@ class DiffChain:
 
     Each fact about the elements that validation, reduction and compare
     read is a cached attribute, computed for every element on its first
-    use: separants, initials, degrees (each element's degree in its own
-    leader), by_rank, leader_table and the validation report.  Lifts fill
-    per-element tables one derivative at a time.  All of them die with the
-    chain; nothing is memoized on the elements themselves.
+    use: separants, leader_only, initials, degrees (each element's degree
+    in its own leader), by_rank, leader_table and the validation report.
+    Lifts fill per-element tables one derivative at a time.  All of them die
+    with the chain; nothing is memoized on the elements themselves.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -112,6 +112,11 @@ class DiffChain:
     @functools.cached_property
     def separants(self) -> tuple[DiffPoly, ...]:
         return tuple(p.partial(x) for p, x in zip(self.elements, self.leaders))
+
+    @functools.cached_property
+    def leader_only(self) -> tuple[bool, ...]:
+        """Whether each element is one term c·x of degree 1, x its leader."""
+        return tuple(p.is_linear_term() for p in self.elements)
 
     @functools.cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -270,10 +275,18 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     t is the componentwise max of the two leader multi-indices mu and nu.
     Returns None when the leaders live on distinct indeterminates, where no
     common derivative exists.
+
+    When both elements are leader-only, p = c·u[mu] and q = d·u[nu], the
+    result is zero and no lift is built: every derivative of c·u[mu] is
+    c times a derivative of u, and the separants are the constants c and d,
+    so the obstruction is d·c·u[t] - c·d·u[t] = 0, triangular chain or not.
     """
     x, y = chain.leaders[i], chain.leaders[j]
     if x.indeterminate != y.indeterminate:
         return None
+    leader_only = chain.leader_only
+    if leader_only[i] and leader_only[j]:
+        return DiffPoly.zero()
     theta = tuple(map(max, x.index, y.index))
     lift_p = chain.lift(i, tuple(map(operator.sub, theta, x.index)))
     lift_q = chain.lift(j, tuple(map(operator.sub, theta, y.index)))
@@ -372,6 +385,11 @@ def validate(chain: DiffChain) -> ValidationReport:
     skipped pair (p, q) is recorded with r as its witness.  Regularity of
     the initials and separants, assumed everywhere, is used only to equate
     "reduces to zero" with membership.
+
+    A kept pair of two leader-only elements, c·u[mu] and d·u[nu], has the
+    obstruction d·c·u[t] - c·d·u[t] = 0 (see delta_polynomial), which is
+    recorded without building a lift; so a chain of pure derivatives is
+    checked without deriving anything.
 
     Each kept pair is reduced in (i, k) order.  A skipped pair that fails
     is never reduced, so incoherence is reported by a kept pair, which may

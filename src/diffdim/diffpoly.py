@@ -74,6 +74,9 @@ class RingSpec:
     def __post_init__(self):
         object.__setattr__(self, "derivation_names", tuple(self.derivation_names))
         object.__setattr__(self, "indeterminate_names", tuple(self.indeterminate_names))
+        for name in self.derivation_names + self.indeterminate_names:
+            if not isinstance(name, str):
+                raise TypeError(f"ring names must be str, got {name!r}")
         if not self.derivation_names or not self.indeterminate_names:
             raise ValueError("a ring needs at least one derivation and one indeterminate")
         if len(set(self.derivation_names)) != len(self.derivation_names):
@@ -269,6 +272,10 @@ class DiffPoly:
     def is_constant(self) -> bool:
         return all(not mono for mono in self._terms)
 
+    def is_linear_term(self) -> bool:
+        """True when p is one term c·x of degree 1, x a derivative."""
+        return len(self._terms) == 1 and len(next(iter(self._terms))) == 1
+
     def constant_value(self) -> Coefficient:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
@@ -327,7 +334,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if type(exponent) is not int:
             raise TypeError(f"exponent of a polynomial must be an int, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
@@ -384,7 +391,13 @@ class DiffPoly:
         return DiffPoly._of(acc)
 
     def derive(self, axis: int) -> "DiffPoly":
-        """Apply the derivation along one axis, by the Leibniz rule."""
+        """Apply the derivation along one axis, by the Leibniz rule.
+
+        An axis that is not an int raises TypeError, and an int that names
+        no axis of the factors IndexError."""
+        if type(axis) is not int:
+            # checked before _SHIFTS, where 1.0 and True would find the key of 1
+            raise TypeError(f"derivation axis must be an int, got {axis!r}")
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
             for k, i in enumerate(mono):
@@ -447,6 +460,9 @@ class Ranking:
 
     def __post_init__(self):
         object.__setattr__(self, "indeterminate_order", tuple(self.indeterminate_order))
+        for j in self.indeterminate_order:
+            if type(j) is not int:
+                raise TypeError(f"tiebreak entries must be int, got {j!r}")
         if sorted(self.indeterminate_order) != list(range(self.ring.num_indeterminates)):
             raise ValueError("tiebreak order must be a permutation of the indeterminates")
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -205,6 +207,17 @@ def test_delta_polynomial_worked_example():
     # pure derivative leaders cancel exactly
     pure = _chain([dvar(0, (1, 0)), dvar(0, (0, 1))], 2, 1)
     assert delta_polynomial(pure, 0, 1) == DiffPoly.zero()
+    # so do leader-only ones on a chain that is not triangular, u[2,0] being
+    # a derivative of u[1,0], as the from-scratch formula gives; no lift is built
+    p, q = dvar(0, (1, 0)), 2 * dvar(0, (2, 0))
+    tall = _chain([p, q], 2, 1)
+    x, y = make_derivative(0, (1, 0)), make_derivative(0, (2, 0))
+    assert q.partial(y) * p.derive_multi((1, 0)) - p.partial(x) * q == DiffPoly.zero()
+    assert delta_polynomial(tall, 0, 1) == DiffPoly.zero() and not any(tall._lifts)
+    # leader-only is one term c*x of degree 1 in the leader x
+    u0, u1 = dvar(0, (0,)), dvar(0, (1,))
+    shapes = _chain([u1**2, u1 + 1, u0 * u1, 3 * u1, Fraction(-2, 7) * u1, u0 + 0 * u1], 1, 1)
+    assert shapes.leader_only == (False, False, False, True, True, True)
 
 
 def test_delta_polynomial_none_for_distinct_indeterminates():
@@ -256,22 +269,37 @@ def test_chain_lifts_match_derive_multi_in_any_request_order():
 
 
 def test_validate_deltas_match_from_scratch_obstructions():
-    rng = random.Random(73)
-    checked = 0
-    for _ in range(10):
-        elements, ranking = _random_nonlinear_chain(rng, rng.randint(2, 3))
-        report = validate(DiffChain(elements, ranking))
-        assert report.triangular
-        for check in report.delta_checks:
-            p, q = elements[check.first], elements[check.second]
-            x, y = ranking.leader(p), ranking.leader(q)
-            theta = tuple(max(a, b) for a, b in zip(x.index, y.index))
-            lift_p = p.derive_multi(tuple(t - a for t, a in zip(theta, x.index)))
-            lift_q = q.derive_multi(tuple(t - b for t, b in zip(theta, y.index)))
-            sep_p, sep_q = p.partial(x), q.partial(y)
-            assert check.delta == sep_q * lift_p - sep_p * lift_q
-            checked += 1
-    assert checked >= 10
+    """Every recorded Δ is s_q·θp − s_p·θq built by derive_multi, on random
+    nonlinear chains and on the same chains with every element but one
+    replaced by a leader-only c*x, whose pairs get their zero Δ without lifts."""
+    rng, pick = random.Random(73), random.Random(74)
+    checked, shortcut = 0, 0
+    coefficients = itertools.cycle((1, -3, Fraction(2, 7)))
+    for _ in range(30):
+        nonlinear, ranking = _random_nonlinear_chain(rng, rng.randint(2, 3))
+        general = pick.randrange(len(nonlinear))
+        mixed = [
+            p if k == general else next(coefficients) * DiffPoly.variable(ranking.leader(p))
+            for k, p in enumerate(nonlinear)
+        ]
+        for elements in (nonlinear, mixed):
+            chain = DiffChain(elements, ranking)
+            assert chain.leader_only == tuple(
+                elements is mixed and k != general for k in range(len(elements))
+            )
+            report = validate(chain)
+            assert report.triangular
+            for check in report.delta_checks:
+                p, q = elements[check.first], elements[check.second]
+                x, y = ranking.leader(p), ranking.leader(q)
+                theta = tuple(max(a, b) for a, b in zip(x.index, y.index))
+                lift_p = p.derive_multi(tuple(t - a for t, a in zip(theta, x.index)))
+                lift_q = q.derive_multi(tuple(t - b for t, b in zip(theta, y.index)))
+                sep_p, sep_q = p.partial(x), q.partial(y)
+                assert check.delta == sep_q * lift_p - sep_p * lift_q
+                checked += 1
+                shortcut += chain.leader_only[check.first] and chain.leader_only[check.second]
+    assert checked >= 40 and shortcut >= 3
 
 
 def test_lift_tables_live_on_the_chain():
@@ -290,6 +318,8 @@ def test_lift_tables_live_on_the_chain():
     # pure derivatives have zero obstructions only, so nothing ranks their leaders
     staircase = _chain([dvar(0, (i, 3 - i)) for i in range(4)], 2, 1)
     assert validate(staircase).accepted and "by_rank" not in vars(staircase)
+    # and their zero obstructions are found without deriving anything
+    assert not any(staircase._lifts)
 
 
 def test_coherence_accepts_nontrivial_reduction():

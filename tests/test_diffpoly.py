@@ -26,6 +26,12 @@ def test_ring_spec_rejects_bad_names():
         RingSpec(("t",), ())
 
 
+def test_ring_names_must_be_str():
+    for names, bad in ((((1, 2), ("u",)), 1), ((("t",), ("u", None)), None)):
+        with pytest.raises(TypeError, match=re.escape(f"ring names must be str, got {bad!r}")):
+            RingSpec(*names)
+
+
 def test_make_derivative_normalizes_index_and_validates():
     assert make_derivative(0, (1, 2)) == make_derivative(0, [1, 2])
     for index in ((-1,), (1.5,), (1.0,), (0, 2.0), (False,), (0, True)):
@@ -65,7 +71,7 @@ def test_derivative_arguments_must_be_derivatives():
 
 def test_power_exponent_must_be_a_natural_int():
     u = dvar(0, (0,))
-    for bad in (1.5, 2.0, Fraction(2), "2"):
+    for bad in (1.5, 2.0, Fraction(2), "2", True):
         with pytest.raises(TypeError, match=re.escape(f"must be an int, got {bad!r}")):
             u ** bad
     with pytest.raises(ValueError, match="negative power"):
@@ -273,6 +279,13 @@ def test_derive_axis_bounds():
         for axis in (-1, 2):
             with pytest.raises(IndexError):
                 p.derive(axis)
+        # fills the shift cache under (id, 1), a key that 1.0 and True would match
+        p.derive(1)
+        for axis in (1.0, True, "1"):
+            with pytest.raises(TypeError, match=re.escape(f"must be an int, got {axis!r}")):
+                p.derive(axis)
+    with pytest.raises(TypeError, match="must be an int, got True"):
+        DiffPoly.constant(5).derive(True)
 
 
 def _random_poly(rng, n, m, max_order=2, terms=3):
@@ -403,6 +416,15 @@ def test_tiebreak_order_is_respected():
     assert _compare(swapped, v, u) is Ordering.LESS
     with pytest.raises(ValueError):
         Ranking.orderly(ring, tiebreak=(0, 0))
+
+
+def test_tiebreak_entries_must_be_ints():
+    for ring, tiebreak, bad in ((plain_ring(1, 1), [0.0], 0.0), (plain_ring(1, 2), (1, True), True)):
+        with pytest.raises(TypeError, match=re.escape(f"tiebreak entries must be int, got {bad!r}")):
+            Ranking.orderly(ring, tiebreak)
+    # an int that names no indeterminate is a wrong value, not a wrong type
+    with pytest.raises(ValueError, match="permutation"):
+        Ranking.orderly(plain_ring(1, 2), (1, -1))
 
 
 def test_ranking_axioms_exhaustively_small():
