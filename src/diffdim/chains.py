@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -33,6 +34,20 @@ class InvalidChainError(ValueError):
     """The chain failed validation and cannot feed the dimension machinery."""
 
 
+def _order_key(value):
+    """A sort key that orders real numbers, strs and tuples of them as
+    Python does, but never compares values of different kinds: numbers come
+    first, then strs, then tuples, then anything else (a Decimal included)
+    by type name and repr."""
+    if isinstance(value, numbers.Real):
+        return 0, value
+    if isinstance(value, str):
+        return 1, value
+    if isinstance(value, tuple):
+        return 2, tuple(map(_order_key, value))
+    return 3, type(value).__qualname__, repr(value)
+
+
 def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
     """Raise ValueError naming the least derivative of p outside the ring."""
     n, m = ring.num_derivations, ring.num_indeterminates
@@ -43,7 +58,7 @@ def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
     ]
     if outside:
         # u[0,1.0] and u[0,True] are equal; repr breaks the tie, not the ids
-        least = min(outside, key=lambda d: (d, repr(d)))
+        least = min(outside, key=lambda d: (_order_key(d), repr(d)))
         raise ValueError(
             f"{what} has {least!r}, outside the ring of "
             f"{m} indeterminates and {n} derivations"
@@ -59,9 +74,11 @@ class DiffChain:
     Each fact about the elements that validation, reduction and compare
     read is a cached attribute, computed for every element on its first
     use: separants, leader_only, initials, degrees (each element's degree
-    in its own leader), by_rank, leader_table and the validation report.
-    Lifts fill per-element tables one derivative at a time.  All of them die
-    with the chain; nothing is memoized on the elements themselves.
+    in its own leader), by_rank, leader_table and the validation report,
+    whose verdict reads only the pairs that can fail and whose evidence
+    lists are built on their first read.  Lifts fill per-element tables one
+    derivative at a time.  All of them die with the chain; nothing is
+    memoized on the elements themselves.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -243,21 +260,46 @@ class DeltaCheck:
 class ValidationReport:
     """Verdicts of validate, with the evidence behind them.
 
-    delta_checks holds one DeltaCheck per obstruction pair that was reduced;
-    skipped_pairs holds (first, second, via) for each pair the chain
-    criterion proved redundant by the third element via.
+    delta_checks holds one DeltaCheck per obstruction pair that the chain
+    criterion keeps, in (i, k) order; skipped_pairs holds (first, second,
+    via) for each pair it proved redundant by the third element via.  The
+    verdict reads only the pairs that can fail (see validate), so both
+    lists are built from the chain on first read, reusing the checks that
+    validate already reduced, and equal what a walk over every pair gives.
+    Report equality compares the verdict and the messages, not the lists.
     """
 
     triangular: bool
     coherent: bool
     messages: list[str] = field(default_factory=list)
-    delta_checks: list[DeltaCheck] = field(default_factory=list)
-    skipped_pairs: list[tuple[int, int, int]] = field(default_factory=list)
     regularity_of_initials_and_separants: str = REGULARITY_TAG
+    chain: DiffChain | None = field(default=None, repr=False, compare=False)
+    _reduced: dict[tuple[int, int], DeltaCheck] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def accepted(self) -> bool:
         return self.triangular and self.coherent
+
+    @functools.cached_property
+    def _evidence(self) -> tuple[list[DeltaCheck], list[tuple[int, int, int]]]:
+        checks, skipped = [], []
+        if self.triangular:
+            for i, k, via in _obstruction_pairs(self.chain, every=True):
+                if via is None:
+                    checks.append(self._reduced.get((i, k)) or _delta_check(self.chain, i, k))
+                else:
+                    skipped.append((i, k, via))
+        return checks, skipped
+
+    @property
+    def delta_checks(self) -> list[DeltaCheck]:
+        return self._evidence[0]
+
+    @property
+    def skipped_pairs(self) -> list[tuple[int, int, int]]:
+        return self._evidence[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -363,6 +405,30 @@ def _witnesses(below, above, x: MultiIndex, y: MultiIndex, i: int, k: int) -> in
     return divides & ~ei & ~ek
 
 
+def _obstruction_pairs(chain: DiffChain, every: bool):
+    """(i, k, via) for the same-indeterminate pairs i < k of a triangular
+    chain in (i, k) order, via the lowest witness of the chain criterion or
+    None when the pair is kept; unless every, only the pairs with an element
+    that is not leader-only."""
+    below, above, _ = chain.leader_table
+    leaders, leader_only = chain.leaders, chain.leader_only
+    for i, x in enumerate(leaders):
+        for k in range(i + 1, len(leaders)):
+            y = leaders[k]
+            if x.indeterminate != y.indeterminate or (
+                not every and leader_only[i] and leader_only[k]
+            ):
+                continue
+            witnesses = _witnesses(below, above, x.index, y.index, i, k)
+            # the lowest witness, as a scan in index order would find first
+            yield i, k, (witnesses & -witnesses).bit_length() - 1 if witnesses else None
+
+
+def _delta_check(chain: DiffChain, i: int, k: int) -> DeltaCheck:
+    delta = delta_polynomial(chain, i, k)
+    return DeltaCheck(i, k, delta, full_pseudo_reduce(delta, chain))
+
+
 def validate(chain: DiffChain) -> ValidationReport:
     """Check weak triangularity and coherence; regularity is assumed, not checked.
 
@@ -386,41 +452,38 @@ def validate(chain: DiffChain) -> ValidationReport:
     the initials and separants, assumed everywhere, is used only to equate
     "reduces to zero" with membership.
 
-    A kept pair of two leader-only elements, c·u[mu] and d·u[nu], has the
-    obstruction d·c·u[t] - c·d·u[t] = 0 (see delta_polynomial), which is
-    recorded without building a lift; so a chain of pure derivatives is
-    checked without deriving anything.
+    The verdict reads only the pairs that can fail.  A pair of two
+    leader-only elements, c·u[mu] and d·u[nu], has the obstruction
+    d·c·u[t] - c·d·u[t] = 0 (see delta_polynomial), kept or skipped, so it
+    never makes a chain incoherent or adds a message, and in the lemma's
+    induction such a witness pair is trivially in the ideal.  So validate
+    runs the chain criterion, Δ and reduction only on the pairs with an
+    element that is not leader-only, and a chain of pure derivatives is
+    decided without a chain criterion test or a Δ.  The report's
+    delta_checks and skipped_pairs are built on first read from every pair,
+    reusing the checks made here; they equal what reducing every kept pair
+    gives.
 
     Each kept pair is reduced in (i, k) order.  A skipped pair that fails
     is never reduced, so incoherence is reported by a kept pair, which may
     come later in that order.
     """
-    below, above, failures = chain.leader_table
+    failures = chain.leader_table[2]
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
-        return ValidationReport(triangular=False, coherent=False, messages=messages)
-    report = ValidationReport(triangular=True, coherent=True)
-    leaders = chain.leaders
-    for i, x in enumerate(leaders):
-        for k in range(i + 1, len(leaders)):
-            y = leaders[k]
-            if x.indeterminate != y.indeterminate:
-                continue
-            witnesses = _witnesses(below, above, x.index, y.index, i, k)
-            if witnesses:
-                # the lowest witness, as a scan in index order would find first
-                report.skipped_pairs.append((i, k, (witnesses & -witnesses).bit_length() - 1))
-                continue
-            delta = delta_polynomial(chain, i, k)
-            trace = full_pseudo_reduce(delta, chain)
-            report.delta_checks.append(DeltaCheck(i, k, delta, trace))
-            if not trace.remainder.is_zero():
-                report.coherent = False
-                report.messages.append(
-                    f"cross-derivation obstruction of elements {i} and {k} "
-                    f"leaves the nonzero remainder "
-                    f"{poly_text(trace.remainder, chain.ring.indeterminate_names)}"
-                )
+        return ValidationReport(triangular=False, coherent=False, messages=messages, chain=chain)
+    report = ValidationReport(triangular=True, coherent=True, chain=chain)
+    for i, k, via in _obstruction_pairs(chain, every=False):
+        if via is not None:
+            continue
+        check = report._reduced[i, k] = _delta_check(chain, i, k)
+        if not check.trace.remainder.is_zero():
+            report.coherent = False
+            report.messages.append(
+                f"cross-derivation obstruction of elements {i} and {k} "
+                f"leaves the nonzero remainder "
+                f"{poly_text(check.trace.remainder, chain.ring.indeterminate_names)}"
+            )
     report.messages.append("regularity of initials and separants assumed, not verified")
     return report
 

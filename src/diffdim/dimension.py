@@ -116,7 +116,11 @@ def count_derivatives(spec: LeaderSpec, max_order: int) -> int:
     """Lattice points of total order <= max_order inside the union of leader cones.
 
     Pure enumeration, kept deliberately independent of both closed forms.
+    max_order must be an int (a bool is not one); a negative one raises
+    ValueError.
     """
+    if type(max_order) is not int:
+        raise TypeError(f"max_order must be an int, got {max_order!r}")
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     total = 0

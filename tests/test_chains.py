@@ -23,7 +23,7 @@ from diffdim import (
 )
 from diffdim.cli import run
 from diffdim.diffpoly import derivative_text, dominates, iter_indices, join_indices
-from diffdim.dimension import LeaderSpec, count_derivatives, minimalize
+from diffdim.dimension import LeaderSpec, count_derivatives, minimalize, omega
 
 from corpus import (
     dvar,
@@ -63,6 +63,11 @@ def test_chain_rejects_derivative_outside_its_ring():
          "chain element 1 has .*index=\\(0, 1.0\\)"),
         # an indeterminate that is not an int, even one inside the ring's range
         ([DiffPoly.variable(Derivative(0.0, (1, 0)))], "chain element 0 has .*indeterminate=0.0"),
+        # two derivatives whose entries do not compare: numbers before strs and None
+        ([DiffPoly.variable(Derivative(0, (0, 1, 2))) + DiffPoly.variable(Derivative(0, ("a", 1)))],
+         "chain element 0 has .*index=\\(0, 1, 2\\)"),
+        ([DiffPoly.variable(Derivative(0, (None, 1))) + DiffPoly.variable(Derivative(0, (1, None)))],
+         "chain element 0 has .*index=\\(1, None\\)"),
     )
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -268,10 +273,20 @@ def test_chain_lifts_match_derive_multi_in_any_request_order():
             assert [len(table) for table in chain._lifts] == [per_element] * len(elements)
 
 
-def test_validate_deltas_match_from_scratch_obstructions():
+def test_validate_deltas_match_from_scratch_obstructions(monkeypatch):
     """Every recorded Δ is s_q·θp − s_p·θq built by derive_multi, on random
     nonlinear chains and on the same chains with every element but one
-    replaced by a leader-only c*x, whose pairs get their zero Δ without lifts."""
+    replaced by a leader-only c*x, whose pairs get their zero Δ without lifts.
+    validate reduces only the kept pairs with a general element; reading
+    delta_checks reuses those checks and reduces each leader-only pair once."""
+    traces = []
+    original = chains.full_pseudo_reduce
+
+    def recording(p, chain):
+        traces.append(original(p, chain))
+        return traces[-1]
+
+    monkeypatch.setattr(chains, "full_pseudo_reduce", recording)
     rng, pick = random.Random(73), random.Random(74)
     checked, shortcut = 0, 0
     coefficients = itertools.cycle((1, -3, Fraction(2, 7)))
@@ -287,8 +302,14 @@ def test_validate_deltas_match_from_scratch_obstructions():
             assert chain.leader_only == tuple(
                 elements is mixed and k != general for k in range(len(elements))
             )
+            traces.clear()
             report = validate(chain)
-            assert report.triangular
+            made = list(traces)
+            assert report.triangular and "_evidence" not in vars(report)
+            pairs = [(c, chain.leader_only[c.first] and chain.leader_only[c.second])
+                     for c in report.delta_checks]
+            assert [id(c.trace) for c, zero in pairs if not zero] == list(map(id, made))
+            assert len(traces) - len(made) == sum(zero for _, zero in pairs)
             for check in report.delta_checks:
                 p, q = elements[check.first], elements[check.second]
                 x, y = ranking.leader(p), ranking.leader(q)
@@ -302,7 +323,7 @@ def test_validate_deltas_match_from_scratch_obstructions():
     assert checked >= 40 and shortcut >= 3
 
 
-def test_lift_tables_live_on_the_chain():
+def test_lift_tables_live_on_the_chain(monkeypatch):
     elements, ranking = _random_nonlinear_chain(random.Random(79), 2)
     first = DiffChain(elements, ranking)
     second = DiffChain(elements, ranking)
@@ -315,10 +336,20 @@ def test_lift_tables_live_on_the_chain():
     assert len(first.separants) == len(first.initials) == len(first.degrees) == len(elements)
     assert sorted(first.by_rank) == list(range(len(elements)))
     assert not any(second._lifts) and not cached & set(vars(second))
-    # pure derivatives have zero obstructions only, so nothing ranks their leaders
+    # pure derivatives have zero obstructions only, so omega's validation
+    # makes no Δ and builds no evidence list, and nothing ranks their leaders
+    calls = []
+    original = chains.delta_polynomial
+    monkeypatch.setattr(
+        chains, "delta_polynomial", lambda *args: calls.append(args[1:]) or original(*args)
+    )
     staircase = _chain([dvar(0, (i, 3 - i)) for i in range(4)], 2, 1)
-    assert validate(staircase).accepted and "by_rank" not in vars(staircase)
-    # and their zero obstructions are found without deriving anything
+    omega(staircase)
+    report = staircase.validation_report()
+    assert report.accepted and not calls and "_evidence" not in vars(report)
+    assert "by_rank" not in vars(staircase)
+    # reading the lists makes each kept pair's zero Δ, without deriving anything
+    assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2), (2, 3)]
     assert not any(staircase._lifts)
 
 
@@ -699,6 +730,7 @@ def test_validate_reduces_each_kept_pair_once_and_no_skipped_pair(monkeypatch):
     monkeypatch.setattr(chains, "delta_polynomial", recording)
     chain = _chain([dvar(0, (2, 0)), dvar(0, (1, 1)), dvar(0, (0, 2)), dvar(1, (1, 0))], 2, 2)
     report = validate(chain)
+    assert calls == []  # every pair is leader-only: the lists are built when read
     assert report.skipped_pairs == [(0, 2, 1)]
     assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2)]
 

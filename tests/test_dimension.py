@@ -145,6 +145,15 @@ def test_count_and_oracle_refuse_a_negative_order():
                     count(spec, max_order)
 
 
+def test_count_and_oracle_refuse_a_max_order_that_is_not_an_int():
+    """A bool is not a natural number, and a float is not an order."""
+    spec = LeaderSpec(2, 1, {0: [(1, 0)]})
+    for max_order in (True, False, 2.5, 2.0, "3", None):
+        for count in (count_derivatives, krull_oracle):
+            with pytest.raises(TypeError, match=f"max_order must be an int, got {max_order!r}"):
+                count(spec, max_order)
+
+
 def test_janet_completion_no_insertion_needed():
     cones = {(c.generator, frozenset(c.multiplicative)) for c in janet_complete([(2, 0), (1, 1)], 2)}
     assert cones == {((1, 1), frozenset({1})), ((2, 0), frozenset({0, 1}))}
