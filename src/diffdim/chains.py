@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -18,7 +17,6 @@ from .diffpoly import (
     derivative_text,
     dominates,
     is_multi_index,
-    is_natural,
     mul_sub,
     poly_text,
 )
@@ -34,33 +32,13 @@ class InvalidChainError(ValueError):
     """The chain failed validation and cannot feed the dimension machinery."""
 
 
-def _order_key(value):
-    """A sort key that orders real numbers, strs and tuples of them as
-    Python does, but never compares values of different kinds: numbers come
-    first, then strs, then tuples, then anything else (a Decimal included)
-    by type name and repr."""
-    if isinstance(value, numbers.Real):
-        return 0, value
-    if isinstance(value, str):
-        return 1, value
-    if isinstance(value, tuple):
-        return 2, tuple(map(_order_key, value))
-    return 3, type(value).__qualname__, repr(value)
-
-
 def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
     """Raise ValueError naming the least derivative of p outside the ring."""
     n, m = ring.num_derivations, ring.num_indeterminates
-    outside = [
-        d for d in p.distinct_derivatives()
-        if not is_natural(d.indeterminate) or d.indeterminate >= m
-        or len(d.index) != n or not is_multi_index(d.index)
-    ]
+    outside = [d for d in p.derivatives() if d.indeterminate >= m or len(d.index) != n]
     if outside:
-        # u[0,1.0] and u[0,True] are equal; repr breaks the tie, not the ids
-        least = min(outside, key=lambda d: (_order_key(d), repr(d)))
         raise ValueError(
-            f"{what} has {least!r}, outside the ring of "
+            f"{what} has {min(outside)!r}, outside the ring of "
             f"{m} indeterminates and {n} derivations"
         )
 
@@ -112,9 +90,14 @@ class DiffChain:
 
         Walks down those steps to the nearest lift already in the table (or
         to the element itself), then derives back up, entering every lift on
-        the way; a loop, so the depth of mu is bounded by time alone."""
+        the way; a loop, so the depth of mu is bounded by time alone.  A mu
+        missing from the table that is not a multi-index of the ring's
+        length raises ValueError naming it."""
         table, path = self._lifts[i], []
-        while (out := table.get(mu)) is None:
+        out = table.get(mu)
+        if out is None and (len(mu) != self.ring.num_derivations or not is_multi_index(mu)):
+            raise ValueError(f"cannot lift element {i} by {mu!r}: not a multi-index of the ring")
+        while out is None:
             first = next(filter(None, mu), 0)
             if not first:
                 out = self.elements[i]
@@ -122,6 +105,7 @@ class DiffChain:
             axis = mu.index(first)  # every entry before the first nonzero one is 0
             path.append((mu, axis))
             mu = mu[:axis] + (first - 1,) + mu[axis + 1 :]
+            out = table.get(mu)
         for nu, axis in reversed(path):
             out = table[nu] = out.derive(axis)
         return out

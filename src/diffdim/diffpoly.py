@@ -7,7 +7,8 @@ power products of derivatives.
 
 Inside a polynomial every derivative is an int id from one interning table
 per process, append-only like sys.intern: ids come in first-seen order, so
-they are canonical within a process and nowhere else.  Every result that is
+they are canonical within a process and nowhere else.  Only a valid
+derivative, as make_derivative defines it, gets an id.  Every result that is
 printed, compared for output or checked against a ring is decoded back to
 Derivative first, and the table grows with the distinct derivatives that
 polynomials of the process have held; a query such as degree_in adds none.
@@ -104,10 +105,17 @@ class Derivative(NamedTuple):
 
 def make_derivative(indeterminate: int, index: Iterable[int]) -> Derivative:
     """Validated constructor; index may be any iterable of nonnegative ints."""
-    index = tuple(index)
-    if not is_natural(indeterminate) or not is_multi_index(index):
-        raise ValueError(f"invalid derivative {(indeterminate, index)}")
-    return Derivative(indeterminate, index)
+    return _valid(Derivative(indeterminate, tuple(index)))
+
+
+def _valid(d: Derivative) -> Derivative:
+    """d, if its indeterminate is a natural and its index a tuple of them;
+    otherwise TypeError naming d if it is not a Derivative, else ValueError."""
+    if not isinstance(d, Derivative):
+        raise TypeError(f"expected a Derivative, got {d!r}")
+    if not (is_natural(d.indeterminate) and type(d.index) is tuple and is_multi_index(d.index)):
+        raise ValueError(f"invalid derivative {tuple(d)}")
+    return d
 
 
 def shift_derivative(d: Derivative, axis: int) -> Derivative:
@@ -133,35 +141,34 @@ Coefficient = int | Fraction
 Monomial = tuple[int, ...]
 
 _DERIVATIVES: list[Derivative] = []  # id -> derivative, append-only
-_IDS: dict[tuple, int] = {}  # (derivative, the type of each field) -> id
+_IDS: dict[Derivative, int] = {}  # derivative -> id
 _NEW_ID = threading.Lock()  # two threads must not give one id to two derivatives
 _SHIFTS: dict[tuple[int, int], int] = {}  # (id, axis) -> id of the shifted derivative
 
 
-def _key(d: Derivative) -> tuple:
-    """The interning key of d; TypeError naming d if it is not a Derivative."""
+def _lookup(d: Derivative) -> int | None:
+    """The id of d, or None if no polynomial has held d; never adds one.
+
+    A plain lookup by value, without the check of _intern: u[0,1.0] finds
+    the id of u[0,1], and a derivative no polynomial can hold finds none."""
     if not isinstance(d, Derivative):
         raise TypeError(f"expected a Derivative, got {d!r}")
-    # 1, 1.0 and True are equal numbers but name different derivatives, which
-    # a ring check must tell apart, so the key holds the type of each field
-    return (d, type(d), type(d.indeterminate), *map(type, d.index))
-
-
-def _lookup(d: Derivative) -> int | None:
-    """The id of d, or None if no polynomial has held d; never adds one."""
-    return _IDS.get(_key(d))
+    return _IDS.get(d)
 
 
 def _intern(d: Derivative) -> int:
-    """The id of d, given d a new one the first time it is seen."""
-    key = _key(d)
-    i = _IDS.get(key)
+    """The id of d, given d a new one the first time it is seen.
+
+    d is checked on every call, before the lookup, so that no invalid
+    derivative gets an id and none finds the id of a valid one it equals
+    by value, as u[0,1.0] and u[False,1] equal u[0,1]."""
+    i = _IDS.get(_valid(d))
     if i is None:
         with _NEW_ID:
-            i = _IDS.get(key)
+            i = _IDS.get(d)
             if i is None:
                 _DERIVATIVES.append(d)  # before the id is published
-                i = _IDS[key] = len(_DERIVATIVES) - 1
+                i = _IDS[d] = len(_DERIVATIVES) - 1
     return i
 
 
@@ -211,11 +218,12 @@ class DiffPoly:
     polynomials.  The constructor takes monomials as tuples of Derivatives,
     interns their factors, sorts each monomial and adds the coefficients of
     monomials that then coincide; a factor that is not a Derivative raises
-    TypeError.  degree_in, top_part and partial take a Derivative, and raise
-    TypeError for anything else.  Coefficients must be int or Fraction; anything else, a float
-    included, raises TypeError.  An integral coefficient is stored as an int
-    and only a non-integral one as a Fraction, so arithmetic on integer
-    polynomials never leaves the ints.
+    TypeError, and one that make_derivative would refuse ValueError.
+    degree_in, top_part and partial take a Derivative, and raise TypeError
+    for anything else.  Coefficients must be int or Fraction; anything else,
+    a float included, raises TypeError.  An integral coefficient is stored as
+    an int and only a non-integral one as a Fraction, so arithmetic on
+    integer polynomials never leaves the ints.
     """
 
     __slots__ = ("_terms",)
@@ -282,14 +290,8 @@ class DiffPoly:
         return self._terms.get((), 0)
 
     def derivatives(self) -> set[Derivative]:
-        """The derivatives in p.  Of two that are equal as numbers but not as
-        types, such as u[0,1] and u[0,1.0], the set keeps one;
-        distinct_derivatives keeps both."""
-        return set(self.distinct_derivatives())
-
-    def distinct_derivatives(self) -> list[Derivative]:
-        """The derivatives in p, one per interned id, in no fixed order."""
-        return list(map(_DERIVATIVES.__getitem__, {i for mono in self._terms for i in mono}))
+        """The derivatives in p."""
+        return set(map(_DERIVATIVES.__getitem__, {i for mono in self._terms for i in mono}))
 
     @staticmethod
     def _coerce(value) -> "DiffPoly | None":

@@ -48,7 +48,6 @@ from .diffpoly import (
     RingSpec,
     _intern,
     _monomial,
-    make_derivative,
 )
 
 
@@ -282,7 +281,7 @@ class _Parser:
         if len(index) != n:
             message = f"multi-index of length {len(index)} for a ring with {n} derivations"
             self.fail(message, open_at, ArityMismatchError)
-        return make_derivative(indet, index)
+        return Derivative(indet, tuple(index))  # _intern checks it
 
 
 def parse_system(text: str) -> SystemFile:

@@ -47,6 +47,8 @@ def test_chain_rejects_constant_elements():
 
 
 def test_chain_rejects_derivative_outside_its_ring():
+    """A valid derivative of another ring is the chain's to refuse; invalid
+    ones never reach it (see test_polynomials_refuse_invalid_derivatives)."""
     ranking = plain_ranking(2, 1)
     cases = (
         # an index longer than the ring's two derivations, after a valid element
@@ -55,19 +57,8 @@ def test_chain_rejects_derivative_outside_its_ring():
         ([dvar(1, (1, 0))], "chain element 0 has .*indeterminate=1"),
         # a lone element, so validation has no pair to reduce
         ([dvar(0, (0, 1, 2))], "chain element 0 has .*index=\\(0, 1, 2\\)"),
-        # a negative multi-index, which make_derivative would refuse to build
-        ([DiffPoly.variable(Derivative(0, (0, -1)))], "chain element 0 has .*index=\\(0, -1\\)"),
-        # entries that are not ints, even an integral float
-        ([DiffPoly.variable(Derivative(0, (1.5, 0)))], "chain element 0 has .*index=\\(1.5, 0\\)"),
-        ([dvar(0, (1, 0)), DiffPoly.variable(Derivative(0, (0, 1.0)))],
-         "chain element 1 has .*index=\\(0, 1.0\\)"),
-        # an indeterminate that is not an int, even one inside the ring's range
-        ([DiffPoly.variable(Derivative(0.0, (1, 0)))], "chain element 0 has .*indeterminate=0.0"),
-        # two derivatives whose entries do not compare: numbers before strs and None
-        ([DiffPoly.variable(Derivative(0, (0, 1, 2))) + DiffPoly.variable(Derivative(0, ("a", 1)))],
-         "chain element 0 has .*index=\\(0, 1, 2\\)"),
-        ([DiffPoly.variable(Derivative(0, (None, 1))) + DiffPoly.variable(Derivative(0, (1, None)))],
-         "chain element 0 has .*index=\\(1, None\\)"),
+        # of two outside the ring, the least is named
+        ([dvar(0, (1, 0)) + dvar(1, (0, 0)) + dvar(0, (0,))], "chain element 0 has .*index=\\(0,\\)"),
     )
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -76,58 +67,80 @@ def test_chain_rejects_derivative_outside_its_ring():
 
 def test_interning_keeps_numerically_equal_derivatives_apart():
     """1, 1.0 and False are equal numbers, but only the int names an index
-    entry; the id of Derivative(0, (0, 1)), interned first in a fresh
-    process, must not stand in for the others, alone or beside it."""
+    entry.  In a fresh process, the value-equal twins of u[0,1] are refused
+    at construction both before and after u[0,1] is interned, alone or
+    beside it, so none finds its id, and a refused one adds no id."""
     script = """
-from diffdim import Derivative, DiffChain, DiffPoly
-from corpus import plain_ranking
-ranking = plain_ranking(2, 1)
-u01 = DiffPoly.variable(Derivative(0, (0, 1)))
-for d in (Derivative(0, (0, 1.0)), Derivative(0, (0.0, 1)), Derivative(0.0, (0, 1)),
-          Derivative(0, (False, 1))):
-    for p in (DiffPoly.variable(d), u01 * DiffPoly.variable(d)):
+from diffdim import Derivative, DiffPoly
+from diffdim.diffpoly import _DERIVATIVES
+u01 = Derivative(0, (0, 1))
+twins = (Derivative(0, (0, 1.0)), Derivative(0, (0.0, 1)), Derivative(0.0, (0, 1)),
+         Derivative(0, (False, 1)))
+def refuse(*beside):
+    for d in twins:
+        held = len(_DERIVATIVES)
         try:
-            DiffChain([p], ranking)
+            DiffPoly({(*beside, d): 1})
         except ValueError as exc:
-            print(exc)
+            print(exc, len(_DERIVATIVES) - held)
+refuse()
+DiffPoly.variable(u01)
+refuse()
+refuse(u01)
+print(_DERIVATIVES.count(u01), len(_DERIVATIVES))
 """
     out = run_in_fresh_process(script).splitlines()
-    ring = "outside the ring of 1 indeterminates and 2 derivations"
-    named = ("indeterminate=0, index=(0, 1.0)", "indeterminate=0, index=(0.0, 1)",
-             "indeterminate=0.0, index=(0, 1)", "indeterminate=0, index=(False, 1)")
-    assert out == [f"chain element 0 has Derivative({d}), {ring}" for d in named for _ in "ab"]
+    named = ("(0, (0, 1.0))", "(0, (0.0, 1))", "(0.0, (0, 1))", "(0, (False, 1))")
+    assert out == [f"invalid derivative {d} 0" for _ in range(3) for d in named] + ["1 1"]
 
 
 def test_reduction_by_bool_indexed_derivatives_raises_instead_of_looping():
     """An id per type once let u[False,1] match a leader u[0,1] by value
     while its degree, read by id, never fell, so reduction looped forever;
-    the in-ring rule now refuses the bool on either side.  Run in a fresh
-    process with a time limit, so that a return of the loop fails the test
-    instead of hanging the suite."""
+    no polynomial can now hold the bool, so every way into reduction stops
+    at construction.  Run in a fresh process with a time limit, so that a
+    return of the loop fails the test instead of hanging the suite."""
     script = """
 from diffdim import Derivative, DiffChain, DiffPoly, full_pseudo_reduce, make_derivative, membership
 from corpus import plain_ranking
-ranking = plain_ranking(2, 1)
-u01, b01 = DiffPoly.variable(Derivative(0, (0, 1))), DiffPoly.variable(Derivative(0, (False, 1)))
+u01, b01 = Derivative(0, (0, 1)), Derivative(0, (False, 1))
+chain = DiffChain([DiffPoly.variable(u01)], plain_ranking(2, 1))
 for call in (
     lambda: make_derivative(0, (False, 1)),
-    lambda: DiffChain([b01], ranking),
-    lambda: full_pseudo_reduce(b01, DiffChain([u01], ranking)),
-    lambda: membership(b01 + u01, DiffChain([u01], ranking)),
+    lambda: DiffChain([DiffPoly.variable(b01)], chain.ranking),
+    lambda: full_pseudo_reduce(DiffPoly({(b01,): 1}), chain),
+    lambda: membership(DiffPoly.variable(u01) + DiffPoly.variable(b01), chain),
 ):
     try:
         call()
     except ValueError as exc:
         print(exc)
+print(membership(DiffPoly.variable(u01) ** 2, chain))
 """
     out = run_in_fresh_process(script, timeout=60).splitlines()
-    ring = "outside the ring of 1 indeterminates and 2 derivations"
-    bad = "Derivative(indeterminate=0, index=(False, 1))"
-    assert out == [
-        "invalid derivative (0, (False, 1))",
-        f"chain element 0 has {bad}, {ring}",
-        f"the polynomial to reduce has {bad}, {ring}",
-        f"the polynomial to reduce has {bad}, {ring}",
+    assert out == ["invalid derivative (0, (False, 1))"] * 4 + ["True"]
+
+
+def test_lift_refuses_what_is_not_a_multi_index_of_the_ring():
+    """lift once walked a negative entry down forever and derived a short
+    mu without complaint; a mu missing from the table must be a multi-index
+    of the ring's length.  Run in a fresh process with a time limit, so that
+    a walk that never ends fails the test instead of hanging the suite."""
+    script = """
+from diffdim import DiffChain
+from corpus import dvar, plain_ranking
+chain = DiffChain([dvar(0, (1, 0))], plain_ranking(2, 1))
+for mu in ((0, -1), (1,), (0, 1, 0), (1.0, 0), (True, 0)):
+    try:
+        chain.lift(0, mu)
+    except ValueError as exc:
+        print(exc)
+print(chain.lift(0, (1, 1)) == dvar(0, (2, 1)))
+"""
+    out = run_in_fresh_process(script, timeout=60).splitlines()
+    bad = ("(0, -1)", "(1,)", "(0, 1, 0)", "(1.0, 0)", "(True, 0)")
+    assert out == [f"cannot lift element 0 by {mu}: not a multi-index of the ring" for mu in bad] + [
+        "True"
     ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from diffdim import (
     ConstantPolynomialError,
+    Derivative,
     DiffPoly,
     Ordering,
     Ranking,
@@ -40,6 +41,27 @@ def test_make_derivative_normalizes_index_and_validates():
     for indeterminate in (-1, 1.0, "0", None, False):
         with pytest.raises(ValueError, match="invalid derivative"):
             make_derivative(indeterminate, (1,))
+
+
+def test_polynomials_refuse_invalid_derivatives():
+    """A derivative enters a polynomial only if make_derivative would build
+    it: a negative entry, a float, even an integral one, None or a str in
+    the index or the indeterminate raises ValueError naming it, alone or
+    beside a valid factor."""
+    u = make_derivative(0, (0, 1))
+    cases = (
+        Derivative(0, (0, -1)), Derivative(-1, (0, 1)), Derivative(0, (1.5, 0)),
+        Derivative(0, (0, 1.0)), Derivative(0.0, (1, 0)), Derivative(0, ("a", 1)),
+        Derivative(0, (None, 1)), Derivative(0, (1, None)), Derivative(None, (0, 1)),
+        Derivative(0, range(2)),
+    )
+    for bad in cases:
+        message = re.escape(f"invalid derivative {tuple(bad)}")
+        for terms in ({(bad,): 1}, {(u,): 1, (u, bad): 2}):
+            with pytest.raises(ValueError, match=message):
+                DiffPoly(terms)
+        with pytest.raises(ValueError, match=message):
+            DiffPoly.variable(bad)
 
 
 def test_monomial_factors_must_be_derivatives():

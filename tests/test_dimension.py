@@ -23,9 +23,11 @@ from diffdim import (
     omega,
     omega_incl_excl,
     omega_janet,
+    parse_system,
 )
 from diffdim.dimension import minimalize
 from diffdim.diffpoly import dominates, index_order, iter_indices, join_indices
+from diffdim.numpoly import standard_text
 
 from corpus import dvar, plain_ranking, random_index, random_leader_spec, random_monomial_chain
 
@@ -465,3 +467,26 @@ def test_omega_result_json_shape():
     cones = {(tuple(c["generator"]), tuple(c["multiplicative"])) for c in out["janet_cones"]}
     assert cones == {((1, 1), ("x",)), ((2, 0), ("t", "x"))}
     assert all(c["indeterminate"] == "u" for c in out["janet_cones"])
+
+
+def test_omega_degree_and_leading_coefficient_are_birational_invariants(data_dir):
+    """The degree and the leading coefficient of ω are differential
+    birational invariants ("The differential dimension polynomial for
+    characterizable differential ideals", arXiv:1401.5959; for prime ideals,
+    Kolchin, "Differential Algebra and Algebraic Groups", 1973).  In each
+    file, chain W is chain V after the invertible substitution v -> v - u[1]
+    over (t), v -> v - u[1,0] over (x,y), so their ω share the top term; the
+    rest need not agree, and the constant term in the binomial basis C(ℓ+i,i)
+    does not.  (In powers of ℓ the pde pair differs in ℓ, not in ℓ^0.)"""
+    expected = {
+        "birational_ode.sys": ("ℓ + 1", "ℓ + 2"),
+        "birational_pde.sys": ("(1/2)ℓ^2 + (5/2)ℓ + 2", "(1/2)ℓ^2 + (7/2)ℓ + 2"),
+    }
+    for name, texts in expected.items():
+        chains = parse_system((data_dir / name).read_text(encoding="utf-8")).chains
+        v, w = omega(chains["V"]), omega(chains["W"])
+        assert (standard_text(v.omega), standard_text(w.omega)) == texts
+        assert v.degree == w.degree > 0
+        assert v.coefficients[v.degree] == w.coefficients[w.degree]
+        assert v.omega.to_standard_basis()[v.degree] == w.omega.to_standard_basis()[w.degree]
+        assert v.coefficients[0] != w.coefficients[0]
