@@ -204,10 +204,37 @@ def _add_products(acc: dict, p: Mapping, q: Mapping) -> dict:
     return acc
 
 
+def _proportional(p: Mapping, q: Mapping, s: Coefficient, t: Coefficient) -> bool:
+    """True when the term maps satisfy t*p == s*q, for nonzero s and t:
+    the same monomials, with t*p[m] == s*q[m] on each."""
+    if len(p) != len(q):
+        return False
+    get = q.get
+    for m, c in p.items():
+        d = get(m)
+        if d is None or t * c != s * d:
+            return False
+    return True
+
+
 def mul_sub(a: "DiffPoly", x: "DiffPoly", b: "DiffPoly", y: "DiffPoly") -> "DiffPoly":
-    """a*x - b*y, accumulated in one pass without building either product."""
-    acc = _add_products({}, a._terms, x._terms)
-    return DiffPoly._of(_add_products(acc, {m: -c for m, c in b._terms.items()}, y._terms))
+    """a*x - b*y, accumulated in one pass without building either product.
+
+    The zero that comes out when x = λ·y and b = λ·a is decided first, with
+    no product.  With m0 the first monomial of y, s = x[m0] and t = y[m0],
+    the result is zero if t·x == s·y and t·b == s·a term by term, since
+    then a*x - b*y = a·(s/t)y - (s/t)a·y = 0.  These are the Δs of two
+    prolongations or multiples of one element, and the reductions of θA or
+    c·θA by A.  Cross-multiplying keeps int coefficients in ints, and a
+    mismatch mostly stops at a length check or the first lookup."""
+    xt, yt = x._terms, y._terms
+    if yt:
+        m0, t = next(iter(yt.items()))
+        s = xt.get(m0)
+        if s is not None and _proportional(xt, yt, s, t) and _proportional(b._terms, a._terms, s, t):
+            return DiffPoly._of({})
+    acc = _add_products({}, a._terms, xt)
+    return DiffPoly._of(_add_products(acc, {m: -c for m, c in b._terms.items()}, yt))
 
 
 class DiffPoly:

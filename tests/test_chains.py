@@ -14,6 +14,7 @@ from diffdim import (
     InvalidChainError,
     NotTriangularError,
     chains,
+    containment_check,
     delta_polynomial,
     full_pseudo_reduce,
     make_derivative,
@@ -785,3 +786,33 @@ def test_every_reduction_the_library_makes_has_a_certificate(data_dir):
                     seen["elements"] += 1
                     seen["steps"] += len(trace.steps)
     assert seen["obstructions"] >= 50 and seen["elements"] >= 500 and seen["steps"] >= 500, seen
+
+
+def test_containment_reductions_have_certificates(monkeypatch, data_dir):
+    """Every reduction containment_check makes on the chain pairs of
+    prolong_pair.sys and pde_pair.sys unwinds to its certificate, the
+    steps whose lead·r − c·θb is exactly zero included."""
+    families = [
+        list(parse_system((data_dir / name).read_text(encoding="utf-8")).chains.values())
+        for name in ("prolong_pair.sys", "pde_pair.sys")
+    ]
+    for chain in itertools.chain(*families):
+        chain.validation_report()  # cached, so validate's own reductions are not recorded
+    made = []
+    original = chains.full_pseudo_reduce
+
+    def recording(p, chain):
+        made.append((p, chain, original(p, chain)))
+        return made[-1][2]
+
+    monkeypatch.setattr(chains, "full_pseudo_reduce", recording)
+    for family in families:
+        for smaller, larger in itertools.permutations(family, 2):
+            containment_check(smaller, larger)
+    steps = 0
+    for p, chain, trace in made:
+        assert _certificate_holds(p, trace, chain)
+        steps += len(trace.steps)
+    # S by A in prolong_pair.sys and S2 by S1 in pde_pair.sys: one step and
+    # a zero remainder per element
+    assert steps == 4 and sum(trace.remainder.is_zero() for *_, trace in made) == 4, made

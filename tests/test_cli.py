@@ -1,7 +1,10 @@
 import argparse
 import json
 import pathlib
+import os
 import re
+import subprocess
+import sys
 import time
 import types
 from importlib import resources
@@ -420,6 +423,25 @@ def test_omega_cross_checks_large_groups(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "validate" in capsys.readouterr().out
+
+
+def test_module_form_runs_the_cli(data_dir):
+    """python -m diffdim.cli prints and exits as the golden case of the
+    same command does, instead of importing the module and doing nothing."""
+    (case,) = [
+        c for c in json.loads((data_dir / "golden_cli.json").read_text(encoding="utf-8"))
+        if c["argv"] == ["omega", "burgers.sys", "--chain", "B"]
+    ]
+    src = pathlib.Path(__file__).parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "diffdim.cli", "omega", str(data_dir / "burgers.sys"), "--chain", "B"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
 
 
 def test_reused_argument_parser_carries_no_state(data_dir, capsys):

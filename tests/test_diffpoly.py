@@ -13,6 +13,7 @@ from diffdim import (
     Ordering,
     Ranking,
     RingSpec,
+    diffpoly,
     make_derivative,
 )
 from diffdim.diffpoly import iter_indices, mul_sub, poly_text, shift_derivative
@@ -374,6 +375,51 @@ def test_kernel_matches_the_sort_based_reference():
             for e, coeff in _as_univariate(x, d).items():
                 for drop in range(e + 1):
                     assert x.top_part(d, e, drop) == coeff * DiffPoly.variable(d) ** (e - drop)
+
+
+def _with_changed_coefficient(p, rng):
+    """p with the coefficient of one of its monomials, chosen at random, moved by 1."""
+    terms = p.terms
+    mono = rng.choice(sorted(terms))
+    terms[mono] += 1
+    return DiffPoly(terms)
+
+
+def test_kernel_cancels_proportional_products_without_building_them(monkeypatch):
+    """mul_sub(a, x, b, y) with x = λ·y and b = λ·a is zero and builds no
+    product; the near misses around that rule still equal the reference."""
+    products = []
+    add_products = diffpoly._add_products
+    monkeypatch.setattr(
+        diffpoly, "_add_products", lambda *args: products.append(1) or add_products(*args)
+    )
+    rng = random.Random(31)
+    cancelled = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        a, y = _varied_poly(rng, n, m), _varied_poly(rng, n, m)
+        lam = rng.choice((1, -1, 3, Fraction(-2, 3), Fraction(5, 6)))
+        x, b = y * lam, a * lam
+        # outside every pool, so it is a monomial neither a nor y has
+        extra = rng.choice((2, Fraction(-1, 2))) * dvar(m, (0,) * n)
+        # b + extra: the rule needs b = λ·a too, not only x = λ·y
+        cases = [(a, x, b, y), (a, x, b + extra, y), (a, x + extra, b, y)]
+        cases += [(DiffPoly.zero(), x, DiffPoly.zero(), y), (a, DiffPoly.zero(), b, y + extra)]
+        cases.append((a, x + extra, b, DiffPoly.zero()))
+        if y:
+            cases.append((a, _with_changed_coefficient(x, rng), b, y))
+        if a:
+            cases.append((a, x, _with_changed_coefficient(b, rng), y))
+        for case in cases:
+            got = mul_sub(*case)
+            assert got == _reference_product(case[0], case[1]) - _reference_product(case[2], case[3])
+            assert _coefficients_are_reduced(got), got
+        products.clear()
+        assert mul_sub(a, x, b, y) == DiffPoly.zero()
+        if y:
+            assert products == []
+            cancelled += 1
+    assert cancelled >= 200, cancelled
 
 
 def test_derivations_commute():
