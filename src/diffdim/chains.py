@@ -17,6 +17,7 @@ from .diffpoly import (
     derivative_text,
     dominates,
     is_multi_index,
+    is_natural,
     mul_sub,
     poly_text,
 )
@@ -30,6 +31,50 @@ class NotTriangularError(ValueError):
 
 class InvalidChainError(ValueError):
     """The chain failed validation and cannot feed the dimension machinery."""
+
+
+def minimalize(indices) -> tuple[MultiIndex, ...]:
+    """Antichain of the given multi-indices: a lexicographic scan keeps an index unless a kept
+    one divides it; lex order extends the componentwise order, so minimal divisors come first."""
+    kept: list[MultiIndex] = []
+    for mu in sorted(set(tuple(mu) for mu in indices)):
+        if not any(dominates(mu, g) for g in kept):
+            kept.append(mu)
+    return tuple(kept)
+
+
+@dataclass(frozen=True, slots=True)
+class LeaderSpec:
+    """Leader cones of a chain, one antichain of multi-indices per indeterminate.
+
+    generators may be given as a mapping from indeterminate to multi-indices or
+    as a sequence indexed by indeterminate; it is stored minimalized, one tuple
+    per indeterminate.
+    """
+
+    num_derivations: int
+    num_indeterminates: int
+    generators: tuple[tuple[MultiIndex, ...], ...] = ()
+
+    def __post_init__(self):
+        counts = (self.num_derivations, self.num_indeterminates)
+        if not all(is_natural(c) and c > 0 for c in counts):
+            raise ValueError("need at least one derivation and one indeterminate")
+        groups: list[tuple[MultiIndex, ...]] = [()] * self.num_indeterminates
+        generators = self.generators
+        if generators:
+            items = (
+                generators.items() if hasattr(generators, "items") else enumerate(generators)
+            )
+            for j, gens in items:
+                if not is_natural(j) or j >= self.num_indeterminates:
+                    raise ValueError(f"bad indeterminate {j!r}")
+                gens = tuple(tuple(mu) for mu in gens)
+                for mu in gens:
+                    if len(mu) != self.num_derivations or not is_multi_index(mu):
+                        raise ValueError(f"bad multi-index {mu}")
+                groups[j] = minimalize(gens)
+        object.__setattr__(self, "generators", tuple(groups))
 
 
 def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
@@ -52,11 +97,13 @@ class DiffChain:
     Each fact about the elements that validation, reduction and compare
     read is a cached attribute, computed for every element on its first
     use: separants, leader_only, initials, degrees (each element's degree
-    in its own leader), by_rank, leader_table and the validation report,
-    whose verdict reads only the pairs that can fail and whose evidence
-    lists are built on their first read.  Lifts fill per-element tables one
-    derivative at a time.  All of them die with the chain; nothing is
-    memoized on the elements themselves.
+    in its own leader), by_rank, leader_spec (the leader antichains that ω
+    reads and triangularity is decided from), leader_table (the chain
+    criterion's masks, built only for a pair that needs a witness) and the
+    validation report, whose verdict reads only the pairs that can fail and
+    whose evidence lists are built on their first read.  Lifts fill
+    per-element tables one derivative at a time.  All of them die with the
+    chain; nothing is memoized on the elements themselves.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -136,15 +183,25 @@ class DiffChain:
         return tuple(sorted(range(len(self)), key=lambda i: self.ranking.key(self.leaders[i])))
 
     @functools.cached_property
-    def leader_table(self):
-        """Facts about the chain's leaders as bit masks.
+    def leader_spec(self) -> LeaderSpec:
+        """The leaders grouped by indeterminate and minimalized.
 
-        Returns (below, above, failures).  Bit t of below[j][a] is set
-        when leader t is on leader j's indeterminate with l_t[a] <= l_j[a], and
-        bit t of above[j][a] when l_t[a] >= l_j[a]: the prefix and suffix
-        unions of each axis sorted once.  failures lists the weak-triangularity
-        violations in (i, j) order: leader i is a derivative of leader j exactly
-        when bit j is set in every below[i][a].
+        Minimalizing drops a leader exactly when it is a derivative of
+        another one, a copy of it included, so the chain is weakly
+        triangular exactly when every leader is kept.
+        """
+        groups: dict[int, list[MultiIndex]] = {}
+        for x in self.leaders:
+            groups.setdefault(x.indeterminate, []).append(x.index)
+        return LeaderSpec(self.ring.num_derivations, self.ring.num_indeterminates, groups)
+
+    @functools.cached_property
+    def leader_table(self):
+        """The chain criterion's leader bit masks, as (below, above).
+
+        Bit t of below[j][a] is set when leader t is on leader j's
+        indeterminate with l_t[a] <= l_j[a], and bit t of above[j][a] when
+        l_t[a] >= l_j[a].
 
         The chain criterion for a pair (i, k) reads the masks, with θ the join
         of l_i and l_k.  Leader j divides θ exactly when on each axis it lies
@@ -156,32 +213,16 @@ class DiffChain:
         below θ.  When l_i and l_k are incomparable, as in a triangular chain,
         i and k themselves fail that test, so neither is its own witness.
         """
-        leaders, names = self.leaders, self.ring.indeterminate_names
-        below, above = [[] for _ in leaders], [[] for _ in leaders]
-        groups: dict[int, list[int]] = {}
-        for t, x in enumerate(leaders):
-            groups.setdefault(x.indeterminate, []).append(t)
-        for group, a in itertools.product(groups.values(), range(self.ring.num_derivations)):
-            at: dict[int, int] = {}  # the elements with each value on axis a
-            for t in group:
-                at[leaders[t].index[a]] = at.get(leaders[t].index[a], 0) | 1 << t
-            values = sorted(at)
-            le = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
-            values.reverse()
-            ge = dict(zip(values, itertools.accumulate(map(at.get, values), operator.or_)))
-            for t in group:
-                e = leaders[t].index[a]
-                below[t].append(le[e])
-                above[t].append(ge[e])
-        failures = tuple(
-            f"leader {derivative_text(x, names)} of element {i} is a derivative "
-            f"of leader {derivative_text(leaders[j], names)} of element {j}"
-            for i, x in enumerate(leaders)
-            if (divisors := functools.reduce(operator.and_, below[i]) & ~(1 << i))
-            for j in range(divisors.bit_length())
-            if divisors >> j & 1
-        )
-        return below, above, failures
+        leaders, axes = self.leaders, range(self.ring.num_derivations)
+
+        def masks(x, holds):
+            return [
+                sum(1 << t for t, y in enumerate(leaders)
+                    if y.indeterminate == x.indeterminate and holds(y.index[a], x.index[a]))
+                for a in axes
+            ]
+
+        return [masks(x, operator.le) for x in leaders], [masks(x, operator.ge) for x in leaders]
 
     @functools.cached_property
     def _report(self) -> "ValidationReport":
@@ -192,7 +233,7 @@ class DiffChain:
 
     def require_valid(self) -> None:
         """Raise InvalidChainError with the report's messages unless the
-        chain is weakly triangular and coherent."""
+        chain is d-triangular and coherent (see validate)."""
         report = self._report
         if not report.accepted:
             raise InvalidChainError("; ".join(report.messages))
@@ -320,6 +361,46 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     return mul_sub(separants[j], lift_p, separants[i], lift_q)
 
 
+def _triangularity_failures(chain: DiffChain) -> list[str]:
+    """The weak-triangularity violations in (i, j) order, leader i a
+    derivative of leader j; none exactly when leader_spec kept every leader."""
+    leaders, names = chain.leaders, chain.ring.indeterminate_names
+    if sum(map(len, chain.leader_spec.generators)) == len(leaders):
+        return []
+    return [
+        f"leader {derivative_text(x, names)} of element {i} is a derivative "
+        f"of leader {derivative_text(y, names)} of element {j}"
+        for i, x in enumerate(leaders)
+        for j, y in enumerate(leaders)
+        if i != j and x.indeterminate == y.indeterminate and dominates(x.index, y.index)
+    ]
+
+
+def _partial_reduction_failures(chain: DiffChain) -> list[str]:
+    """One message per derivative of an element that is a proper derivative
+    of a leader, for a weakly triangular chain, in (element, derivative) order.
+
+    Such a derivative is not a leader but lies in the cone of a leader of
+    its indeterminate.  A leader-only element holds no derivative but its
+    leader, so only the others are scanned, and each derivative they hold
+    is tested once, before any message is built."""
+    gens = chain.leader_spec.generators
+    held = [(i, p.derivatives()) for i, p in enumerate(chain.elements) if not chain.leader_only[i]]
+    proper = {
+        x
+        for x in set().union(*(xs for _, xs in held)).difference(chain.leaders)
+        if any(dominates(x.index, g) for g in gens[x.indeterminate])
+    }
+    if not proper:
+        return []
+    names = chain.ring.indeterminate_names
+    return [
+        f"element {i} holds {derivative_text(x, names)}, a proper derivative of a leader"
+        for i, xs in held
+        for x in sorted(xs & proper)
+    ]
+
+
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     """First element, in the rank order of leaders, whose leader divides x,
     with the quotient x / leader."""
@@ -342,7 +423,7 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
     pseudo-division, multiplying through by the initial.  No derivative
     ranked >= x is ever reintroduced, so the procedure terminates.
     """
-    failures = chain.leader_table[2]
+    failures = _triangularity_failures(chain)
     if failures:
         raise NotTriangularError("; ".join(failures))
     if not p:
@@ -376,9 +457,10 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
     return ReductionTrace(r, tuple(steps))
 
 
-def _witnesses(below, above, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:
+def _witnesses(chain: DiffChain, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:
     """Mask of the elements j whose leader divides θ = join(i, k) while
     join(i, j) and join(j, k) lie strictly below θ; see DiffChain.leader_table."""
+    below, above = chain.leader_table
     divides = ei = ek = -1
     for s, t, bi, bk, ai, ak in zip(x, y, below[i], below[k], above[i], above[k]):
         divides &= bi if s >= t else bk
@@ -394,7 +476,6 @@ def _obstruction_pairs(chain: DiffChain, every: bool):
     chain in (i, k) order, via the lowest witness of the chain criterion or
     None when the pair is kept; unless every, only the pairs with an element
     that is not leader-only."""
-    below, above, _ = chain.leader_table
     leaders, leader_only = chain.leaders, chain.leader_only
     for i, x in enumerate(leaders):
         for k in range(i + 1, len(leaders)):
@@ -403,7 +484,7 @@ def _obstruction_pairs(chain: DiffChain, every: bool):
                 not every and leader_only[i] and leader_only[k]
             ):
                 continue
-            witnesses = _witnesses(below, above, x.index, y.index, i, k)
+            witnesses = _witnesses(chain, x.index, y.index, i, k)
             # the lowest witness, as a scan in index order would find first
             yield i, k, (witnesses & -witnesses).bit_length() - 1 if witnesses else None
 
@@ -414,7 +495,14 @@ def _delta_check(chain: DiffChain, i: int, k: int) -> DeltaCheck:
 
 
 def validate(chain: DiffChain) -> ValidationReport:
-    """Check weak triangularity and coherence; regularity is assumed, not checked.
+    """Check d-triangularity and coherence; regularity is assumed, not checked.
+
+    A chain is d-triangular when it is weakly triangular, no leader a
+    derivative of another, and partially reduced, no element holding a
+    proper derivative of a leader (Hubert, LNCS 2630, 2003); Rosenfeld's
+    lemma needs both.  The report's triangular field is this verdict; the
+    messages name every weak-triangularity violation, or when there is
+    none, every proper derivative of a leader that an element holds.
 
     Coherence asks every cross-derivation obstruction Δ(p, q) between
     same-indeterminate leaders to pseudo-reduce to zero against the whole
@@ -452,7 +540,7 @@ def validate(chain: DiffChain) -> ValidationReport:
     is never reduced, so incoherence is reported by a kept pair, which may
     come later in that order.
     """
-    failures = chain.leader_table[2]
+    failures = _triangularity_failures(chain) or _partial_reduction_failures(chain)
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
         return ValidationReport(triangular=False, coherent=False, messages=messages, chain=chain)

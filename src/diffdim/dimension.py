@@ -28,14 +28,12 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .chains import DiffChain
+from .chains import DiffChain, LeaderSpec, minimalize
 from .diffpoly import (
     MultiIndex,
     RingSpec,
     dominates,
     index_order,
-    is_multi_index,
-    is_natural,
     iter_indices,
     join_indices,
 )
@@ -47,69 +45,11 @@ class InternalDisagreementError(RuntimeError):
     algorithms for omega; this indicates a bug."""
 
 
-def minimalize(indices) -> tuple[MultiIndex, ...]:
-    """Antichain of the given multi-indices: a lexicographic scan keeps an index unless a kept
-    one divides it; lex order extends the componentwise order, so minimal divisors come first."""
-    kept: list[MultiIndex] = []
-    for mu in sorted(set(tuple(mu) for mu in indices)):
-        if not any(dominates(mu, g) for g in kept):
-            kept.append(mu)
-    return tuple(kept)
-
-
-@dataclass(frozen=True, slots=True)
-class LeaderSpec:
-    """Leader cones of a chain, one antichain of multi-indices per indeterminate.
-
-    generators may be given as a mapping from indeterminate to multi-indices or
-    as a sequence indexed by indeterminate; it is stored minimalized, one tuple
-    per indeterminate.
-    """
-
-    num_derivations: int
-    num_indeterminates: int
-    generators: tuple[tuple[MultiIndex, ...], ...] = ()
-
-    def __post_init__(self):
-        counts = (self.num_derivations, self.num_indeterminates)
-        if not all(is_natural(c) and c > 0 for c in counts):
-            raise ValueError("need at least one derivation and one indeterminate")
-        groups: list[tuple[MultiIndex, ...]] = [()] * self.num_indeterminates
-        generators = self.generators
-        if generators:
-            items = (
-                generators.items() if hasattr(generators, "items") else enumerate(generators)
-            )
-            for j, gens in items:
-                if not is_natural(j) or j >= self.num_indeterminates:
-                    raise ValueError(f"bad indeterminate {j!r}")
-                gens = tuple(tuple(mu) for mu in gens)
-                for mu in gens:
-                    if len(mu) != self.num_derivations or not is_multi_index(mu):
-                        raise ValueError(f"bad multi-index {mu}")
-                groups[j] = minimalize(gens)
-        object.__setattr__(self, "generators", tuple(groups))
-
-
 def normalize_leaders(chain: DiffChain) -> LeaderSpec:
-    """Group the chain's leaders by indeterminate.
-
-    Weak triangularity makes each group an antichain; LeaderSpec minimalizes it
-    anyway, as it does every input, and the count check makes a drop an error.
-    """
+    """The leader cones of a valid chain: its leader_spec, whose groups weak
+    triangularity makes antichains of every leader."""
     chain.require_valid()
-    ring = chain.ring
-    groups: dict[int, list[MultiIndex]] = {}
-    for ld in chain.leaders:
-        groups.setdefault(ld.indeterminate, []).append(ld.index)
-    spec = LeaderSpec(ring.num_derivations, ring.num_indeterminates, groups)
-    kept = sum(len(g) for g in spec.generators)
-    if kept != len(chain.leaders):
-        raise InternalDisagreementError(
-            f"triangular chain produced a dominated leader: "
-            f"{len(chain.leaders)} leaders, {kept} after minimalization"
-        )
-    return spec
+    return chain.leader_spec
 
 
 def count_derivatives(spec: LeaderSpec, max_order: int) -> int:

@@ -40,7 +40,6 @@ from itertools import islice
 from .chains import DiffChain
 from .diffpoly import (
     Coefficient,
-    ConstantPolynomialError,
     Derivative,
     DiffPoly,
     Monomial,
@@ -206,10 +205,7 @@ class _Parser:
         self.pos += 1
         if not polys:
             self.fail("chain must contain at least one polynomial", at)
-        try:
-            return at, name, DiffChain(polys, self.ranking)
-        except ConstantPolynomialError as exc:
-            self.fail(str(exc), at)
+        return at, name, DiffChain(polys, self.ranking)
 
     def poly(self) -> DiffPoly:
         terms: dict[Monomial, Coefficient] = {}

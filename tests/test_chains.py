@@ -172,6 +172,27 @@ def test_triangularity_detection():
     assert not validate(dup).triangular
 
 
+def test_a_chain_that_is_not_partially_reduced_is_not_triangular(data_dir):
+    """P is weakly triangular and coherent, but u[1] in its second element is
+    a proper derivative of the leader u[0], so 1 lies in its ideal.  The
+    report calls it not triangular; reduction, which needs only weak
+    triangularity, still runs."""
+    text = (data_dir / "partially_reduced.sys").read_text(encoding="utf-8")
+    chain = parse_system(text).chains["P"]
+    report = validate(chain)
+    assert not report.triangular and not report.coherent
+    assert report.messages == [
+        "element 1 holds u[1], a proper derivative of a leader",
+        "coherence not evaluated: chain is not triangular",
+    ]
+    with pytest.raises(InvalidChainError, match="proper derivative of a leader"):
+        omega(chain)
+    assert full_pseudo_reduce(chain.elements[1], chain).remainder.is_zero()
+    # a derivative that is another element's leader is not a proper derivative
+    fine = parse_system(text.replace("u[1]*v[1] - 1", "v[1] - u[0]")).chains["P"]
+    assert validate(fine).accepted
+
+
 TANGLE = (
     "ring derivations=(t,x) indeterminates=(u,v)\n"
     "ranking orderly tiebreak=(u<v)\n"
@@ -342,7 +363,9 @@ def test_lift_tables_live_on_the_chain(monkeypatch):
     first = DiffChain(elements, ranking)
     second = DiffChain(elements, ranking)
     assert first.validation_report().delta_checks
-    cached = {"separants", "degrees", "initials", "by_rank", "leader_table", "_report"}
+    cached = {
+        "separants", "degrees", "initials", "by_rank", "leader_spec", "leader_table", "_report"
+    }
     assert any(first._lifts) and {"separants", "leader_table", "_report"} <= set(vars(first))
     assert not any(second._lifts) and not cached & set(vars(second))
     full_pseudo_reduce(elements[0].derive_multi((1, 1)), first)
@@ -362,6 +385,8 @@ def test_lift_tables_live_on_the_chain(monkeypatch):
     report = staircase.validation_report()
     assert report.accepted and not calls and "_evidence" not in vars(report)
     assert "by_rank" not in vars(staircase)
+    # ω and the verdict read leader_spec; no pair needs a witness, so no masks
+    assert "leader_spec" in vars(staircase) and "leader_table" not in vars(staircase)
     # reading the lists makes each kept pair's zero Δ, without deriving anything
     assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2), (2, 3)]
     assert not any(staircase._lifts)

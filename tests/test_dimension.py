@@ -120,13 +120,6 @@ def test_normalize_leaders():
         normalize_leaders(bad)
 
 
-def test_normalize_leaders_raises_on_lost_leader(monkeypatch):
-    chain = DiffChain([dvar(0, (2, 0)), dvar(0, (0, 1))], plain_ranking(2, 1))
-    monkeypatch.setattr(dimension, "minimalize", lambda gens: tuple(sorted(gens))[1:])
-    with pytest.raises(InternalDisagreementError, match="dominated leader"):
-        normalize_leaders(chain)
-
-
 def test_count_and_oracle_hand_values():
     spec = LeaderSpec(2, 1, {0: [(1, 0)]})
     assert count_derivatives(spec, 3) == 6
