@@ -77,10 +77,10 @@ class LeaderSpec:
         object.__setattr__(self, "generators", tuple(groups))
 
 
-def _require_in_ring(p: DiffPoly, ring: RingSpec, what: str) -> None:
-    """Raise ValueError naming the least derivative of p outside the ring."""
+def _require_in_ring(found: set[Derivative], ring: RingSpec, what: str) -> None:
+    """Raise ValueError naming the least derivative in `found` outside the ring."""
     n, m = ring.num_derivations, ring.num_indeterminates
-    outside = [d for d in p.derivatives() if d.indeterminate >= m or len(d.index) != n]
+    outside = [d for d in found if d.indeterminate >= m or len(d.index) != n]
     if outside:
         raise ValueError(
             f"{what} has {min(outside)!r}, outside the ring of "
@@ -92,7 +92,9 @@ class DiffChain:
     """Ordered finite family of non-constant differential polynomials.
 
     Every derivative must belong to the ranking's ring; one that does not
-    raises ValueError naming the element and the derivative.
+    raises ValueError naming the element and the derivative.  Each element's
+    set of derivatives is computed once, for that check, its leader and the
+    partial-reduction check.
 
     Each fact about the elements that validation, reduction and compare
     read is a cached attribute, computed for every element on its first
@@ -108,16 +110,19 @@ class DiffChain:
 
     def __init__(self, elements, ranking: Ranking):
         elements = tuple(elements)
+        derivatives = []
         for i, p in enumerate(elements):
             if not isinstance(p, DiffPoly) or p.is_constant():
                 raise ConstantPolynomialError(
                     "chain elements must be non-constant differential polynomials"
                 )
-            _require_in_ring(p, ranking.ring, f"chain element {i}")
+            derivatives.append(p.derivatives())
+            _require_in_ring(derivatives[i], ranking.ring, f"chain element {i}")
         vars(self).update(
             elements=elements,
             ranking=ranking,
-            leaders=tuple(ranking.leader(p) for p in elements),
+            _derivatives=tuple(derivatives),
+            leaders=tuple(max(found, key=ranking.key) for found in derivatives),
             _lifts=tuple({} for _ in elements),
         )
 
@@ -385,7 +390,7 @@ def _partial_reduction_failures(chain: DiffChain) -> list[str]:
     leader, so only the others are scanned, and each derivative they hold
     is tested once, before any message is built."""
     gens = chain.leader_spec.generators
-    held = [(i, p.derivatives()) for i, p in enumerate(chain.elements) if not chain.leader_only[i]]
+    held = [(i, xs) for i, xs in enumerate(chain._derivatives) if not chain.leader_only[i]]
     proper = {
         x
         for x in set().union(*(xs for _, xs in held)).difference(chain.leaders)
@@ -428,7 +433,7 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
         raise NotTriangularError("; ".join(failures))
     if not p:
         return ReductionTrace(p)
-    _require_in_ring(p, chain.ring, "the polynomial to reduce")
+    _require_in_ring(p.derivatives(), chain.ring, "the polynomial to reduce")
     ranking = chain.ranking
     r = p
     steps = []

@@ -180,10 +180,6 @@ def _shift(i: int, axis: int) -> int:
     return up
 
 
-def _monomial(powers: Mapping[int, int]) -> Monomial:
-    return tuple(sorted(i for i, e in powers.items() for _ in range(e)))
-
-
 def _powers(mono: tuple[Derivative, ...]) -> tuple[tuple[Derivative, int], ...]:
     """The (derivative, exponent) pairs of a decoded monomial, in order."""
     return tuple((d, len(list(run))) for d, run in groupby(mono))

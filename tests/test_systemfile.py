@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -85,14 +86,29 @@ def test_format_parse_round_trip_fixed():
     assert format_system(again) == printed
 
 
+def with_blanks(text: str, rng: random.Random) -> str:
+    """text with seeded blanks between the tokens of each derivative."""
+
+    def spread(match: re.Match) -> str:
+        tokens = re.findall(r"\w+|\S", match[0])
+        return "".join(token + rng.choice(("", " ", " \t ")) for token in tokens[:-1]) + "]"
+
+    return re.sub(r"[^\W\d]\w*\[[0-9,]+\]", spread, text)
+
+
 def test_format_parse_round_trip_random():
-    rng = random.Random(47)
+    rng, blanks = random.Random(47), random.Random(53)
     for _ in range(20):
         chain = random_power_chain(rng)
         system = SystemFile(chain.ring, chain.ranking, {"R": chain})
-        again = parse_system(format_system(system))
+        printed = format_system(system)
+        again = parse_system(printed)
         assert again.ranking == chain.ranking
         assert again.chains["R"].elements == chain.elements
+        # a derivative written with blanks, such as u[ 1 , 0 ], reads as the same one
+        spaced = with_blanks(printed, blanks)
+        assert spaced != printed
+        assert parse_system(spaced).chains["R"].elements == chain.elements
 
 
 @pytest.mark.parametrize(
@@ -334,6 +350,18 @@ def test_mutated_file_outcomes_match_pinned_digest(data_dir):
         (HEADER + "chain C { u[1,0]; }\n@", 4, 1, "unexpected character '@'"),
         (HEADER + "chain C { u[1,0]; } chain", 3, 26, "expected an identifier, found ''"),
         ("", 1, 1, "expected 'ring', found ''"),
+        # faults inside or around a derivative written without blanks
+        (HEADER + "chain C { 2*]; }", 3, 13, "expected an identifier, found ']'"),
+        (HEADER + "chain u[1,0] { u[1,0]; }", 3, 8, "expected '{', found '['"),
+        (
+            HEADER + "chain C { u[1,0,0]; }",
+            3, 13, "multi-index of length 3 for a ring with 2 derivations",
+        ),
+        pytest.param(
+            HEADER + "chain C { v[0," + "1" * 641 + "]; }",
+            3, 15, "integer of 641 digits exceeds the limit 640",
+            id="641-digit multi-index entry",
+        ),
     ],
 )
 def test_error_positions_at_the_edges(text, line, column, message):
