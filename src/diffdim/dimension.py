@@ -18,7 +18,16 @@ brute-force lattice-point oracle they are checked against:
   carries a copy of the minimal basis of the slice's tails in one variable
   fewer (Gerdt-Blinkov, "Minimal involutive bases", Math. Comput. Simul.
   45, 1998; Gerdt-Blinkov-Yanovich, "Construction of Janet bases I.
-  Monomial bases", CASC 2001).
+  Monomial bases", CASC 2001).  The copies of one slice are never listed:
+  as polynomials in l,
+
+      sum_{x=a}^{b-1} C(l - s - x + k, k)
+          = C(l - s - a + k + 1, k + 1) - C(l - s - b + k + 1, k + 1),
+
+  so the slice [a, b) adds its sub-basis's numerator times t^a - t^b, and
+  the basis is summed as a Stanley decomposition (Seiler, "Involution",
+  Springer 2010) in time independent of the gaps.  janet_complete lists
+  the cones themselves, for output only.
 """
 
 from __future__ import annotations
@@ -82,11 +91,26 @@ def krull_oracle(spec: LeaderSpec, max_order: int) -> int:
 
 @dataclass
 class OmegaResult:
-    """Dimension polynomial plus the bound after which it counts exactly."""
+    """Dimension polynomial plus the bound after which it counts exactly.
+
+    A result of the Janet route keeps the leaders it came from, and lists
+    their minimal Janet basis the first time janet_cones is read.
+    """
 
     omega: NumericalPolynomial
     stabilization_bound: int
-    janet_cones: tuple["JanetCone", ...] | None = None
+    leaders: LeaderSpec | None = None
+
+    @functools.cached_property
+    def janet_cones(self) -> tuple["JanetCone", ...] | None:
+        if self.leaders is None:
+            return None
+        n = self.leaders.num_derivations
+        return tuple(
+            cone
+            for j, gens in enumerate(self.leaders.generators)
+            for cone in janet_complete(gens, n, indeterminate=j)
+        )
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -177,30 +201,64 @@ class JanetCone:
     multiplicative: frozenset[int]
 
 
+def _slices(gens):
+    """(a, b, tails) for each distinct first exponent a of gens, in increasing
+    order: b is the next first exponent, None after the last, and tails is
+    the antichain of g[1:] over the generators g with g[0] <= a."""
+    slices: dict[int, list[MultiIndex]] = {}
+    for g in gens:
+        slices.setdefault(g[0], []).append(g[1:])
+    firsts = sorted(slices)
+    tails: tuple[MultiIndex, ...] = ()
+    for a, b in zip(firsts, firsts[1:] + [None]):
+        tails = minimalize(tails + tuple(slices[a]))
+        yield a, b, tails
+
+
 def _janet_basis(gens, n: int) -> list[tuple[MultiIndex, tuple[int, ...]]]:
     """Minimal Janet basis of the cones over gens in n variables, as
     (multi-index, multiplicative axes) pairs in increasing order."""
     if n == 1:
         return [((min(g[0] for g in gens),), (0,))]
-    slices: dict[int, list[MultiIndex]] = {}
-    for g in gens:
-        slices.setdefault(g[0], []).append(g[1:])
-    firsts = sorted(slices)
     basis = []
-    tails: tuple[MultiIndex, ...] = ()
-    for i, a in enumerate(firsts):
-        tails = minimalize(tails + tuple(slices[a]))
-        last = i + 1 == len(firsts)
-        head = (0,) if last else ()
+    for a, b, tails in _slices(gens):
+        head = (0,) if b is None else ()
         sub = [(u, head + tuple(k + 1 for k in axes)) for u, axes in _janet_basis(tails, n - 1)]
-        for x in range(a, a + 1 if last else firsts[i + 1]):
+        for x in range(a, a + 1 if b is None else b):
             basis.extend(((x,) + u, axes) for u, axes in sub)
     return basis
 
 
+def _janet_numerator(gens, n: int) -> tuple[dict[int, int], int]:
+    """(K, top) for the minimal Janet basis of the cones over gens in n
+    variables, without listing it: its cones hold sum_s K[s] C(l - s + n, n)
+    points of order <= l together, as polynomials in l, and top is the
+    largest order of a cone's generator.
+
+    In one variable the single cone at the minimum gives K = t^min.  A slice
+    [a, b) of janet_complete copies the basis of its tails at every x in
+    [a, b), and those copies telescope: the slice adds K_tails (t^a - t^b),
+    and the last slice, where axis 0 is multiplicative, K_tails t^a.  Either
+    way a term gains one axis, so every term has n of them.
+    """
+    if n == 1:
+        low = min(g[0] for g in gens)
+        return {low: 1}, low
+    numerator: dict[int, int] = {}
+    top = 0
+    for a, b, tails in _slices(gens):
+        sub, sub_top = _janet_numerator(tails, n - 1)
+        for s, c in sub.items():
+            numerator[s + a] = numerator.get(s + a, 0) + c
+            if b is not None:
+                numerator[s + b] = numerator.get(s + b, 0) - c
+        top = max(top, sub_top + (a if b is None else b - 1))
+    return {s: c for s, c in numerator.items() if c}, top
+
+
 def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> list[JanetCone]:
     """The unique minimal Janet basis of the cones over an antichain of
-    generators, such as one group of a LeaderSpec.
+    generators, such as one group of a LeaderSpec, listed cone by cone.
 
     Slice along axis 0: with a_1 < ... < a_k the distinct first exponents
     and R_i the antichain of tails g[1:] of the generators with g[0] <= a_i,
@@ -209,7 +267,11 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
     alone carries R_k's basis with axis 0 multiplicative.  In one variable
     the basis is the single cone at the minimum.  The cones are pairwise
     disjoint, cover exactly the union of the ordinary cones of the input,
-    and come sorted by generator.
+    and come sorted by generator.  The list grows with the gaps between
+    first exponents (N + 1 cones for u[N,0], u[0,1]), so omega_janet sums
+    the same slices in closed form instead, by the telescoping identity in
+    the module docstring (Seiler, "Involution", 2010); this is only the
+    listing, which OmegaResult.janet_cones and omega --json read.
     """
     gens = {tuple(mu) for mu in generators}
     if not gens:
@@ -221,31 +283,42 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
 
 
 def omega_janet(spec: LeaderSpec) -> OmegaResult:
-    """Dimension polynomial from disjoint Janet cones.
+    """Dimension polynomial from disjoint Janet cones, summed without
+    listing them.
 
-    With z multiplicative axes on a cone rooted at order q, the cone holds
-    C(z + l - q, z) points of order <= l, so
+    A cone with z multiplicative axes rooted at order q holds C(z + l - q, z)
+    points of order <= l.  _janet_numerator sums each group's cones slice by
+    slice, with the telescoping identity
 
-        omega(l) = m*C(n+l, n) - sum over cones of C(z + l - q, z)
+        sum_{x=a}^{b-1} C(l - s - x + k, k)
+            = C(l - s - a + k + 1, k + 1) - C(l - s - b + k + 1, k + 1)
 
-    exact once l reaches the largest generator order in the basis.
+    for each slice's copies, into sum_s K[s] C(l - s + n, n): the Stanley
+    decomposition of the Janet basis (Seiler, "Involution", 2010).  So
+
+        omega(l) = m*C(n+l, n) - sum over groups and s of K[s] C(l - s + n, n)
+
+    exact once l reaches the largest generator order in the basis.  The
+    result lists the cones (janet_cones) only when they are read.
     """
     n = spec.num_derivations
-    cones: list[JanetCone] = []
-    for j, gens in enumerate(spec.generators):
-        cones.extend(janet_complete(gens, n, indeterminate=j))
-    bound = max((index_order(c.generator) for c in cones), default=0)
     terms = [(spec.num_indeterminates, 0, n)]
-    terms += [(-1, index_order(c.generator), len(c.multiplicative)) for c in cones]
-    return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound, tuple(cones))
+    bound = 0
+    for gens in spec.generators:
+        if gens:
+            numerator, top = _janet_numerator(gens, n)
+            terms += [(-c, s, n) for s, c in numerator.items()]
+            bound = max(bound, top)
+    return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound, spec)
 
 
 def omega(chain: DiffChain) -> OmegaResult:
     """Dimension polynomial of a validated chain.
 
-    The Janet route gives the result and its cones; the inclusion-exclusion
-    route, collapsed into the Hilbert-numerator pivot, always runs as well,
-    and the two polynomials must agree coefficientwise.
+    The Janet route gives the result, in closed form, and lists its cones
+    only if janet_cones is read; the inclusion-exclusion route, collapsed
+    into the Hilbert-numerator pivot, always runs as well, and the two
+    polynomials must agree coefficientwise.
     """
     spec = normalize_leaders(chain)
     janet_result = omega_janet(spec)

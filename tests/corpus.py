@@ -65,6 +65,14 @@ def random_leader_spec(
     return LeaderSpec(n, m, gens)
 
 
+def acceptance_specs() -> list[LeaderSpec]:
+    """The 200 seeded cone systems of the acceptance suite's criterion 5."""
+    rng = random.Random(2026)
+    return [
+        random_leader_spec(rng, max_n=3, max_m=3, max_gens=4, max_order=4) for _ in range(200)
+    ]
+
+
 def random_monomial_chain(
     rng: random.Random, max_n: int = 3, max_m: int = 2, max_gens: int = 3, max_order: int = 3
 ) -> DiffChain:

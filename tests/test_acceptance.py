@@ -29,7 +29,7 @@ from diffdim import (
 from diffdim.cli import run
 from diffdim.diffpoly import iter_indices, shift_derivative
 
-from corpus import plain_ring, random_index, random_leader_spec
+from corpus import acceptance_specs, plain_ring, random_index, random_leader_spec
 
 
 def _report(num, label, ok, elapsed, budget):
@@ -106,11 +106,7 @@ _CORPUS = None
 def _corpus():
     global _CORPUS
     if _CORPUS is None:
-        rng = random.Random(2026)
-        _CORPUS = []
-        for _ in range(200):
-            spec = random_leader_spec(rng, max_n=3, max_m=3, max_gens=4, max_order=4)
-            _CORPUS.append((spec, omega_incl_excl(spec), omega_janet(spec)))
+        _CORPUS = [(spec, omega_incl_excl(spec), omega_janet(spec)) for spec in acceptance_specs()]
     return _CORPUS
 
 

@@ -16,6 +16,8 @@ import diffdim
 from diffdim import NumericalPolynomial, cli, dimension
 from diffdim.cli import ORACLE_VISIT_LIMIT, run
 
+from corpus import run_in_fresh_process
+
 GOLDEN_OMEGA = "ω(ℓ) = 2ℓ + 1 = 2·C(ℓ+1,1) − 1 (stabilizes at ℓ ≥ 2)"
 
 INCOHERENT = (
@@ -372,6 +374,40 @@ def test_omega_on_a_leader_of_order_2000_stays_fast(tmp_path, capsys):
     assert payload["stabilization_bound"] == 2000
     assert len(payload["janet_cones"]) == 2001
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["omega", "--chain", "A"], "ω(ℓ) = 1000000000000 = 1000000000000 "),
+        (["compare", "--smaller", "A", "--larger", "A"], "relation: Equal"),
+    ],
+)
+def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, first_line):
+    # The Janet basis has 10^12 + 1 cones here; omega and compare sum them in
+    # closed form, and the subprocess timeout stops a run that lists them.
+    path = tmp_path / "tall.sys"
+    path.write_text(
+        "ring derivations=(t,x) indeterminates=(u)\n"
+        "ranking orderly tiebreak=(u)\n"
+        "chain A { u[1000000000000,0]; u[0,1]; }\n"
+    )
+    argv = [argv[0], str(path), *argv[1:]]
+    script = f"""
+import contextlib, io, time
+from diffdim.cli import run
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run({argv!r})
+print(code, time.perf_counter() - start)
+print(out.getvalue(), end="")
+"""
+    status, *lines = run_in_fresh_process(script, timeout=5).splitlines()
+    code, elapsed = status.split()
+    assert code == "0"
+    assert lines[0].startswith(first_line)
+    assert float(elapsed) < 2.0, f"took {float(elapsed):.2f}s against a 2s budget"
 
 
 def test_parse_error_exits_65(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 import random
 import time
@@ -12,10 +13,12 @@ from diffdim import (
     DiffChain,
     InternalDisagreementError,
     InvalidChainError,
+    JanetCone,
     LeaderSpec,
     NumericalPolynomial,
     Ranking,
     RingSpec,
+    compare_ideals,
     count_derivatives,
     janet_complete,
     krull_oracle,
@@ -29,7 +32,14 @@ from diffdim.dimension import minimalize
 from diffdim.diffpoly import dominates, index_order, iter_indices, join_indices
 from diffdim.numpoly import standard_text
 
-from corpus import dvar, plain_ranking, random_index, random_leader_spec, random_monomial_chain
+from corpus import (
+    acceptance_specs,
+    dvar,
+    plain_ranking,
+    random_index,
+    random_leader_spec,
+    random_monomial_chain,
+)
 
 
 def _minimalize_all_pairs(indices):
@@ -252,6 +262,7 @@ def test_janet_twelve_leaders_in_four_derivations():
     result = omega_janet(spec)
     elapsed = time.perf_counter() - start
     assert len(result.janet_cones) == 207
+    assert result.janet_cones == tuple(janet_complete(gens, 4))
     assert result.stabilization_bound == 19
     assert result.omega == omega_incl_excl(spec).omega
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
@@ -307,7 +318,21 @@ def test_worked_omega_values():
     assert result.differential_dimension == 0
 
 
-def test_omega_of_chain_with_cross_check():
+@pytest.fixture
+def built_cones(monkeypatch):
+    """Every JanetCone that diffdim.dimension builds while the test runs."""
+    built = []
+
+    def counted(*args, **kwargs):
+        cone = JanetCone(*args, **kwargs)
+        built.append(cone)
+        return cone
+
+    monkeypatch.setattr(dimension, "JanetCone", counted)
+    return built
+
+
+def test_omega_of_chain_with_cross_check(built_cones):
     ranking = plain_ranking(2, 1)
     burgers = DiffChain(
         [dvar(0, (0, 2)) - dvar(0, (1, 0)) - 2 * dvar(0, (0, 1)) * dvar(0, (0, 0))],
@@ -318,7 +343,60 @@ def test_omega_of_chain_with_cross_check():
     assert result.degree == 1
     assert result.differential_dimension == 0
     assert result.stabilization_bound == 2
+    assert built_cones == []
     assert result.janet_cones is not None
+    assert result.janet_cones == tuple(janet_complete([(0, 2)], 2))
+    assert result.janet_cones is result.janet_cones
+
+
+def _janet_cone_reading(spec):
+    """({l: omega(l)} for l = bound, ..., bound + n, and bound) read off the
+    listed Janet cones: m C(l + n, n) - sum of C(l - |u| + z, z), and max |u|."""
+    n = spec.num_derivations
+    cones = [c for j, g in enumerate(spec.generators) for c in janet_complete(g, n, j)]
+    shifts = [(index_order(c.generator), len(c.multiplicative)) for c in cones]
+    bound = max((q for q, _ in shifts), default=0)
+    values = {
+        ell: spec.num_indeterminates * math.comb(ell + n, n)
+        - sum(math.comb(ell - q + z, z) for q, z in shifts)
+        for ell in range(bound, bound + n + 1)
+    }
+    return values, bound
+
+
+def test_janet_closed_form_matches_the_listed_cones():
+    # omega_janet sums each slice's copies in closed form; the listing of
+    # janet_complete must give the same polynomial (degree <= n, so n + 1
+    # values fix it) and the same bound.
+    rng = random.Random(28)
+    specs = acceptance_specs()
+    for _ in range(500):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        gens = {
+            j: [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+            for j in range(m)
+        }
+        specs.append(LeaderSpec(n, m, gens))
+    for spec in specs:
+        result = omega_janet(spec)
+        values, bound = _janet_cone_reading(spec)
+        assert result.stabilization_bound == bound, spec
+        assert {ell: result.omega.eval(ell) for ell in values} == values, spec
+
+
+def test_omega_and_compare_build_no_janet_cone(built_cones):
+    ranking = plain_ranking(2, 1)
+    square = DiffChain([dvar(0, (2, 0)), dvar(0, (1, 1)), dvar(0, (0, 3))], ranking)
+    assert compare_ideals(square, square).omega_smaller == omega(square).omega
+    assert built_cones == []
+    # 10^12 + 1 cones: listing them would not end
+    tall = DiffChain([dvar(0, (10**12, 0)), dvar(0, (0, 1))], ranking)
+    result = omega(tall)
+    assert result.omega == NumericalPolynomial((10**12, 0, 0))
+    assert result.stabilization_bound == 10**12
+    verdict = compare_ideals(tall, DiffChain([dvar(0, (10**12, 0)), dvar(0, (0, 1))], ranking))
+    assert verdict.omega_smaller == verdict.omega_larger == result.omega
+    assert built_cones == []
 
 
 def test_omega_rejects_invalid_chain():
