@@ -266,15 +266,6 @@ class ReductionTrace:
         runs = itertools.groupby(step[0] for step in self.steps)
         return tuple((lead, sum(1 for _ in run)) for lead, run in runs)
 
-    def to_json_dict(self, names: tuple[str, ...]) -> dict:
-        return {
-            "remainder": poly_text(self.remainder, names),
-            "multipliers": [
-                {"factor": poly_text(f, names), "exponent": e} for f, e in self.multipliers
-            ],
-            "reduced_to_zero": self.remainder.is_zero(),
-        }
-
 
 @dataclass
 class DeltaCheck:
@@ -330,14 +321,6 @@ class ValidationReport:
     @property
     def skipped_pairs(self) -> list[tuple[int, int, int]]:
         return self._evidence[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "triangular": self.triangular,
-            "coherent": self.coherent,
-            "regularity_of_initials_and_separants": self.regularity_of_initials_and_separants,
-            "messages": list(self.messages),
-        }
 
 
 def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:

@@ -9,14 +9,24 @@ import math
 import sys
 
 from .chains import DiffChain, InvalidChainError
-from .compare import compare_ideals
-from .dimension import InternalDisagreementError, krull_oracle, normalize_leaders, omega
+from .compare import Relation, compare_ideals
+from .dimension import InternalDisagreementError, janet_cone_count, krull_oracle, omega
 from .diffpoly import derivative_text, poly_text
-from .numpoly import MINUS, binomial_text, standard_text
+from .numpoly import MINUS, NumericalPolynomial, binomial_text, standard_text
 from .systemfile import ParseError, parse_system
 
 # Most multi-indices an oracle table may visit: m*C(L+n+1, n+1) for --max-order L.
 ORACLE_VISIT_LIMIT = 10**6
+# Most Janet cones omega --json may list; run() counts them before building any.
+JANET_CONE_LIMIT = 10**4
+# compare's exit code for each relation.
+RELATION_EXIT_CODES = {
+    Relation.EQUAL: 0,
+    Relation.PROPERLY_CONTAINED: 1,
+    Relation.OMEGA_DISTINCT: 1,
+    Relation.INPUT_CONTRADICTION: 2,
+    Relation.CONTAINMENT_UNKNOWN: 2,
+}
 
 
 @functools.cache  # built on first use, then shared: parsing leaves it unchanged
@@ -53,17 +63,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _polynomial_json(p: NumericalPolynomial) -> dict:
+    return {
+        "binomial_coeffs": list(p.coeffs),
+        "standard_coeffs": [str(c) for c in p.to_standard_basis()],
+        "degree": p.degree,
+    }
+
+
 def _cmd_validate(args, chain: DiffChain) -> int:
     report = chain.validation_report()
     names = chain.ring.indeterminate_names
     if args.json:
-        payload = {"chain": args.chain, **report.to_json_dict()}
+        payload = {
+            "chain": args.chain,
+            "triangular": report.triangular,
+            "coherent": report.coherent,
+            "regularity_of_initials_and_separants": report.regularity_of_initials_and_separants,
+            "messages": report.messages,
+        }
         if args.explain:
             payload["delta_traces"] = [
                 {
                     "elements": [check.first, check.second],
                     "delta": poly_text(check.delta, names),
-                    **check.trace.to_json_dict(names),
+                    "remainder": poly_text(check.trace.remainder, names),
+                    "multipliers": [
+                        {"factor": poly_text(f, names), "exponent": e}
+                        for f, e in check.trace.multipliers
+                    ],
+                    "reduced_to_zero": check.trace.remainder.is_zero(),
                 }
                 for check in report.delta_checks
             ]
@@ -96,7 +125,22 @@ def _cmd_validate(args, chain: DiffChain) -> int:
 def _cmd_omega(args, chain: DiffChain) -> int:
     result = omega(chain)
     if args.json:
-        payload = {"chain": args.chain, **result.to_json_dict(chain.ring)}
+        ring = chain.ring
+        axes = ring.derivation_names
+        payload = {
+            "chain": args.chain,
+            **_polynomial_json(result.omega),
+            "differential_dimension": result.differential_dimension,
+            "stabilization_bound": result.stabilization_bound,
+            "janet_cones": [
+                {
+                    "generator": list(cone.generator),
+                    "indeterminate": ring.indeterminate_names[cone.indeterminate],
+                    "multiplicative": [axes[i] for i in sorted(cone.multiplicative)],
+                }
+                for cone in result.janet_cones
+            ],
+        }
         print(json.dumps(payload, indent=2))
     else:
         print(
@@ -111,10 +155,9 @@ def _cmd_omega(args, chain: DiffChain) -> int:
 
 def _cmd_oracle(args, chain: DiffChain) -> int:
     result = omega(chain)
-    spec = normalize_leaders(chain)
     rows = []
     for order in range(args.max_order + 1):
-        counted = krull_oracle(spec, order)
+        counted = krull_oracle(result.leaders, order)
         predicted = result.omega.eval(order)
         rows.append((order, counted, predicted, counted == predicted))
     if args.json:
@@ -136,8 +179,24 @@ def _cmd_oracle(args, chain: DiffChain) -> int:
 
 def _cmd_compare(args, smaller: DiffChain, larger: DiffChain) -> int:
     verdict = compare_ideals(smaller, larger, containment_asserted=args.assert_containment)
+    names = smaller.ring.indeterminate_names
+    report = verdict.leader_report
+    leaders = [(derivative_text(x, names), *report[x]) for x in sorted(report)]
     if args.json:
-        print(json.dumps(verdict.to_json_dict(smaller.ring), indent=2))
+        assumed = verdict.assumed_relation
+        payload = {
+            "relation": verdict.relation.value,
+            "containment": verdict.containment.value,
+            "omega_smaller": _polynomial_json(verdict.omega_smaller),
+            "omega_larger": _polynomial_json(verdict.omega_larger),
+            "leader_report": {
+                text: {"smaller_degree": small, "larger_degree": large}
+                for text, small, large in leaders
+            },
+            "degree_products": list(verdict.degree_products),
+            "assumed_relation": None if assumed is None else assumed.value,
+        }
+        print(json.dumps(payload, indent=2))
     else:
         print(f"relation: {verdict.relation.value}")
         print(f"containment: {verdict.containment.value}")
@@ -145,18 +204,13 @@ def _cmd_compare(args, smaller: DiffChain, larger: DiffChain) -> int:
             print(f"relation if containment held: {verdict.assumed_relation.value}")
         print(f"ω smaller ({args.smaller}): {standard_text(verdict.omega_smaller)}")
         print(f"ω larger ({args.larger}): {standard_text(verdict.omega_larger)}")
-        names = smaller.ring.indeterminate_names
-        for x in sorted(verdict.leader_report):
-            small, large = verdict.leader_report[x]
+        for text, small, large in leaders:
             left = MINUS if small is None else str(small)
             right = MINUS if large is None else str(large)
-            print(
-                f"leader {derivative_text(x, names)}: degree {left} in smaller, "
-                f"{right} in larger"
-            )
+            print(f"leader {text}: degree {left} in smaller, {right} in larger")
         a, b = verdict.degree_products
         print(f"degree products: {a} vs {b}")
-    return verdict.exit_code
+    return RELATION_EXIT_CODES[verdict.relation]
 
 
 def run(argv=None) -> int:
@@ -183,6 +237,13 @@ def run(argv=None) -> int:
                 parser.error(
                     f"--max-order {args.max_order} would visit more multi-indices "
                     f"than the oracle's limit of {ORACLE_VISIT_LIMIT}"
+                )
+        if args.command == "omega" and args.json:
+            spec = chains[0].leader_spec
+            cones = sum(janet_cone_count(g, spec.num_derivations) for g in spec.generators)
+            if cones > JANET_CONE_LIMIT:
+                parser.error(
+                    f"--json would list {cones} Janet cones, over the limit of {JANET_CONE_LIMIT}"
                 )
     except SystemExit as exc:  # argparse's error() has printed usage and exits 2; --help 0
         return 64 if exc.code == 2 else exc.code

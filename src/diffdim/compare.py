@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .chains import DiffChain, membership
-from .diffpoly import Derivative, RingSpec, derivative_text
+from .diffpoly import Derivative
 from .numpoly import NumericalPolynomial, Ordering
 from .dimension import omega
 
@@ -47,33 +47,6 @@ class CompareVerdict:
     degree_products: tuple[int, int]
     containment: Containment
     assumed_relation: Relation | None = None
-
-    @property
-    def exit_code(self) -> int:
-        if self.relation is Relation.EQUAL:
-            return 0
-        if self.relation in (Relation.PROPERLY_CONTAINED, Relation.OMEGA_DISTINCT):
-            return 1
-        return 2
-
-    def to_json_dict(self, ring: RingSpec) -> dict:
-        names = ring.indeterminate_names
-        report = {}
-        for x in sorted(self.leader_report):
-            small, large = self.leader_report[x]
-            report[derivative_text(x, names)] = {
-                "smaller_degree": small,
-                "larger_degree": large,
-            }
-        return {
-            "relation": self.relation.value,
-            "containment": self.containment.value,
-            "omega_smaller": self.omega_smaller.to_json_dict(),
-            "omega_larger": self.omega_larger.to_json_dict(),
-            "leader_report": report,
-            "degree_products": list(self.degree_products),
-            "assumed_relation": self.assumed_relation.value if self.assumed_relation else None,
-        }
 
 
 def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -482,8 +482,6 @@ class Ranking:
 
     ring: RingSpec
     indeterminate_order: tuple[int, ...]
-    # position of each indeterminate in indeterminate_order, for key()
-    _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indeterminate_order", tuple(self.indeterminate_order))
@@ -492,8 +490,6 @@ class Ranking:
                 raise TypeError(f"tiebreak entries must be int, got {j!r}")
         if sorted(self.indeterminate_order) != list(range(self.ring.num_indeterminates)):
             raise ValueError("tiebreak order must be a permutation of the indeterminates")
-        position = {j: i for i, j in enumerate(self.indeterminate_order)}
-        object.__setattr__(self, "_position", position)
 
     @classmethod
     def orderly(cls, ring: RingSpec, tiebreak: Iterable[int] | None = None) -> "Ranking":
@@ -504,7 +500,7 @@ class Ranking:
     def key(self, d: Derivative):
         return (
             d.order,
-            self._position[d.indeterminate],
+            self.indeterminate_order.index(d.indeterminate),
             tuple(map(operator.neg, reversed(d.index))),
         )
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from .chains import DiffChain, LeaderSpec, minimalize
 from .diffpoly import (
     MultiIndex,
-    RingSpec,
     dominates,
     index_order,
     iter_indices,
@@ -123,24 +122,6 @@ class OmegaResult:
     @property
     def differential_dimension(self) -> int:
         return self.omega.coeffs[-1]
-
-    def to_json_dict(self, ring: RingSpec) -> dict:
-        out = self.omega.to_json_dict()
-        out["differential_dimension"] = self.differential_dimension
-        out["stabilization_bound"] = self.stabilization_bound
-        cones = []
-        for cone in self.janet_cones or ():
-            indet = ring.indeterminate_names[cone.indeterminate]
-            axes = [ring.derivation_names[i] for i in sorted(cone.multiplicative)]
-            cones.append(
-                {
-                    "generator": list(cone.generator),
-                    "indeterminate": indet,
-                    "multiplicative": axes,
-                }
-            )
-        out["janet_cones"] = cones
-        return out
 
 
 def _hilbert_numerator(gens) -> dict[int, int]:
@@ -280,6 +261,18 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
         JanetCone(u, indeterminate, frozenset(axes))
         for u, axes in _janet_basis(gens, num_derivations)
     ]
+
+
+def janet_cone_count(generators, num_derivations: int) -> int:
+    """len(janet_complete(generators, num_derivations)), counted over the
+    same slices without listing a cone: one cone in one variable; a slice
+    [a, b) holds b - a copies of its tails' basis, and the last slice one."""
+    if num_derivations == 1:
+        return 1 if generators else 0
+    return sum(
+        (1 if b is None else b - a) * janet_cone_count(tails, num_derivations - 1)
+        for a, b, tails in _slices(generators)
+    )
 
 
 def omega_janet(spec: LeaderSpec) -> OmegaResult:

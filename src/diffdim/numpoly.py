@@ -126,13 +126,6 @@ class NumericalPolynomial:
                 raise ArithmeticError("basis conversion lost exactness")
         return tuple(Fraction(c, scale) for c in out)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "binomial_coeffs": list(self.coeffs),
-            "standard_coeffs": [str(c) for c in self.to_standard_basis()],
-            "degree": self.degree,
-        }
-
 
 def _coeff_prefix(c, sep: str) -> str:
     mag = abs(c)

@@ -14,7 +14,7 @@ import pytest
 
 import diffdim
 from diffdim import NumericalPolynomial, cli, dimension
-from diffdim.cli import ORACLE_VISIT_LIMIT, run
+from diffdim.cli import JANET_CONE_LIMIT, ORACLE_VISIT_LIMIT, run
 
 from corpus import run_in_fresh_process
 
@@ -65,6 +65,26 @@ def test_omega_json_matches_schema(data_dir, capsys):
     assert payload["janet_cones"]
 
 
+def test_omega_result_json_shape(tmp_path, capsys):
+    path = tmp_path / "square.sys"
+    path.write_text(
+        "ring derivations=(t,x) indeterminates=(u)\n"
+        "ranking orderly tiebreak=(u)\n"
+        "chain A { u[2,0]; u[1,1]; }\n"
+    )
+    assert run(["omega", str(path), "--chain", "A", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    _check(out, "omega_result.schema.json")
+    assert out["binomial_coeffs"] == [1, 1, 0]
+    assert out["standard_coeffs"] == ["2", "1", "0"]
+    assert out["degree"] == 1
+    assert out["differential_dimension"] == 0
+    assert out["stabilization_bound"] == 2
+    cones = {(tuple(c["generator"]), tuple(c["multiplicative"])) for c in out["janet_cones"]}
+    assert cones == {((1, 1), ("x",)), ((2, 0), ("t", "x"))}
+    assert all(c["indeterminate"] == "u" for c in out["janet_cones"])
+
+
 def test_oracle_table(data_dir, capsys):
     code = run(["oracle", str(data_dir / "burgers.sys"), "--chain", "B", "--max-order", "6"])
     out = capsys.readouterr().out.splitlines()
@@ -99,6 +119,7 @@ def test_validate_text_and_json(data_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     _check(payload, "validation_report.schema.json")
     assert payload["triangular"] and payload["coherent"]
+    assert payload["regularity_of_initials_and_separants"] == "unverified-assumed"
     assert payload["delta_traces"][0]["reduced_to_zero"] is True
 
 
@@ -198,6 +219,19 @@ def test_compare_omega_distinct_and_contradiction(data_dir, capsys):
     assert "relation: OmegaDistinct-ProperlyContained" in out
 
     code = run(
+        ["compare", str(data_dir / "pde_pair.sys"), "--smaller", "S2", "--larger", "S1", "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    _check(payload, "compare_verdict.schema.json")
+    assert payload["relation"] == "OmegaDistinct-ProperlyContained"
+    assert payload["leader_report"] == {
+        "u[1,0]": {"smaller_degree": None, "larger_degree": 1},
+        "u[1,1]": {"smaller_degree": 1, "larger_degree": None},
+        "u[2,0]": {"smaller_degree": 1, "larger_degree": None},
+    }
+
+    code = run(
         [
             "compare",
             str(data_dir / "pde_pair.sys"),
@@ -222,6 +256,15 @@ def test_compare_unknown_containment(data_dir, capsys):
     assert code == 2
     assert "relation: ContainmentUnknown" in out
     assert "relation if containment held: InputContradiction" in out
+
+    code = run(
+        ["compare", str(data_dir / "pde_pair.sys"), "--smaller", "S1", "--larger", "S2", "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    _check(payload, "compare_verdict.schema.json")
+    assert payload["relation"] == "ContainmentUnknown"
+    assert payload["assumed_relation"] == "InputContradiction"
 
 
 def test_usage_errors_exit_64(data_dir, capsys):
@@ -376,16 +419,43 @@ def test_omega_on_a_leader_of_order_2000_stays_fast(tmp_path, capsys):
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
 
 
+def test_omega_json_above_the_cone_limit_is_usage_error(tmp_path, capsys):
+    # u[N,0], u[0,1] has N + 1 Janet cones: the limit itself is listed, one more is refused
+    path = tmp_path / "tall.sys"
+    for order, code in ((JANET_CONE_LIMIT - 1, 0), (JANET_CONE_LIMIT, 64)):
+        path.write_text(
+            "ring derivations=(t,x) indeterminates=(u)\n"
+            "ranking orderly tiebreak=(u)\n"
+            f"chain A {{ u[{order},0]; u[0,1]; }}\n"
+        )
+        assert run(["omega", str(path), "--chain", "A", "--json"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert len(json.loads(out)["janet_cones"]) == JANET_CONE_LIMIT
+        else:
+            assert out == ""
+            assert err == MAIN_USAGE + (
+                f"diffdim: error: --json would list {JANET_CONE_LIMIT + 1} Janet cones, "
+                f"over the limit of {JANET_CONE_LIMIT}\n"
+            )
+
+
 @pytest.mark.parametrize(
-    "argv, first_line",
+    "argv, code, start",
     [
-        (["omega", "--chain", "A"], "ω(ℓ) = 1000000000000 = 1000000000000 "),
-        (["compare", "--smaller", "A", "--larger", "A"], "relation: Equal"),
+        (["omega", "--chain", "A"], 0, "ω(ℓ) = 1000000000000 = 1000000000000 "),
+        (["compare", "--smaller", "A", "--larger", "A"], 0, "relation: Equal"),
+        (
+            ["omega", "--chain", "A", "--json"],
+            64,
+            MAIN_USAGE + "diffdim: error: --json would list 1000000000001 Janet cones, over the",
+        ),
     ],
 )
-def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, first_line):
+def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, code, start):
     # The Janet basis has 10^12 + 1 cones here; omega and compare sum them in
-    # closed form, and the subprocess timeout stops a run that lists them.
+    # closed form, omega --json refuses to list them before it starts, and the
+    # subprocess timeout stops a run that lists them.
     path = tmp_path / "tall.sys"
     path.write_text(
         "ring derivations=(t,x) indeterminates=(u)\n"
@@ -394,20 +464,20 @@ def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, first_li
     )
     argv = [argv[0], str(path), *argv[1:]]
     script = f"""
-import contextlib, io, time
+import contextlib, io, json, time
 from diffdim.cli import run
-out = io.StringIO()
+out, err = io.StringIO(), io.StringIO()
 start = time.perf_counter()
-with contextlib.redirect_stdout(out):
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = run({argv!r})
-print(code, time.perf_counter() - start)
-print(out.getvalue(), end="")
+print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalue()]))
 """
-    status, *lines = run_in_fresh_process(script, timeout=5).splitlines()
-    code, elapsed = status.split()
-    assert code == "0"
-    assert lines[0].startswith(first_line)
-    assert float(elapsed) < 2.0, f"took {float(elapsed):.2f}s against a 2s budget"
+    status, elapsed, out, err = json.loads(run_in_fresh_process(script, timeout=5))
+    assert status == code
+    shown, silent = (out, err) if code == 0 else (err, out)
+    assert shown.startswith(start)
+    assert silent == ""
+    assert elapsed < 2.0, f"took {elapsed:.2f}s against a 2s budget"
 
 
 def test_parse_error_exits_65(tmp_path, capsys):

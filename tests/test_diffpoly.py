@@ -495,6 +495,15 @@ def test_tiebreak_entries_must_be_ints():
         Ranking.orderly(plain_ring(1, 2), (1, -1))
 
 
+def test_indeterminate_outside_the_ranking_is_a_value_error():
+    ranking = plain_ranking(1, 1)
+    outside = make_derivative(1, (0,))
+    with pytest.raises(ValueError):
+        ranking.key(outside)
+    with pytest.raises(ValueError):
+        ranking.leader(dvar(0, (1,)) + DiffPoly.variable(outside))
+
+
 def test_ranking_axioms_exhaustively_small():
     ranking = plain_ranking(2, 2)
     derivs = [

@@ -144,12 +144,3 @@ def test_text_rendering():
     assert standard_text(NumericalPolynomial([2, 0])) == "2"
     assert binomial_text(NumericalPolynomial([0, 1, 0])) == "C(ℓ+1,1)"
     assert standard_text(NumericalPolynomial([0, 0, 1])) == "(1/2)ℓ^2 + (3/2)ℓ + 1"
-
-
-def test_json_dict_shape():
-    payload = NumericalPolynomial([-1, 2, 0]).to_json_dict()
-    assert payload == {
-        "binomial_coeffs": [-1, 2, 0],
-        "standard_coeffs": ["1", "2", "0"],
-        "degree": 1,
-    }
