@@ -37,8 +37,11 @@ def minimalize(indices) -> tuple[MultiIndex, ...]:
     """Antichain of the given multi-indices: a lexicographic scan keeps an index unless a kept
     one divides it; lex order extends the componentwise order, so minimal divisors come first."""
     kept: list[MultiIndex] = []
-    for mu in sorted(set(tuple(mu) for mu in indices)):
-        if not any(dominates(mu, g) for g in kept):
+    for mu in sorted(set(map(tuple, indices))):
+        for g in kept:
+            if all(map(operator.ge, mu, g)):
+                break
+        else:
             kept.append(mu)
     return tuple(kept)
 

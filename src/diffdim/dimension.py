@@ -9,9 +9,10 @@ brute-force lattice-point oracle they are checked against:
   subsets collapsed into the numerator K(t) of the Hilbert series of the
   monomial ideal the leaders generate, computed by the pivot recursion
   K(G + {m}) = K(G) - t^|m| K(G : m) (Bayer-Stillman, "Computation of
-  Hilbert functions", JSC 1992), which stops at Bigatti's two-axis closed
-  form once the generators, a lex-sorted antichain, use at most two axes
-  (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997);
+  Hilbert functions", JSC 1992), which stops at Bigatti's closed form
+  once the generators, a lex-sorted antichain, are at most two or use at
+  most two axes (Bigatti, "Computation of Hilbert-Poincare series", JPAA
+  1997), and adds every level's terms into one accumulator;
 - the minimal Janet basis of the leaders, whose Janet cones are disjoint,
   built one slice of the first coordinate at a time: every value of that
   coordinate between two consecutive first exponents of the leaders
@@ -26,8 +27,10 @@ brute-force lattice-point oracle they are checked against:
 
   so the slice [a, b) adds its sub-basis's numerator times t^a - t^b, and
   the basis is summed as a Stanley decomposition (Seiler, "Involution",
-  Springer 2010) in time independent of the gaps.  janet_complete lists
-  the cones themselves, for output only.
+  Springer 2010) in time independent of the gaps.  In two variables a
+  lex-sorted antichain is a staircase whose generators are each their own
+  slice, and the numerator is read off it in closed form, with no slice
+  built.  janet_complete lists the cones themselves, for output only.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .diffpoly import (
     MultiIndex,
     dominates,
     index_order,
+    is_multi_index,
     iter_indices,
     join_indices,
 )
@@ -129,26 +133,36 @@ def _hilbert_numerator(gens) -> dict[int, int]:
     a lex-sorted antichain gens, as {exponent: nonzero coefficient}.
 
     K(t) is the signed sum over subsets S of the generators of
-    (-1)^|S| t^|join(S)|.  On at most two used axes, lex order sorts the
-    generators up one axis and down the other, and Bigatti's closed form
-    K = 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))| applies; it covers
-    the empty set, an order-0 generator and a single generator too.
-    Otherwise the pivot adds one generator m at a time,
+    (-1)^|S| t^|join(S)|.  Two base cases need the lex-sorted antichain:
+    on at most two generators, or on at most two used axes, where lex order
+    sorts the generators up one axis and down the other, Bigatti's closed
+    form K = 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))| applies; with
+    two generators it is the sum over their four subsets.  Otherwise the
+    pivot adds one generator m at a time,
     K(done + {m}) = K(done) - t^|m| K(done : m), where the colon ideal
     done : m is generated by the antichain of join(g, m) - m over done.
+    Every level of the pivot adds its terms, shifted and signed, into one
+    dict.
     """
-    if sum(map(any, zip(*gens))) <= 2:
-        terms = [(sum(g), -1) for g in gens]
-        terms += [(sum(map(max, g, h)), 1) for g, h in zip(gens, gens[1:])]
+    k: dict[int, int] = {}
+    _add_hilbert_numerator(gens, 0, 1, k)
+    return {e: c for e, c in k.items() if c}
+
+
+def _add_hilbert_numerator(gens, shift: int, sign: int, k: dict[int, int]) -> None:
+    """Add sign * t^shift * K(gens) into k, by _hilbert_numerator's cases."""
+    k[shift] = k.get(shift, 0) + sign
+    if len(gens) <= 2 or sum(map(any, zip(*gens))) <= 2:
+        for g in gens:
+            e = shift + sum(g)
+            k[e] = k.get(e, 0) - sign
+        for g, h in zip(gens, gens[1:]):
+            e = shift + sum(map(max, g, h))
+            k[e] = k.get(e, 0) + sign
     else:
-        terms = []
         for i, m in enumerate(gens):
             colon = minimalize(tuple(map(operator.sub, map(max, g, m), m)) for g in gens[:i])
-            terms += [(e + sum(m), -c) for e, c in _hilbert_numerator(colon).items()]
-    k = {0: 1}
-    for e, c in terms:
-        k[e] = k.get(e, 0) + c
-    return {e: c for e, c in k.items() if c}
+            _add_hilbert_numerator(colon, shift + sum(m), -sign, k)
 
 
 def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
@@ -211,29 +225,42 @@ def _janet_basis(gens, n: int) -> list[tuple[MultiIndex, tuple[int, ...]]]:
 
 
 def _janet_numerator(gens, n: int) -> tuple[dict[int, int], int]:
-    """(K, top) for the minimal Janet basis of the cones over gens in n
-    variables, without listing it: its cones hold sum_s K[s] C(l - s + n, n)
-    points of order <= l together, as polynomials in l, and top is the
-    largest order of a cone's generator.
+    """(K, top) for the minimal Janet basis of the cones over a lex-sorted
+    antichain gens in n variables, without listing it: its cones hold
+    sum_s K[s] C(l - s + n, n) points of order <= l together, as polynomials
+    in l, and top is the largest order of a cone's generator.
 
     In one variable the single cone at the minimum gives K = t^min.  A slice
     [a, b) of janet_complete copies the basis of its tails at every x in
     [a, b), and those copies telescope: the slice adds K_tails (t^a - t^b),
     and the last slice, where axis 0 is multiplicative, K_tails t^a.  Either
-    way a term gains one axis, so every term has n of them.
+    way a term gains one axis, so every term has n of them.  In two
+    variables the lex-sorted antichain (a_i, b_i) has increasing a_i and
+    decreasing b_i, so each generator is its own slice, whose tails' basis
+    is the cone at b_i: K = sum_i t^(a_i + b_i) - sum_(i<k) t^(a_(i+1) + b_i),
+    and top is the largest of a_k + b_k and a_(i+1) + b_i - 1, with no slice
+    built.
     """
     if n == 1:
         low = min(g[0] for g in gens)
         return {low: 1}, low
     numerator: dict[int, int] = {}
-    top = 0
-    for a, b, tails in _slices(gens):
-        sub, sub_top = _janet_numerator(tails, n - 1)
-        for s, c in sub.items():
-            numerator[s + a] = numerator.get(s + a, 0) + c
-            if b is not None:
-                numerator[s + b] = numerator.get(s + b, 0) - c
-        top = max(top, sub_top + (a if b is None else b - 1))
+    if n == 2:
+        top = sum(gens[-1])
+        numerator[top] = 1
+        for (a, b), (next_a, _) in zip(gens, gens[1:]):
+            numerator[a + b] = numerator.get(a + b, 0) + 1
+            numerator[next_a + b] = numerator.get(next_a + b, 0) - 1
+            top = max(top, next_a + b - 1)
+    else:
+        top = 0
+        for a, b, tails in _slices(gens):
+            sub, sub_top = _janet_numerator(tails, n - 1)
+            for s, c in sub.items():
+                numerator[s + a] = numerator.get(s + a, 0) + c
+                if b is not None:
+                    numerator[s + b] = numerator.get(s + b, 0) - c
+            top = max(top, sub_top + (a if b is None else b - 1))
     return {s: c for s, c in numerator.items() if c}, top
 
 
@@ -252,9 +279,11 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
     first exponents (N + 1 cones for u[N,0], u[0,1]), so omega_janet sums
     the same slices in closed form instead, by the telescoping identity in
     the module docstring (Seiler, "Involution", 2010); this is only the
-    listing, which OmegaResult.janet_cones and omega --json read.
+    listing, which OmegaResult.janet_cones and omega --json read.  A
+    generator that is not a multi-index of num_derivations naturals raises
+    ValueError.
     """
-    gens = {tuple(mu) for mu in generators}
+    gens = _multi_indices(generators, num_derivations)
     if not gens:
         return []
     return [
@@ -266,13 +295,25 @@ def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> 
 def janet_cone_count(generators, num_derivations: int) -> int:
     """len(janet_complete(generators, num_derivations)), counted over the
     same slices without listing a cone: one cone in one variable; a slice
-    [a, b) holds b - a copies of its tails' basis, and the last slice one."""
+    [a, b) holds b - a copies of its tails' basis, and the last slice one.
+    Its generators are checked as janet_complete checks them."""
+    gens = _multi_indices(generators, num_derivations)
     if num_derivations == 1:
-        return 1 if generators else 0
+        return 1 if gens else 0
     return sum(
         (1 if b is None else b - a) * janet_cone_count(tails, num_derivations - 1)
-        for a, b, tails in _slices(generators)
+        for a, b, tails in _slices(gens)
     )
+
+
+def _multi_indices(generators, n: int) -> set[MultiIndex]:
+    """The generators as a set of tuples; ValueError unless each one is a
+    multi-index of n naturals, as LeaderSpec requires."""
+    gens = set(map(tuple, generators))
+    for mu in gens:
+        if len(mu) != n or not is_multi_index(mu):
+            raise ValueError(f"bad multi-index {mu}")
+    return gens
 
 
 def omega_janet(spec: LeaderSpec) -> OmegaResult:

@@ -33,7 +33,7 @@ class NumericalPolynomial:
         if not coeffs:
             coeffs = (0,)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"binomial-basis coefficients must be int, got {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
 

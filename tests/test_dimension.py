@@ -175,6 +175,14 @@ def test_janet_completion_empty():
     assert janet_complete([], 3) == []
 
 
+@pytest.mark.parametrize("gens, n", [([(1, 2)], 1), ([(1,)], 2), ([(1, -2)], 2), ([(True, 0)], 2)])
+def test_janet_complete_and_cone_count_reject_a_bad_multi_index(gens, n):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        janet_complete(gens, n)
+    with pytest.raises(ValueError, match="bad multi-index"):
+        dimension.janet_cone_count(gens, n)
+
+
 def _janet_multiplicative(gens, n):
     """Janet's axis assignment: axis i is multiplicative for u when u[i] is the
     largest exponent on axis i among the multi-indices that agree with u
@@ -382,6 +390,48 @@ def test_janet_closed_form_matches_the_listed_cones():
         assert {ell: result.omega.eval(ell) for ell in values} == values, spec
 
 
+def _numerator_of_listed_cones(gens, n):
+    """(K, top) read off janet_complete's cones: a cone at u with z
+    multiplicative axes has Hilbert series t^|u| / (1 - t)^z, so it adds
+    t^|u| (1 - t)^(n - z) to K, and top is the largest |u|."""
+    k = {}
+    cones = janet_complete(gens, n)
+    for cone in cones:
+        q, gap = index_order(cone.generator), n - len(cone.multiplicative)
+        for j in range(gap + 1):
+            k[q + j] = k.get(q + j, 0) + (-1) ** j * math.comb(gap, j)
+    return {e: c for e, c in k.items() if c}, max(index_order(c.generator) for c in cones)
+
+
+def test_janet_numerator_two_axis_closed_form_matches_the_listed_cones():
+    rng = random.Random(30)
+    cases = [((0, 0),), ((4, 7),), tuple((a, 19 - a) for a in range(20))]
+    cases.append(tuple((2 * a, 3 * (19 - a)) for a in range(20)))
+    for _ in range(400):
+        points = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 9))]
+        cases.append(minimalize(points))
+    for gens in cases:
+        assert dimension._janet_numerator(gens, 2) == _numerator_of_listed_cones(gens, 2), gens
+
+
+def test_janet_numerator_two_axis_base_case_builds_no_slice(monkeypatch):
+    calls = []
+
+    def counting_minimalize(indices):
+        calls.append(1)
+        return minimalize(indices)
+
+    monkeypatch.setattr(dimension, "minimalize", counting_minimalize)
+    staircase = tuple((a, 19 - a) for a in range(20))
+    assert dimension._janet_numerator(staircase, 2) == ({19: 20, 20: -19}, 19)
+    assert dimension._janet_numerator(((0, 0),), 2) == ({0: 1}, 0)
+    assert dimension._janet_numerator(((3, 1),), 2) == ({4: 1}, 4)
+    assert calls == []
+    three_axes = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert dimension._janet_numerator(three_axes, 3) == _numerator_of_listed_cones(three_axes, 3)
+    assert calls
+
+
 def test_janet_cone_count_matches_the_listing():
     rng = random.Random(29)
     for _ in range(1000):
@@ -517,6 +567,26 @@ def test_hilbert_numerator_two_axis_base_case_skips_the_pivot(monkeypatch):
     three_axes = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     assert dimension._hilbert_numerator(three_axes) == _numerator_by_subsets(three_axes)
     assert calls
+
+
+def test_hilbert_numerator_two_generator_base_case_skips_the_pivot(monkeypatch):
+    calls = []
+
+    def counting_minimalize(indices):
+        calls.append(1)
+        return minimalize(indices)
+
+    rng = random.Random(32)
+    cases = [((0, 1, 2), (1, 0, 0)), ((0, 0, 0, 1, 1), (2, 1, 1, 0, 0))]
+    while len(cases) < 300:
+        n = rng.randint(3, 5)
+        gens = minimalize(random_index(rng, n, rng.randint(1, 8)) for _ in range(2))
+        if len(gens) == 2 and sum(map(any, zip(*gens))) > 2:
+            cases.append(gens)
+    expected = [_numerator_by_subsets(gens) for gens in cases]
+    monkeypatch.setattr(dimension, "minimalize", counting_minimalize)
+    assert [dimension._hilbert_numerator(gens) for gens in cases] == expected
+    assert calls == []
 
 
 def test_incl_excl_twenty_leaders_of_order_nineteen():

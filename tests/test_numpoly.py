@@ -22,6 +22,8 @@ def test_eval_rejects_negative_argument():
 def test_coefficients_must_be_integers():
     with pytest.raises(TypeError):
         NumericalPolynomial([Fraction(1, 2)])
+    with pytest.raises(TypeError, match="True"):
+        NumericalPolynomial([True, 2])
 
 
 def test_degree_conventions():
