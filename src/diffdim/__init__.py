@@ -29,13 +29,12 @@ from .diffpoly import (
 )
 from .dimension import (
     InternalDisagreementError,
-    JanetCone,
+    JanetBox,
     LeaderSpec,
     OmegaResult,
-    count_derivatives,
+    janet_boxes,
     janet_complete,
     krull_oracle,
-    normalize_leaders,
     omega,
     omega_incl_excl,
     omega_janet,

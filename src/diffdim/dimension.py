@@ -30,12 +30,16 @@ brute-force lattice-point oracle they are checked against:
   Springer 2010) in time independent of the gaps.  In two variables a
   lex-sorted antichain is a staircase whose generators are each their own
   slice, and the numerator is read off it in closed form, with no slice
-  built.  janet_complete lists the cones themselves, for output only.
+  built.  For output, janet_boxes lists the same basis as disjoint boxes:
+  a slice's copies, with their multiplicative axes, fill one box
+  prod_i [a_i, b_i), b_i = infinity on a multiplicative axis, so the
+  number of boxes does not depend on the gaps either.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,6 +50,7 @@ from .diffpoly import (
     dominates,
     index_order,
     is_multi_index,
+    is_natural,
     iter_indices,
     join_indices,
 )
@@ -57,38 +62,24 @@ class InternalDisagreementError(RuntimeError):
     algorithms for omega; this indicates a bug."""
 
 
-def normalize_leaders(chain: DiffChain) -> LeaderSpec:
-    """The leader cones of a valid chain: its leader_spec, whose groups weak
-    triangularity makes antichains of every leader."""
-    chain.require_valid()
-    return chain.leader_spec
+def krull_oracle(spec: LeaderSpec, max_order: int) -> int:
+    """Number of derivatives of order <= max_order free of every leader cone.
 
-
-def count_derivatives(spec: LeaderSpec, max_order: int) -> int:
-    """Lattice points of total order <= max_order inside the union of leader cones.
-
-    Pure enumeration, kept deliberately independent of both closed forms.
-    max_order must be an int (a bool is not one); a negative one raises
-    ValueError.
+    Pure enumeration of the lattice points inside the union of leader cones,
+    kept deliberately independent of both closed forms.  max_order must be an
+    int (a bool is not one); a negative one raises ValueError.
     """
     if type(max_order) is not int:
         raise TypeError(f"max_order must be an int, got {max_order!r}")
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    total = 0
-    for gens in spec.generators:
-        if not gens:
-            continue
-        for mu in iter_indices(spec.num_derivations, max_order):
-            if any(dominates(mu, g) for g in gens):
-                total += 1
-    return total
-
-
-def krull_oracle(spec: LeaderSpec, max_order: int) -> int:
-    """Number of derivatives of order <= max_order free of every leader cone."""
-    covered = count_derivatives(spec, max_order)
     n = spec.num_derivations
+    covered = sum(
+        any(dominates(mu, g) for g in gens)
+        for gens in spec.generators
+        if gens
+        for mu in iter_indices(n, max_order)
+    )
     return spec.num_indeterminates * math.comb(max_order + n, n) - covered
 
 
@@ -97,23 +88,34 @@ class OmegaResult:
     """Dimension polynomial plus the bound after which it counts exactly.
 
     A result of the Janet route keeps the leaders it came from, and lists
-    their minimal Janet basis the first time janet_cones is read.
+    their minimal Janet basis as boxes when janet_boxes is read.
     """
 
     omega: NumericalPolynomial
     stabilization_bound: int
     leaders: LeaderSpec | None = None
 
-    @functools.cached_property
-    def janet_cones(self) -> tuple["JanetCone", ...] | None:
+    @property
+    def janet_boxes(self) -> tuple["JanetBox", ...] | None:
         if self.leaders is None:
             return None
         n = self.leaders.num_derivations
         return tuple(
-            cone
+            box
             for j, gens in enumerate(self.leaders.generators)
-            for cone in janet_complete(gens, n, indeterminate=j)
+            for box in janet_boxes(gens, n, indeterminate=j)
         )
+
+    @property
+    def janet_cones(self) -> tuple[MultiIndex, ...] | None:
+        """The generators of the cones in janet_boxes, group by group and in
+        increasing order within a group: N + 1 of them for u[N,0], u[0,1].
+        It stays only because the traced counter of bench/layers.py and
+        bench/cliffs.py read its length, until that counter counts boxes."""
+        if self.leaders is None:
+            return None
+        n = self.leaders.num_derivations
+        return tuple(u for gens in self.leaders.generators for u in janet_complete(gens, n))
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -190,10 +192,16 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
 
 
 @dataclass(frozen=True)
-class JanetCone:
-    generator: MultiIndex
+class JanetBox:
+    """Cones of a minimal Janet basis of one indeterminate whose union is the
+    box prod_i [lower_i, upper_i) of multi-indices.  upper_i is None on the
+    axes multiplicative for every cone of the box, where the box is
+    unbounded and each generator is lower_i; on the other axes the
+    generators take every value in [lower_i, upper_i)."""
+
+    lower: MultiIndex
+    upper: tuple[int | None, ...]
     indeterminate: int
-    multiplicative: frozenset[int]
 
 
 def _slices(gens):
@@ -210,18 +218,17 @@ def _slices(gens):
         yield a, b, tails
 
 
-def _janet_basis(gens, n: int) -> list[tuple[MultiIndex, tuple[int, ...]]]:
-    """Minimal Janet basis of the cones over gens in n variables, as
-    (multi-index, multiplicative axes) pairs in increasing order."""
+def _boxes(gens, n: int):
+    """(lower, upper) of each box of the minimal Janet basis of the cones over
+    gens in n variables, in increasing order of lower: the cone at the
+    minimum in one variable, and a slice [a, b) times each box of its
+    tails."""
     if n == 1:
-        return [((min(g[0] for g in gens),), (0,))]
-    basis = []
+        yield (min(g[0] for g in gens),), (None,)
+        return
     for a, b, tails in _slices(gens):
-        head = (0,) if b is None else ()
-        sub = [(u, head + tuple(k + 1 for k in axes)) for u, axes in _janet_basis(tails, n - 1)]
-        for x in range(a, a + 1 if b is None else b):
-            basis.extend(((x,) + u, axes) for u, axes in sub)
-    return basis
+        for lower, upper in _boxes(tails, n - 1):
+            yield (a,) + lower, (b,) + upper
 
 
 def _janet_numerator(gens, n: int) -> tuple[dict[int, int], int]:
@@ -231,9 +238,10 @@ def _janet_numerator(gens, n: int) -> tuple[dict[int, int], int]:
     in l, and top is the largest order of a cone's generator.
 
     In one variable the single cone at the minimum gives K = t^min.  A slice
-    [a, b) of janet_complete copies the basis of its tails at every x in
-    [a, b), and those copies telescope: the slice adds K_tails (t^a - t^b),
-    and the last slice, where axis 0 is multiplicative, K_tails t^a.  Either
+    [a, b) copies the basis of its tails at every x in [a, b), as the boxes
+    of janet_boxes show, and those copies telescope: the slice adds
+    K_tails (t^a - t^b), and the last slice, where axis 0 is multiplicative,
+    K_tails t^a.  Either
     way a term gains one axis, so every term has n of them.  In two
     variables the lex-sorted antichain (a_i, b_i) has increasing a_i and
     decreasing b_i, so each generator is its own slice, whose tails' basis
@@ -264,56 +272,47 @@ def _janet_numerator(gens, n: int) -> tuple[dict[int, int], int]:
     return {s: c for s, c in numerator.items() if c}, top
 
 
-def janet_complete(generators, num_derivations: int, indeterminate: int = 0) -> list[JanetCone]:
+def janet_boxes(generators, num_derivations: int, indeterminate: int = 0) -> list[JanetBox]:
     """The unique minimal Janet basis of the cones over an antichain of
-    generators, such as one group of a LeaderSpec, listed cone by cone.
+    generators, such as one group of a LeaderSpec, as disjoint boxes in
+    increasing order of their lower corners.
 
     Slice along axis 0: with a_1 < ... < a_k the distinct first exponents
     and R_i the antichain of tails g[1:] of the generators with g[0] <= a_i,
     each x in [a_i, a_(i+1)) carries a copy of the minimal Janet basis of
     R_i in the remaining axes, with axis 0 non-multiplicative, and x = a_k
-    alone carries R_k's basis with axis 0 multiplicative.  In one variable
-    the basis is the single cone at the minimum.  The cones are pairwise
-    disjoint, cover exactly the union of the ordinary cones of the input,
-    and come sorted by generator.  The list grows with the gaps between
-    first exponents (N + 1 cones for u[N,0], u[0,1]), so omega_janet sums
-    the same slices in closed form instead, by the telescoping identity in
-    the module docstring (Seiler, "Involution", 2010); this is only the
-    listing, which OmegaResult.janet_cones and omega --json read.  A
-    generator that is not a multi-index of num_derivations naturals raises
-    ValueError.
+    alone carries R_k's basis with axis 0 multiplicative (Gerdt-Blinkov
+    1998).  In one variable the basis is the single cone at the minimum.
+    So each box of R_i becomes one box with [a_i, a_(i+1)) on axis 0, or
+    [a_k, infinity) on the last slice: the cones cover exactly the union of
+    the ordinary cones of the input, once each, and the number of boxes does
+    not depend on the gaps (two for u[N,0], u[0,1], against N + 1 cones).
+    A num_derivations that is not a positive int, or a generator that is
+    not a multi-index of num_derivations naturals, raises ValueError.
     """
-    gens = _multi_indices(generators, num_derivations)
-    if not gens:
-        return []
-    return [
-        JanetCone(u, indeterminate, frozenset(axes))
-        for u, axes in _janet_basis(gens, num_derivations)
-    ]
-
-
-def janet_cone_count(generators, num_derivations: int) -> int:
-    """len(janet_complete(generators, num_derivations)), counted over the
-    same slices without listing a cone: one cone in one variable; a slice
-    [a, b) holds b - a copies of its tails' basis, and the last slice one.
-    Its generators are checked as janet_complete checks them."""
-    gens = _multi_indices(generators, num_derivations)
-    if num_derivations == 1:
-        return 1 if gens else 0
-    return sum(
-        (1 if b is None else b - a) * janet_cone_count(tails, num_derivations - 1)
-        for a, b, tails in _slices(gens)
-    )
-
-
-def _multi_indices(generators, n: int) -> set[MultiIndex]:
-    """The generators as a set of tuples; ValueError unless each one is a
-    multi-index of n naturals, as LeaderSpec requires."""
+    if not (is_natural(num_derivations) and num_derivations > 0):
+        raise ValueError(f"need at least one derivation, got {num_derivations!r}")
     gens = set(map(tuple, generators))
     for mu in gens:
-        if len(mu) != n or not is_multi_index(mu):
+        if len(mu) != num_derivations or not is_multi_index(mu):
             raise ValueError(f"bad multi-index {mu}")
-    return gens
+    if not gens:
+        return []
+    return [JanetBox(lower, upper, indeterminate) for lower, upper in _boxes(gens, num_derivations)]
+
+
+def janet_complete(generators, num_derivations: int) -> list[MultiIndex]:
+    """The generators of the cones of janet_boxes(generators,
+    num_derivations), in increasing order: every point of each box, held at
+    the lower corner on its multiplicative axes.  This lists every cone, so
+    only OmegaResult.janet_cones and bench/make_cones_pool.py read it."""
+    return sorted(
+        u
+        for box in janet_boxes(generators, num_derivations)
+        for u in itertools.product(
+            *(range(a, a + 1 if b is None else b) for a, b in zip(box.lower, box.upper))
+        )
+    )
 
 
 def omega_janet(spec: LeaderSpec) -> OmegaResult:
@@ -333,7 +332,7 @@ def omega_janet(spec: LeaderSpec) -> OmegaResult:
         omega(l) = m*C(n+l, n) - sum over groups and s of K[s] C(l - s + n, n)
 
     exact once l reaches the largest generator order in the basis.  The
-    result lists the cones (janet_cones) only when they are read.
+    result lists the basis (janet_boxes) only when it is read.
     """
     n = spec.num_derivations
     terms = [(spec.num_indeterminates, 0, n)]
@@ -349,12 +348,13 @@ def omega_janet(spec: LeaderSpec) -> OmegaResult:
 def omega(chain: DiffChain) -> OmegaResult:
     """Dimension polynomial of a validated chain.
 
-    The Janet route gives the result, in closed form, and lists its cones
-    only if janet_cones is read; the inclusion-exclusion route, collapsed
+    The Janet route gives the result, in closed form, and lists its basis
+    only if janet_boxes is read; the inclusion-exclusion route, collapsed
     into the Hilbert-numerator pivot, always runs as well, and the two
     polynomials must agree coefficientwise.
     """
-    spec = normalize_leaders(chain)
+    chain.require_valid()
+    spec = chain.leader_spec
     janet_result = omega_janet(spec)
     other = omega_incl_excl(spec)
     if other.omega != janet_result.omega:

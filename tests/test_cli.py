@@ -14,7 +14,7 @@ import pytest
 
 import diffdim
 from diffdim import NumericalPolynomial, cli, dimension
-from diffdim.cli import JANET_CONE_LIMIT, ORACLE_VISIT_LIMIT, run
+from diffdim.cli import ORACLE_VISIT_LIMIT, run
 
 from corpus import run_in_fresh_process
 
@@ -62,7 +62,7 @@ def test_omega_json_matches_schema(data_dir, capsys):
     assert payload["degree"] == 1
     assert payload["differential_dimension"] == 0
     assert payload["stabilization_bound"] == 2
-    assert payload["janet_cones"]
+    assert payload["janet_boxes"] == [{"indeterminate": "u", "lower": [0, 2], "upper": [None, None]}]
 
 
 def test_omega_result_json_shape(tmp_path, capsys):
@@ -80,9 +80,11 @@ def test_omega_result_json_shape(tmp_path, capsys):
     assert out["degree"] == 1
     assert out["differential_dimension"] == 0
     assert out["stabilization_bound"] == 2
-    cones = {(tuple(c["generator"]), tuple(c["multiplicative"])) for c in out["janet_cones"]}
-    assert cones == {((1, 1), ("x",)), ((2, 0), ("t", "x"))}
-    assert all(c["indeterminate"] == "u" for c in out["janet_cones"])
+    # the cones at (1,1), multiplicative in x, and at (2,0), multiplicative in t and x
+    assert out["janet_boxes"] == [
+        {"indeterminate": "u", "lower": [1, 1], "upper": [2, None]},
+        {"indeterminate": "u", "lower": [2, 0], "upper": [None, None]},
+    ]
 
 
 def test_oracle_table(data_dir, capsys):
@@ -400,8 +402,9 @@ def test_oracle_table_above_visit_limit_is_usage_error(tmp_path, capsys):
 
 
 def test_omega_on_a_leader_of_order_2000_stays_fast(tmp_path, capsys):
-    # The Janet basis has 2,001 cones here; a completion that rescans from the
-    # first multi-index after each insertion is quadratic in that count.
+    # The Janet basis has 2,001 cones here, in two boxes; a completion that
+    # rescans from the first multi-index after each insertion is quadratic in
+    # the cone count.
     path = tmp_path / "tall.sys"
     path.write_text(
         "ring derivations=(t,x) indeterminates=(u)\n"
@@ -415,29 +418,11 @@ def test_omega_on_a_leader_of_order_2000_stays_fast(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["binomial_coeffs"] == [2000, 0, 0]
     assert payload["stabilization_bound"] == 2000
-    assert len(payload["janet_cones"]) == 2001
+    assert payload["janet_boxes"] == [
+        {"indeterminate": "u", "lower": [0, 1], "upper": [2000, None]},
+        {"indeterminate": "u", "lower": [2000, 0], "upper": [None, None]},
+    ]
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
-
-
-def test_omega_json_above_the_cone_limit_is_usage_error(tmp_path, capsys):
-    # u[N,0], u[0,1] has N + 1 Janet cones: the limit itself is listed, one more is refused
-    path = tmp_path / "tall.sys"
-    for order, code in ((JANET_CONE_LIMIT - 1, 0), (JANET_CONE_LIMIT, 64)):
-        path.write_text(
-            "ring derivations=(t,x) indeterminates=(u)\n"
-            "ranking orderly tiebreak=(u)\n"
-            f"chain A {{ u[{order},0]; u[0,1]; }}\n"
-        )
-        assert run(["omega", str(path), "--chain", "A", "--json"]) == code
-        out, err = capsys.readouterr()
-        if code == 0:
-            assert len(json.loads(out)["janet_cones"]) == JANET_CONE_LIMIT
-        else:
-            assert out == ""
-            assert err == MAIN_USAGE + (
-                f"diffdim: error: --json would list {JANET_CONE_LIMIT + 1} Janet cones, "
-                f"over the limit of {JANET_CONE_LIMIT}\n"
-            )
 
 
 @pytest.mark.parametrize(
@@ -445,17 +430,13 @@ def test_omega_json_above_the_cone_limit_is_usage_error(tmp_path, capsys):
     [
         (["omega", "--chain", "A"], 0, "ω(ℓ) = 1000000000000 = 1000000000000 "),
         (["compare", "--smaller", "A", "--larger", "A"], 0, "relation: Equal"),
-        (
-            ["omega", "--chain", "A", "--json"],
-            64,
-            MAIN_USAGE + "diffdim: error: --json would list 1000000000001 Janet cones, over the",
-        ),
+        (["omega", "--chain", "A", "--json"], 0, '{\n  "chain": "A",\n'),
     ],
 )
 def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, code, start):
-    # The Janet basis has 10^12 + 1 cones here; omega and compare sum them in
-    # closed form, omega --json refuses to list them before it starts, and the
-    # subprocess timeout stops a run that lists them.
+    # The Janet basis has 10^12 + 1 cones here, in two boxes; omega and
+    # compare sum the cones in closed form, omega --json lists the boxes, and
+    # the subprocess timeout stops a run that lists the cones.
     path = tmp_path / "tall.sys"
     path.write_text(
         "ring derivations=(t,x) indeterminates=(u)\n"
@@ -478,6 +459,13 @@ print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalu
     assert shown.startswith(start)
     assert silent == ""
     assert elapsed < 2.0, f"took {elapsed:.2f}s against a 2s budget"
+    if "--json" in argv:
+        payload = json.loads(out)
+        _check(payload, "omega_result.schema.json")
+        assert payload["janet_boxes"] == [
+            {"indeterminate": "u", "lower": [0, 1], "upper": [10**12, None]},
+            {"indeterminate": "u", "lower": [10**12, 0], "upper": [None, None]},
+        ]
 
 
 def test_parse_error_exits_65(tmp_path, capsys):
@@ -582,12 +570,12 @@ def test_public_surface():
     assert names == [
         "ArityMismatchError", "CompareVerdict", "ConstantPolynomialError", "Containment",
         "Derivative", "DiffChain", "DiffPoly", "InternalDisagreementError",
-        "InvalidChainError", "JanetCone", "LeaderSpec", "NotTriangularError",
+        "InvalidChainError", "JanetBox", "LeaderSpec", "NotTriangularError",
         "NumericalPolynomial", "OmegaResult", "Ordering", "ParseError", "Ranking",
         "RankingMismatchError", "ReductionTrace", "Relation", "RingSpec", "SystemFile",
         "UnknownIdentifierError", "ValidationReport", "compare_ideals", "containment_check",
-        "count_derivatives", "delta_polynomial", "full_pseudo_reduce", "janet_complete",
-        "krull_oracle", "make_derivative", "membership", "normalize_leaders", "omega",
+        "delta_polynomial", "full_pseudo_reduce", "janet_boxes", "janet_complete",
+        "krull_oracle", "make_derivative", "membership", "omega",
         "omega_incl_excl", "omega_janet", "parse_system", "validate",
     ]
 

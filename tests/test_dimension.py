@@ -13,14 +13,13 @@ from diffdim import (
     DiffChain,
     InternalDisagreementError,
     InvalidChainError,
-    JanetCone,
+    JanetBox,
     LeaderSpec,
     NumericalPolynomial,
     compare_ideals,
-    count_derivatives,
+    janet_boxes,
     janet_complete,
     krull_oracle,
-    normalize_leaders,
     omega,
     omega_incl_excl,
     omega_janet,
@@ -114,73 +113,107 @@ def test_leader_spec_is_frozen_hashable_and_accepts_every_form():
     with pytest.raises(dataclasses.FrozenInstanceError):
         forms[0].generators = ()
 
-def test_normalize_leaders():
+def test_omega_reads_the_leader_spec_of_a_valid_chain():
     chain = DiffChain(
         [dvar(0, (2, 0)), dvar(0, (0, 1)) - dvar(0, (0, 0))], plain_ranking(2, 1)
     )
-    spec = normalize_leaders(chain)
+    spec = chain.leader_spec
     assert spec.generators == (((0, 1), (2, 0)),)
+    assert omega(chain).leaders == spec
     bad = DiffChain(
         [dvar(0, (2, 0)) - dvar(0, (0, 0)), dvar(0, (1, 1)) - dvar(0, (0, 0))],
         plain_ranking(2, 1),
     )
     with pytest.raises(InvalidChainError):
-        normalize_leaders(bad)
+        bad.require_valid()
+    with pytest.raises(InvalidChainError):
+        omega(bad)
 
 
-def test_count_and_oracle_hand_values():
+def test_oracle_hand_values():
+    # covered points are m C(l + n, n) minus the oracle's free ones
     spec = LeaderSpec(2, 1, {0: [(1, 0)]})
-    assert count_derivatives(spec, 3) == 6
+    assert math.comb(3 + 2, 2) - krull_oracle(spec, 3) == 6
     assert krull_oracle(spec, 3) == 10 - 6
     spec = LeaderSpec(2, 1, {0: [(0, 2)]})
     assert krull_oracle(spec, 4) == 9
     empty = LeaderSpec(2, 3)
-    assert count_derivatives(empty, 5) == 0
+    assert 3 * math.comb(5 + 2, 2) - krull_oracle(empty, 5) == 0
     assert krull_oracle(empty, 5) == 3 * 21
 
 
-def test_count_and_oracle_refuse_a_negative_order():
+def test_oracle_refuses_a_negative_order():
     for n in (1, 2, 3):
         spec = LeaderSpec(n, 1, {0: [(1,) + (0,) * (n - 1)]})
         for max_order in (-1, -3):
-            for count in (count_derivatives, krull_oracle):
-                with pytest.raises(ValueError, match="max_order must be nonnegative"):
-                    count(spec, max_order)
+            with pytest.raises(ValueError, match="max_order must be nonnegative"):
+                krull_oracle(spec, max_order)
 
 
-def test_count_and_oracle_refuse_a_max_order_that_is_not_an_int():
+def test_oracle_refuses_a_max_order_that_is_not_an_int():
     """A bool is not a natural number, and a float is not an order."""
     spec = LeaderSpec(2, 1, {0: [(1, 0)]})
     for max_order in (True, False, 2.5, 2.0, "3", None):
-        for count in (count_derivatives, krull_oracle):
-            with pytest.raises(TypeError, match=f"max_order must be an int, got {max_order!r}"):
-                count(spec, max_order)
+        with pytest.raises(TypeError, match=f"max_order must be an int, got {max_order!r}"):
+            krull_oracle(spec, max_order)
+
+
+def _box_cones(boxes):
+    """The cones of the boxes as (generator, multiplicative axes) pairs, in
+    increasing order of generator: every point of a box, held at its lower
+    corner on the axes where its upper corner is None."""
+    return sorted(
+        (
+            (u, frozenset(i for i, b in enumerate(box.upper) if b is None))
+            for box in boxes
+            for u in itertools.product(
+                *(range(a, a + 1 if b is None else b) for a, b in zip(box.lower, box.upper))
+            )
+        ),
+        key=operator.itemgetter(0),
+    )
 
 
 def test_janet_completion_no_insertion_needed():
-    cones = {(c.generator, frozenset(c.multiplicative)) for c in janet_complete([(2, 0), (1, 1)], 2)}
+    assert janet_boxes([(2, 0), (1, 1)], 2) == [
+        JanetBox((1, 1), (2, None), 0),
+        JanetBox((2, 0), (None, None), 0),
+    ]
+    cones = set(_box_cones(janet_boxes([(2, 0), (1, 1)], 2)))
     assert cones == {((1, 1), frozenset({1})), ((2, 0), frozenset({0, 1}))}
 
 
 def test_janet_completion_inserts_generator():
-    cones = janet_complete([(2, 0), (0, 1)], 2)
-    table = {c.generator: c.multiplicative for c in cones}
+    table = dict(_box_cones(janet_boxes([(2, 0), (0, 1)], 2)))
     assert set(table) == {(0, 1), (1, 1), (2, 0)}
     assert table[(0, 1)] == frozenset({1})
     assert table[(1, 1)] == frozenset({1})
     assert table[(2, 0)] == frozenset({0, 1})
+    assert janet_complete([(2, 0), (0, 1)], 2) == [(0, 1), (1, 1), (2, 0)]
 
 
 def test_janet_completion_empty():
+    assert janet_boxes([], 3) == []
     assert janet_complete([], 3) == []
 
 
-@pytest.mark.parametrize("gens, n", [([(1, 2)], 1), ([(1,)], 2), ([(1, -2)], 2), ([(True, 0)], 2)])
-def test_janet_complete_and_cone_count_reject_a_bad_multi_index(gens, n):
-    with pytest.raises(ValueError, match="bad multi-index"):
+@pytest.mark.parametrize(
+    "gens, n, message",
+    [
+        ([(1, 2)], 1, "bad multi-index"),
+        ([(1,)], 2, "bad multi-index"),
+        ([(1, -2)], 2, "bad multi-index"),
+        ([(True, 0)], 2, "bad multi-index"),
+        ([()], 0, "need at least one derivation, got 0"),
+        ([(1,)], True, "need at least one derivation, got True"),
+        ([], -1, "need at least one derivation, got -1"),
+    ],
+)
+def test_janet_boxes_and_listing_reject_a_bad_input(gens, n, message):
+    with pytest.raises(ValueError, match=message):
+        janet_boxes(gens, n)
+    with pytest.raises(ValueError, match=message):
         janet_complete(gens, n)
-    with pytest.raises(ValueError, match="bad multi-index"):
-        dimension.janet_cone_count(gens, n)
 
 
 def _janet_multiplicative(gens, n):
@@ -222,7 +255,7 @@ def _reference_janet_complete(generators, n):
     while (v := _first_gap(work, n)) is not None:
         work = sorted(set(work) | {v})
     mult = _janet_multiplicative(work, n)
-    return [dimension.JanetCone(u, 0, mult[u]) for u in work]
+    return [(u, mult[u]) for u in work]
 
 
 def _random_antichain(rng, n, size, max_order):
@@ -240,19 +273,21 @@ def test_janet_basis_is_the_minimal_subset_of_reference_completion():
     # the reference adds (3,2,1) and (3,2,2) with no multiplicative axis
     skewed = [(1, 1, 3), (2, 3, 0), (3, 1, 1), (4, 0, 0)]
     assert len(_reference_janet_complete(skewed, 3)) == 10
-    assert len(janet_complete(skewed, 3)) == 8
+    assert len(_box_cones(janet_boxes(skewed, 3))) == 8
     rng = random.Random(2024)
     cases = [(skewed, 3)]
     for _ in range(200):
         n = rng.randint(2, 4)
         cases.append((_random_antichain(rng, n, rng.randint(1, 7), 6), n))
     for gens, n in cases:
-        cones = janet_complete(gens, n)
-        basis = [c.generator for c in cones]
-        assert basis == sorted(set(basis)), gens
-        assert set(basis) <= {c.generator for c in _reference_janet_complete(gens, n)}, gens
+        boxes = janet_boxes(gens, n)
+        assert [box.lower for box in boxes] == sorted({box.lower for box in boxes}), gens
+        cones = _box_cones(boxes)
+        basis = [u for u, _ in cones]
+        assert basis == sorted(set(basis)) == janet_complete(gens, n), gens
+        assert set(basis) <= {u for u, _ in _reference_janet_complete(gens, n)}, gens
         mult = _janet_multiplicative(basis, n)
-        assert all(c.multiplicative == mult[c.generator] for c in cones), gens
+        assert all(axes == mult[u] for u, axes in cones), gens
         assert _first_gap(basis, n) is None, gens
         for extra in set(basis) - set(gens):
             assert _first_gap([u for u in basis if u != extra], n) is not None, (gens, extra)
@@ -268,18 +303,20 @@ def test_janet_twelve_leaders_in_four_derivations():
     result = omega_janet(spec)
     elapsed = time.perf_counter() - start
     assert len(result.janet_cones) == 207
-    assert result.janet_cones == tuple(janet_complete(gens, 4))
+    assert result.janet_cones == tuple(u for u, _ in _box_cones(janet_boxes(gens, 4)))
     assert result.stabilization_bound == 19
     assert result.omega == omega_incl_excl(spec).omega
     assert elapsed < 5.0, f"took {elapsed:.2f}s against a 5s budget"
 
 
 def _cone_contains(cone, mu):
-    """mu lies in the Janet cone: above its generator along multiplicative axes only."""
-    if not dominates(mu, cone.generator):
+    """mu lies in the Janet cone (generator, multiplicative axes): above its
+    generator along multiplicative axes only."""
+    generator, multiplicative = cone
+    if not dominates(mu, generator):
         return False
-    gap = map(operator.sub, mu, cone.generator)
-    return all(e == 0 or i in cone.multiplicative for i, e in enumerate(gap))
+    gap = map(operator.sub, mu, generator)
+    return all(e == 0 or i in multiplicative for i, e in enumerate(gap))
 
 
 def test_janet_cones_partition_the_cone_union():
@@ -287,8 +324,8 @@ def test_janet_cones_partition_the_cone_union():
     for _ in range(60):
         spec = random_leader_spec(rng, max_n=3, max_m=1, max_gens=4, max_order=3)
         gens = spec.generators[0]
-        cones = janet_complete(gens, spec.num_derivations)
-        bound = max((index_order(c.generator) for c in cones), default=0)
+        cones = _box_cones(janet_boxes(gens, spec.num_derivations))
+        bound = max((index_order(u) for u, _ in cones), default=0)
         for mu in iter_indices(spec.num_derivations, bound + 3):
             hits = sum(_cone_contains(c, mu) for c in cones)
             in_union = any(dimension.dominates(mu, g) for g in gens)
@@ -325,20 +362,21 @@ def test_worked_omega_values():
 
 
 @pytest.fixture
-def built_cones(monkeypatch):
-    """Every JanetCone that diffdim.dimension builds while the test runs."""
+def built_boxes(monkeypatch):
+    """Every box that diffdim.dimension's box walk yields while the test runs."""
     built = []
+    walk = dimension._boxes
 
-    def counted(*args, **kwargs):
-        cone = JanetCone(*args, **kwargs)
-        built.append(cone)
-        return cone
+    def counted(gens, n):
+        for box in walk(gens, n):
+            built.append(box)
+            yield box
 
-    monkeypatch.setattr(dimension, "JanetCone", counted)
+    monkeypatch.setattr(dimension, "_boxes", counted)
     return built
 
 
-def test_omega_of_chain_with_cross_check(built_cones):
+def test_omega_of_chain_with_cross_check(built_boxes):
     ranking = plain_ranking(2, 1)
     burgers = DiffChain(
         [dvar(0, (0, 2)) - dvar(0, (1, 0)) - 2 * dvar(0, (0, 1)) * dvar(0, (0, 0))],
@@ -349,18 +387,19 @@ def test_omega_of_chain_with_cross_check(built_cones):
     assert result.degree == 1
     assert result.differential_dimension == 0
     assert result.stabilization_bound == 2
-    assert built_cones == []
-    assert result.janet_cones is not None
-    assert result.janet_cones == tuple(janet_complete([(0, 2)], 2))
-    assert result.janet_cones is result.janet_cones
+    assert built_boxes == []
+    assert result.janet_boxes == (JanetBox((0, 2), (None, None), 0),)
+    assert built_boxes
+    assert result.janet_cones == tuple(janet_complete([(0, 2)], 2)) == ((0, 2),)
+    assert omega_incl_excl(result.leaders).janet_boxes is None
 
 
 def _janet_cone_reading(spec):
     """({l: omega(l)} for l = bound, ..., bound + n, and bound) read off the
     listed Janet cones: m C(l + n, n) - sum of C(l - |u| + z, z), and max |u|."""
     n = spec.num_derivations
-    cones = [c for j, g in enumerate(spec.generators) for c in janet_complete(g, n, j)]
-    shifts = [(index_order(c.generator), len(c.multiplicative)) for c in cones]
+    cones = [c for g in spec.generators for c in _box_cones(janet_boxes(g, n))]
+    shifts = [(index_order(u), len(axes)) for u, axes in cones]
     bound = max((q for q, _ in shifts), default=0)
     values = {
         ell: spec.num_indeterminates * math.comb(ell + n, n)
@@ -371,8 +410,8 @@ def _janet_cone_reading(spec):
 
 
 def test_janet_closed_form_matches_the_listed_cones():
-    # omega_janet sums each slice's copies in closed form; the listing of
-    # janet_complete must give the same polynomial (degree <= n, so n + 1
+    # omega_janet sums each slice's copies in closed form; the cones of
+    # janet_boxes must give the same polynomial (degree <= n, so n + 1
     # values fix it) and the same bound.
     rng = random.Random(28)
     specs = acceptance_specs()
@@ -391,16 +430,16 @@ def test_janet_closed_form_matches_the_listed_cones():
 
 
 def _numerator_of_listed_cones(gens, n):
-    """(K, top) read off janet_complete's cones: a cone at u with z
+    """(K, top) read off the cones of janet_boxes: a cone at u with z
     multiplicative axes has Hilbert series t^|u| / (1 - t)^z, so it adds
     t^|u| (1 - t)^(n - z) to K, and top is the largest |u|."""
     k = {}
-    cones = janet_complete(gens, n)
-    for cone in cones:
-        q, gap = index_order(cone.generator), n - len(cone.multiplicative)
+    cones = _box_cones(janet_boxes(gens, n))
+    for u, axes in cones:
+        q, gap = index_order(u), n - len(axes)
         for j in range(gap + 1):
             k[q + j] = k.get(q + j, 0) + (-1) ** j * math.comb(gap, j)
-    return {e: c for e, c in k.items() if c}, max(index_order(c.generator) for c in cones)
+    return {e: c for e, c in k.items() if c}, max(index_order(u) for u, _ in cones)
 
 
 def test_janet_numerator_two_axis_closed_form_matches_the_listed_cones():
@@ -432,22 +471,41 @@ def test_janet_numerator_two_axis_base_case_builds_no_slice(monkeypatch):
     assert calls
 
 
-def test_janet_cone_count_matches_the_listing():
+def _box_cone_count(box):
+    """prod (b_i - a_i) over the bounded axes of a box: its number of cones."""
+    return math.prod(b - a for a, b in zip(box.lower, box.upper) if b is not None)
+
+
+def test_janet_cone_count_is_the_sum_of_the_box_sizes():
     rng = random.Random(29)
     for _ in range(1000):
-        n = rng.randint(1, 4)
-        gens = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(0, 7))]
-        (antichain,) = LeaderSpec(n, 1, [gens]).generators
-        listed = janet_complete(antichain, n)
-        assert dimension.janet_cone_count(antichain, n) == len(listed), antichain
-    assert dimension.janet_cone_count(((10**12, 0), (0, 1)), 2) == 10**12 + 1
+        n, m = rng.randint(1, 4), rng.randint(1, 2)
+        gens = {
+            j: [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+            for j in range(m)
+        }
+        result = omega_janet(LeaderSpec(n, m, gens))
+        boxes = result.janet_boxes
+        assert [box.indeterminate for box in boxes] == sorted(box.indeterminate for box in boxes)
+        assert len(result.janet_cones) == sum(map(_box_cone_count, boxes)), gens
 
 
-def test_omega_and_compare_build_no_janet_cone(built_cones):
+@pytest.mark.parametrize("order", [1, 2000, 10**12])
+def test_a_tall_staircase_is_two_boxes(order):
+    ranking = plain_ranking(2, 1)
+    result = omega(DiffChain([dvar(0, (order, 0)), dvar(0, (0, 1))], ranking))
+    assert result.janet_boxes == (
+        JanetBox((0, 1), (order, None), 0),
+        JanetBox((order, 0), (None, None), 0),
+    )
+    assert sum(map(_box_cone_count, result.janet_boxes)) == order + 1
+
+
+def test_omega_and_compare_build_no_janet_box(built_boxes):
     ranking = plain_ranking(2, 1)
     square = DiffChain([dvar(0, (2, 0)), dvar(0, (1, 1)), dvar(0, (0, 3))], ranking)
     assert compare_ideals(square, square).omega_smaller == omega(square).omega
-    assert built_cones == []
+    assert built_boxes == []
     # 10^12 + 1 cones: listing them would not end
     tall = DiffChain([dvar(0, (10**12, 0)), dvar(0, (0, 1))], ranking)
     result = omega(tall)
@@ -455,7 +513,7 @@ def test_omega_and_compare_build_no_janet_cone(built_cones):
     assert result.stabilization_bound == 10**12
     verdict = compare_ideals(tall, DiffChain([dvar(0, (10**12, 0)), dvar(0, (0, 1))], ranking))
     assert verdict.omega_smaller == verdict.omega_larger == result.omega
-    assert built_cones == []
+    assert built_boxes == []
 
 
 def test_omega_rejects_invalid_chain():
