@@ -104,11 +104,12 @@ class DiffChain:
     use: separants, leader_only, initials, degrees (each element's degree
     in its own leader), by_rank, leader_spec (the leader antichains that ω
     reads and triangularity is decided from), leader_table (the chain
-    criterion's masks, built only for a pair that needs a witness) and the
-    validation report, whose verdict reads only the pairs that can fail and
-    whose evidence lists are built on their first read.  Lifts fill
-    per-element tables one derivative at a time.  All of them die with the
-    chain; nothing is memoized on the elements themselves.
+    criterion's masks, built only for a pair that needs a witness), the
+    validation report, and the evidence behind its verdict, delta_checks
+    and skipped_pairs.  Lifts fill per-element tables one derivative at a
+    time, and reduced obstructions one table of DeltaChecks keyed by pair,
+    so each kept pair is reduced once.  All of them die with the chain, and
+    none refers back to it; nothing is memoized on the elements themselves.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -127,6 +128,7 @@ class DiffChain:
             _derivatives=tuple(derivatives),
             leaders=tuple(max(found, key=ranking.key) for found in derivatives),
             _lifts=tuple({} for _ in elements),
+            _checks={},
         )
 
     def __setattr__(self, name, value):
@@ -147,7 +149,9 @@ class DiffChain:
         to the element itself), then derives back up, entering every lift on
         the way; a loop, so the depth of mu is bounded by time alone.  A mu
         missing from the table that is not a multi-index of the ring's
-        length raises ValueError naming it."""
+        length raises ValueError naming it, and so does an i that is not an
+        int in range(len(self))."""
+        _require_element(self, i)
         table, path = self._lifts[i], []
         out = table.get(mu)
         if out is None and (len(mu) != self.ring.num_derivations or not is_multi_index(mu)):
@@ -236,6 +240,29 @@ class DiffChain:
     def _report(self) -> "ValidationReport":
         return validate(self)
 
+    def _delta_check(self, i: int, k: int) -> "DeltaCheck":
+        """Δ of the same-indeterminate pair (i, k) and its reduction, made once."""
+        check = self._checks.get((i, k))
+        if check is None:
+            delta = delta_polynomial(self, i, k)
+            check = self._checks[i, k] = DeltaCheck(i, k, delta, full_pseudo_reduce(delta, self))
+        return check
+
+    @functools.cached_property
+    def _pairs(self) -> list[tuple[int, int, int | None]]:
+        """_obstruction_pairs of every pair, or none for a chain that is not triangular."""
+        return list(_obstruction_pairs(self, every=True)) if self._report.triangular else []
+
+    @functools.cached_property
+    def delta_checks(self) -> list["DeltaCheck"]:
+        """One DeltaCheck per pair that the chain criterion keeps, in (i, k) order."""
+        return [self._delta_check(i, k) for i, k, via in self._pairs if via is None]
+
+    @functools.cached_property
+    def skipped_pairs(self) -> list[tuple[int, int, int]]:
+        """(first, second, via) per pair that the chain criterion skips by witness via."""
+        return [pair for pair in self._pairs if pair[2] is not None]
+
     def validation_report(self) -> "ValidationReport":
         return self._report
 
@@ -282,48 +309,23 @@ class DeltaCheck:
 
 @dataclass
 class ValidationReport:
-    """Verdicts of validate, with the evidence behind them.
-
-    delta_checks holds one DeltaCheck per obstruction pair that the chain
-    criterion keeps, in (i, k) order; skipped_pairs holds (first, second,
-    via) for each pair it proved redundant by the third element via.  The
-    verdict reads only the pairs that can fail (see validate), so both
-    lists are built from the chain on first read, reusing the checks that
-    validate already reduced, and equal what a walk over every pair gives.
-    Report equality compares the verdict and the messages, not the lists.
-    """
+    """Verdicts of validate, as plain data; the evidence behind them is the
+    chain's delta_checks and skipped_pairs."""
 
     triangular: bool
     coherent: bool
     messages: list[str] = field(default_factory=list)
     regularity_of_initials_and_separants: str = REGULARITY_TAG
-    chain: DiffChain | None = field(default=None, repr=False, compare=False)
-    _reduced: dict[tuple[int, int], DeltaCheck] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def accepted(self) -> bool:
         return self.triangular and self.coherent
 
-    @functools.cached_property
-    def _evidence(self) -> tuple[list[DeltaCheck], list[tuple[int, int, int]]]:
-        checks, skipped = [], []
-        if self.triangular:
-            for i, k, via in _obstruction_pairs(self.chain, every=True):
-                if via is None:
-                    checks.append(self._reduced.get((i, k)) or _delta_check(self.chain, i, k))
-                else:
-                    skipped.append((i, k, via))
-        return checks, skipped
 
-    @property
-    def delta_checks(self) -> list[DeltaCheck]:
-        return self._evidence[0]
-
-    @property
-    def skipped_pairs(self) -> list[tuple[int, int, int]]:
-        return self._evidence[1]
+def _require_element(chain: DiffChain, i) -> None:
+    """Raise ValueError naming i unless it is an int in range(len(chain))."""
+    if type(i) is not int or not 0 <= i < len(chain.elements):
+        raise ValueError(f"no element {i!r} in a chain of {len(chain.elements)} elements")
 
 
 def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
@@ -332,19 +334,18 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
 
     t is the componentwise max of the two leader multi-indices mu and nu.
     Returns None when the leaders live on distinct indeterminates, where no
-    common derivative exists.
+    common derivative exists.  An i or j that is not an int in
+    range(len(chain)) raises ValueError naming it.
 
-    When both elements are leader-only, p = c·u[mu] and q = d·u[nu], the
-    result is zero and no lift is built: every derivative of c·u[mu] is
-    c times a derivative of u, and the separants are the constants c and d,
-    so the obstruction is d·c·u[t] - c·d·u[t] = 0, triangular chain or not.
+    Every pair takes this one path: for leader-only p = c·u[mu] and
+    q = d·u[nu], mul_sub's proportionality test returns d·c·u[t] - c·d·u[t]
+    = 0 without building a product.  The chain's delta_checks keep the Δs.
     """
+    _require_element(chain, i)
+    _require_element(chain, j)
     x, y = chain.leaders[i], chain.leaders[j]
     if x.indeterminate != y.indeterminate:
         return None
-    leader_only = chain.leader_only
-    if leader_only[i] and leader_only[j]:
-        return DiffPoly.zero()
     theta = tuple(map(max, x.index, y.index))
     lift_p = chain.lift(i, tuple(map(operator.sub, theta, x.index)))
     lift_q = chain.lift(j, tuple(map(operator.sub, theta, y.index)))
@@ -480,11 +481,6 @@ def _obstruction_pairs(chain: DiffChain, every: bool):
             yield i, k, (witnesses & -witnesses).bit_length() - 1 if witnesses else None
 
 
-def _delta_check(chain: DiffChain, i: int, k: int) -> DeltaCheck:
-    delta = delta_polynomial(chain, i, k)
-    return DeltaCheck(i, k, delta, full_pseudo_reduce(delta, chain))
-
-
 def validate(chain: DiffChain) -> ValidationReport:
     """Check d-triangularity and coherence; regularity is assumed, not checked.
 
@@ -522,10 +518,9 @@ def validate(chain: DiffChain) -> ValidationReport:
     induction such a witness pair is trivially in the ideal.  So validate
     runs the chain criterion, Δ and reduction only on the pairs with an
     element that is not leader-only, and a chain of pure derivatives is
-    decided without a chain criterion test or a Δ.  The report's
-    delta_checks and skipped_pairs are built on first read from every pair,
-    reusing the checks made here; they equal what reducing every kept pair
-    gives.
+    decided without a chain criterion test or a Δ.  Kept pairs are reduced
+    through the chain's DeltaCheck table, which its delta_checks reuse; the
+    report holds only the verdict and the messages.
 
     Each kept pair is reduced in (i, k) order.  A skipped pair that fails
     is never reduced, so incoherence is reported by a kept pair, which may
@@ -534,21 +529,21 @@ def validate(chain: DiffChain) -> ValidationReport:
     failures = _triangularity_failures(chain) or _partial_reduction_failures(chain)
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
-        return ValidationReport(triangular=False, coherent=False, messages=messages, chain=chain)
-    report = ValidationReport(triangular=True, coherent=True, chain=chain)
+        return ValidationReport(triangular=False, coherent=False, messages=messages)
+    coherent, messages = True, []
     for i, k, via in _obstruction_pairs(chain, every=False):
         if via is not None:
             continue
-        check = report._reduced[i, k] = _delta_check(chain, i, k)
-        if not check.trace.remainder.is_zero():
-            report.coherent = False
-            report.messages.append(
+        remainder = chain._delta_check(i, k).trace.remainder
+        if not remainder.is_zero():
+            coherent = False
+            messages.append(
                 f"cross-derivation obstruction of elements {i} and {k} "
                 f"leaves the nonzero remainder "
-                f"{poly_text(check.trace.remainder, chain.ring.indeterminate_names)}"
+                f"{poly_text(remainder, chain.ring.indeterminate_names)}"
             )
-    report.messages.append("regularity of initials and separants assumed, not verified")
-    return report
+    messages.append("regularity of initials and separants assumed, not verified")
+    return ValidationReport(triangular=True, coherent=coherent, messages=messages)
 
 
 def membership(p: DiffPoly, chain: DiffChain) -> bool:

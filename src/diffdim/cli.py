@@ -92,11 +92,11 @@ def _cmd_validate(args, chain: DiffChain) -> int:
                     ],
                     "reduced_to_zero": check.trace.remainder.is_zero(),
                 }
-                for check in report.delta_checks
+                for check in chain.delta_checks
             ]
-            if report.skipped_pairs:
+            if chain.skipped_pairs:
                 payload["skipped_pairs"] = [
-                    {"elements": [i, k], "via": j} for i, k, j in report.skipped_pairs
+                    {"elements": [i, k], "via": j} for i, k, j in chain.skipped_pairs
                 ]
         print(json.dumps(payload, indent=2))
     else:
@@ -106,13 +106,13 @@ def _cmd_validate(args, chain: DiffChain) -> int:
         for message in report.messages:
             print(f"  note: {message}")
         if args.explain:
-            for check in report.delta_checks:
+            for check in chain.delta_checks:
                 print(
                     f"  obstruction({check.first},{check.second}) = "
                     f"{poly_text(check.delta, names)} -> remainder "
                     f"{poly_text(check.trace.remainder, names)}"
                 )
-            for i, k, j in report.skipped_pairs:
+            for i, k, j in chain.skipped_pairs:
                 print(
                     f"  obstruction({i},{k}) skipped: implied by "
                     f"({min(i, j)},{max(i, j)}) and ({min(j, k)},{max(j, k)})"

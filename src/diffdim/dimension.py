@@ -351,7 +351,10 @@ def omega(chain: DiffChain) -> OmegaResult:
     The Janet route gives the result, in closed form, and lists its basis
     only if janet_boxes is read; the inclusion-exclusion route, collapsed
     into the Hilbert-numerator pivot, always runs as well, and the two
-    polynomials must agree coefficientwise.
+    polynomials must agree coefficientwise.  The check is independent only
+    above two derivations: in n <= 2 both routes build the terms
+    sum t^|g_i| - sum t^|join(g_i, g_(i+1))|, so K_Janet = 1 - K_Hilbert,
+    and it guards their loops, not the formula, which krull_oracle checks.
     """
     chain.require_valid()
     spec = chain.leader_spec

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pathlib
 import random
@@ -13,6 +14,17 @@ from diffdim.dimension import minimalize
 
 
 TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded from its path once and only read."""
+    key = f"diffdim_bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, TESTS.parent / "bench" / f"{name}.py")
+        # registered first: a module's dataclasses look themselves up there
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
 
 
 def run_in_fresh_process(script: str, timeout: float | None = None) -> str:

@@ -16,29 +16,18 @@ Print the digest of the current code with
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import pathlib
-import sys
 import tempfile
 
 from diffdim.cli import run
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from corpus import bench_module
+
 SEED = 1
 PLACEHOLDER = "<dir>"
 DIGEST = "460a81f4ffcedb3844f214cac80b057825eb1bebe5ca322b5e8640c590ffea0d"
-
-
-def _bench_inputs():
-    name = "diffdim_bench_inputs"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "inputs.py")
-        # registered first: the module's dataclasses look themselves up there
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
 
 
 def _argvs(path: pathlib.Path):
@@ -50,7 +39,7 @@ def _argvs(path: pathlib.Path):
 
 def outputs_digest(work_dir: pathlib.Path) -> tuple[str, int]:
     """(SHA-256 hex digest, number of calls) over the seed's compare files."""
-    pairs = _bench_inputs().compare(SEED, work_dir)
+    pairs = bench_module("inputs").compare(SEED, work_dir)
     digest, calls = hashlib.sha256(), 0
     for pair in pairs:
         for argv in _argvs(pair.path):

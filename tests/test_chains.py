@@ -1,8 +1,11 @@
+import dataclasses
+import gc
 import itertools
 import json
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,9 @@ from diffdim import (
     DiffPoly,
     InvalidChainError,
     NotTriangularError,
+    ValidationReport,
     chains,
+    compare_ideals,
     containment_check,
     delta_polynomial,
     full_pseudo_reduce,
@@ -249,12 +254,13 @@ def test_delta_polynomial_worked_example():
     pure = _chain([dvar(0, (1, 0)), dvar(0, (0, 1))], 2, 1)
     assert delta_polynomial(pure, 0, 1) == DiffPoly.zero()
     # so do leader-only ones on a chain that is not triangular, u[2,0] being
-    # a derivative of u[1,0], as the from-scratch formula gives; no lift is built
+    # a derivative of u[1,0], as the from-scratch formula gives; the general
+    # path finds the zero by mul_sub's proportionality test
     p, q = dvar(0, (1, 0)), 2 * dvar(0, (2, 0))
     tall = _chain([p, q], 2, 1)
     x, y = make_derivative(0, (1, 0)), make_derivative(0, (2, 0))
     assert q.partial(y) * p.derive_multi((1, 0)) - p.partial(x) * q == DiffPoly.zero()
-    assert delta_polynomial(tall, 0, 1) == DiffPoly.zero() and not any(tall._lifts)
+    assert delta_polynomial(tall, 0, 1) == DiffPoly.zero()
     # leader-only is one term c*x of degree 1 in the leader x
     u0, u1 = dvar(0, (0,)), dvar(0, (1,))
     shapes = _chain([u1**2, u1 + 1, u0 * u1, 3 * u1, Fraction(-2, 7) * u1, u0 + 0 * u1], 1, 1)
@@ -263,6 +269,43 @@ def test_delta_polynomial_worked_example():
 
 def test_delta_polynomial_none_for_distinct_indeterminates():
     assert delta_polynomial(_chain([dvar(0, (1,)), dvar(1, (1,))], 1, 2), 0, 1) is None
+
+
+@pytest.mark.parametrize("index", [-1, "len", True, 1.0])
+def test_an_element_index_that_is_not_one_is_refused(data_dir, index):
+    text = (data_dir / "staircase.sys").read_text(encoding="utf-8")
+    chain = parse_system(text).chains["Prol"]
+    if index == "len":
+        index = len(chain)
+    with pytest.raises(ValueError, match=f"no element {index!r} in a chain of 3 elements"):
+        chain.lift(index, (1, 0))
+    for pair in ((index, 0), (0, index)):
+        with pytest.raises(ValueError, match=f"no element {index!r} "):
+            delta_polynomial(chain, *pair)
+    assert not any(chain._lifts)
+
+
+def test_a_validated_chain_is_freed_by_reference_counting(data_dir):
+    """Nothing a chain or a result holds refers back to the chain, so it
+    dies at its last reference, without the cyclic collector."""
+    text = (data_dir / "prolong_pair.sys").read_text(encoding="utf-8")
+    assert [f.name for f in dataclasses.fields(ValidationReport)] == [
+        "triangular", "coherent", "messages", "regularity_of_initials_and_separants"
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        smaller, larger = (parse_system(text).chains[name] for name in ("A", "S"))
+        refs = [weakref.ref(smaller), weakref.ref(larger)]
+        report = larger.validation_report()
+        assert report.accepted and larger.delta_checks
+        verdict = compare_ideals(smaller, larger)
+        result = omega(larger)
+        assert result.omega == verdict.omega_larger
+        del smaller, larger
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _random_nonlinear_chain(rng, n):
@@ -312,9 +355,10 @@ def test_chain_lifts_match_derive_multi_in_any_request_order():
 def test_validate_deltas_match_from_scratch_obstructions(monkeypatch):
     """Every recorded Δ is s_q·θp − s_p·θq built by derive_multi, on random
     nonlinear chains and on the same chains with every element but one
-    replaced by a leader-only c*x, whose pairs get their zero Δ without lifts.
-    validate reduces only the kept pairs with a general element; reading
-    delta_checks reuses those checks and reduces each leader-only pair once."""
+    replaced by a leader-only c*x, whose pairs take the same path to a zero Δ.
+    validate reduces only the kept pairs with a general element; reading the
+    chain's delta_checks reuses those checks and reduces each leader-only pair
+    once."""
     traces = []
     original = chains.full_pseudo_reduce
 
@@ -341,12 +385,12 @@ def test_validate_deltas_match_from_scratch_obstructions(monkeypatch):
             traces.clear()
             report = validate(chain)
             made = list(traces)
-            assert report.triangular and "_evidence" not in vars(report)
+            assert report.triangular and "delta_checks" not in vars(chain)
             pairs = [(c, chain.leader_only[c.first] and chain.leader_only[c.second])
-                     for c in report.delta_checks]
+                     for c in chain.delta_checks]
             assert [id(c.trace) for c, zero in pairs if not zero] == list(map(id, made))
             assert len(traces) - len(made) == sum(zero for _, zero in pairs)
-            for check in report.delta_checks:
+            for check in chain.delta_checks:
                 p, q = elements[check.first], elements[check.second]
                 x, y = ranking.leader(p), ranking.leader(q)
                 theta = tuple(max(a, b) for a, b in zip(x.index, y.index))
@@ -363,7 +407,7 @@ def test_lift_tables_live_on_the_chain(monkeypatch):
     elements, ranking = _random_nonlinear_chain(random.Random(79), 2)
     first = DiffChain(elements, ranking)
     second = DiffChain(elements, ranking)
-    assert first.validation_report().delta_checks
+    assert first.validation_report().triangular and first.delta_checks
     cached = {
         "separants", "degrees", "initials", "by_rank", "leader_spec", "leader_table", "_report"
     }
@@ -384,13 +428,15 @@ def test_lift_tables_live_on_the_chain(monkeypatch):
     staircase = _chain([dvar(0, (i, 3 - i)) for i in range(4)], 2, 1)
     omega(staircase)
     report = staircase.validation_report()
-    assert report.accepted and not calls and "_evidence" not in vars(report)
+    assert report.accepted and not calls and "delta_checks" not in vars(staircase)
     assert "by_rank" not in vars(staircase)
     # ω and the verdict read leader_spec; no pair needs a witness, so no masks
     assert "leader_spec" in vars(staircase) and "leader_table" not in vars(staircase)
-    # reading the lists makes each kept pair's zero Δ, without deriving anything
-    assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2), (2, 3)]
-    assert not any(staircase._lifts)
+    # reading the lists makes each kept pair's zero Δ, by the general path
+    assert calls == [(c.first, c.second) for c in staircase.delta_checks] == [
+        (0, 1), (1, 2), (2, 3)
+    ]
+    assert all(c.delta.is_zero() and not c.trace.steps for c in staircase.delta_checks)
 
 
 def test_coherence_accepts_nontrivial_reduction():
@@ -398,8 +444,8 @@ def test_coherence_accepts_nontrivial_reduction():
     chain = _chain([dvar(0, (2, 0)), dvar(0, (0, 1)) - dvar(0, (0, 0))], 2, 1)
     report = validate(chain)
     assert report.accepted
-    assert len(report.delta_checks) == 1
-    assert report.delta_checks[0].trace.remainder.is_zero()
+    assert len(chain.delta_checks) == 1
+    assert chain.delta_checks[0].trace.remainder.is_zero()
 
 
 def test_coherence_rejects_unreducible_obstruction():
@@ -646,18 +692,18 @@ def test_chain_criterion_agrees_with_the_every_pair_check():
         assert report.triangular
         assert report.coherent == (not failing)
         assert report.accepted == (not failing)
-        pruned = [(c.first, c.second) for c in report.delta_checks
+        pruned = [(c.first, c.second) for c in chain.delta_checks
                   if not c.trace.remainder.is_zero()]
         assert set(pruned) <= set(failing)
         leaders = chain.leaders
-        for i, k, j in report.skipped_pairs:
+        for i, k, j in chain.skipped_pairs:
             assert j not in (i, k)
             assert leaders[i].indeterminate == leaders[j].indeterminate == leaders[k].indeterminate
             theta = join_indices(leaders[i].index, leaders[k].index)
             for a, b in ((i, j), (j, k)):
                 below = join_indices(leaders[a].index, leaders[b].index)
                 assert dominates(theta, below) and below != theta
-        seen["skipped"] += bool(report.skipped_pairs)
+        seen["skipped"] += bool(chain.skipped_pairs)
         seen["coherent" if report.coherent else "incoherent"] += 1
         seen["failures_skipped"] += len(set(failing) - set(pruned)) > 0
     assert all(seen.values()), seen
@@ -738,8 +784,8 @@ def test_chain_criterion_masks_match_the_scan_by_definition():
             assert report.messages == failures + [
                 "coherence not evaluated: chain is not triangular"
             ]
-        assert report.skipped_pairs == skipped
-        assert [(c.first, c.second) for c in report.delta_checks] == kept
+        assert chain.skipped_pairs == skipped
+        assert [(c.first, c.second) for c in chain.delta_checks] == kept
         seen["not triangular"] += bool(failures)
         seen["skipped"] += bool(skipped)
         seen["kept"] += bool(kept)
@@ -748,13 +794,13 @@ def test_chain_criterion_masks_match_the_scan_by_definition():
 
 def test_staircase_of_400_leaders_keeps_its_consecutive_pairs():
     size = 400
-    report = validate(_chain([dvar(0, (i, size - 1 - i)) for i in range(size)], 2, 1))
-    assert report.accepted
-    assert [(c.first, c.second) for c in report.delta_checks] == [
+    chain = _chain([dvar(0, (i, size - 1 - i)) for i in range(size)], 2, 1)
+    assert validate(chain).accepted
+    assert [(c.first, c.second) for c in chain.delta_checks] == [
         (i, i + 1) for i in range(size - 1)
     ]
     # every element strictly between i and k is a witness; the lowest is kept
-    assert report.skipped_pairs == [
+    assert chain.skipped_pairs == [
         (i, k, i + 1) for i in range(size) for k in range(i + 2, size)
     ]
 
@@ -769,10 +815,10 @@ def test_validate_reduces_each_kept_pair_once_and_no_skipped_pair(monkeypatch):
 
     monkeypatch.setattr(chains, "delta_polynomial", recording)
     chain = _chain([dvar(0, (2, 0)), dvar(0, (1, 1)), dvar(0, (0, 2)), dvar(1, (1, 0))], 2, 2)
-    report = validate(chain)
+    assert validate(chain).accepted
     assert calls == []  # every pair is leader-only: the lists are built when read
-    assert report.skipped_pairs == [(0, 2, 1)]
-    assert calls == [(c.first, c.second) for c in report.delta_checks] == [(0, 1), (1, 2)]
+    assert chain.skipped_pairs == [(0, 2, 1)]
+    assert calls == [(c.first, c.second) for c in chain.delta_checks] == [(0, 1), (1, 2)]
 
 
 def _chain_families(data_dir):
@@ -800,7 +846,7 @@ def test_every_reduction_the_library_makes_has_a_certificate(data_dir):
     seen = {"obstructions": 0, "elements": 0, "steps": 0}
     for family in _chain_families(data_dir):
         for chain in family:
-            for check in chain.validation_report().delta_checks:
+            for check in chain.delta_checks:
                 assert _certificate_holds(check.delta, check.trace, chain)
                 seen["obstructions"] += 1
                 seen["steps"] += len(check.trace.steps)
