@@ -66,9 +66,7 @@ class LeaderSpec:
         groups: list[tuple[MultiIndex, ...]] = [()] * self.num_indeterminates
         generators = self.generators
         if generators:
-            items = (
-                generators.items() if hasattr(generators, "items") else enumerate(generators)
-            )
+            items = generators.items() if hasattr(generators, "items") else enumerate(generators)
             for j, gens in items:
                 if not is_natural(j) or j >= self.num_indeterminates:
                     raise ValueError(f"bad indeterminate {j!r}")
@@ -106,10 +104,10 @@ class DiffChain:
     reads and triangularity is decided from), leader_table (the chain
     criterion's masks, built only for a pair that needs a witness), the
     validation report, and the evidence behind its verdict, delta_checks
-    and skipped_pairs.  Lifts fill per-element tables one derivative at a
-    time, and reduced obstructions one table of DeltaChecks keyed by pair,
-    so each kept pair is reduced once.  All of them die with the chain, and
-    none refers back to it; nothing is memoized on the elements themselves.
+    and skipped_pairs, built by one scan of every pair.  Lifts fill
+    per-element tables one derivative at a time, and reduced obstructions
+    one table of DeltaChecks keyed by pair, so each kept pair is reduced
+    once.  All of them die with the chain, and none refers back to it.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -241,27 +239,32 @@ class DiffChain:
         return validate(self)
 
     def _delta_check(self, i: int, k: int) -> "DeltaCheck":
-        """Δ of the same-indeterminate pair (i, k) and its reduction, made once."""
+        """Δ of the same-indeterminate pair (i, k) and its reduction, made once; a pair of two
+        leader-only elements gets its zero Δ (see validate) without delta_polynomial's lifts."""
         check = self._checks.get((i, k))
         if check is None:
-            delta = delta_polynomial(self, i, k)
+            zero = self.leader_only[i] and self.leader_only[k]
+            delta = DiffPoly.zero() if zero else delta_polynomial(self, i, k)
             check = self._checks[i, k] = DeltaCheck(i, k, delta, full_pseudo_reduce(delta, self))
         return check
 
     @functools.cached_property
-    def _pairs(self) -> list[tuple[int, int, int | None]]:
-        """_obstruction_pairs of every pair, or none for a chain that is not triangular."""
-        return list(_obstruction_pairs(self, every=True)) if self._report.triangular else []
+    def _obstruction_lists(self) -> tuple[list["DeltaCheck"], list[tuple[int, int, int]]]:
+        """delta_checks and skipped_pairs, from one scan of every pair."""
+        triangular = not (_triangularity_failures(self) or _partial_reduction_failures(self))
+        pairs = list(_obstruction_pairs(self, every=True)) if triangular else []
+        checks = [self._delta_check(i, k) for i, k, via in pairs if via is None]
+        return checks, [pair for pair in pairs if pair[2] is not None]
 
-    @functools.cached_property
+    @property
     def delta_checks(self) -> list["DeltaCheck"]:
         """One DeltaCheck per pair that the chain criterion keeps, in (i, k) order."""
-        return [self._delta_check(i, k) for i, k, via in self._pairs if via is None]
+        return self._obstruction_lists[0]
 
-    @functools.cached_property
+    @property
     def skipped_pairs(self) -> list[tuple[int, int, int]]:
         """(first, second, via) per pair that the chain criterion skips by witness via."""
-        return [pair for pair in self._pairs if pair[2] is not None]
+        return self._obstruction_lists[1]
 
     def validation_report(self) -> "ValidationReport":
         return self._report
@@ -337,9 +340,10 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     common derivative exists.  An i or j that is not an int in
     range(len(chain)) raises ValueError naming it.
 
-    Every pair takes this one path: for leader-only p = c·u[mu] and
+    Every pair takes this one path; for leader-only p = c·u[mu] and
     q = d·u[nu], mul_sub's proportionality test returns d·c·u[t] - c·d·u[t]
-    = 0 without building a product.  The chain's delta_checks keep the Δs.
+    = 0 without a product, after lifts to t that the chain's delta_checks,
+    which keep the Δs, skip for such a pair.
     """
     _require_element(chain, i)
     _require_element(chain, j)
@@ -513,14 +517,12 @@ def validate(chain: DiffChain) -> ValidationReport:
 
     The verdict reads only the pairs that can fail.  A pair of two
     leader-only elements, c·u[mu] and d·u[nu], has the obstruction
-    d·c·u[t] - c·d·u[t] = 0 (see delta_polynomial), kept or skipped, so it
-    never makes a chain incoherent or adds a message, and in the lemma's
-    induction such a witness pair is trivially in the ideal.  So validate
-    runs the chain criterion, Δ and reduction only on the pairs with an
-    element that is not leader-only, and a chain of pure derivatives is
-    decided without a chain criterion test or a Δ.  Kept pairs are reduced
-    through the chain's DeltaCheck table, which its delta_checks reuse; the
-    report holds only the verdict and the messages.
+    d·c·u[t] - c·d·u[t] = 0, kept or skipped, so it never makes a chain
+    incoherent, and in the lemma's induction such a witness pair is
+    trivially in the ideal.  So validate runs the chain criterion, Δ and
+    reduction only on the pairs with an element that is not leader-only,
+    through the chain's DeltaCheck table; its delta_checks reuse them and
+    give each leader-only pair that zero.  The report holds only data.
 
     Each kept pair is reduced in (i, k) order.  A skipped pair that fails
     is never reduced, so incoherence is reported by a kept pair, which may
@@ -538,9 +540,8 @@ def validate(chain: DiffChain) -> ValidationReport:
         if not remainder.is_zero():
             coherent = False
             messages.append(
-                f"cross-derivation obstruction of elements {i} and {k} "
-                f"leaves the nonzero remainder "
-                f"{poly_text(remainder, chain.ring.indeterminate_names)}"
+                f"cross-derivation obstruction of elements {i} and {k} leaves the nonzero "
+                f"remainder {poly_text(remainder, chain.ring.indeterminate_names)}"
             )
     messages.append("regularity of initials and separants assumed, not verified")
     return ValidationReport(triangular=True, coherent=coherent, messages=messages)

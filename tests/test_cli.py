@@ -431,12 +431,16 @@ def test_omega_on_a_leader_of_order_2000_stays_fast(tmp_path, capsys):
         (["omega", "--chain", "A"], 0, "ω(ℓ) = 1000000000000 = 1000000000000 "),
         (["compare", "--smaller", "A", "--larger", "A"], 0, "relation: Equal"),
         (["omega", "--chain", "A", "--json"], 0, '{\n  "chain": "A",\n'),
+        (["validate", "--chain", "A", "--explain"], 0, "chain A: triangular: yes; coherent: yes"),
+        (["validate", "--chain", "A", "--explain", "--json"], 0, '{\n  "chain": "A",\n'),
     ],
 )
 def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, code, start):
     # The Janet basis has 10^12 + 1 cones here, in two boxes; omega and
     # compare sum the cones in closed form, omega --json lists the boxes, and
-    # the subprocess timeout stops a run that lists the cones.
+    # the subprocess timeout stops a run that lists the cones.  validate
+    # --explain gives the leader-only pair its zero Δ without a lift of
+    # order 10^12.
     path = tmp_path / "tall.sys"
     path.write_text(
         "ring derivations=(t,x) indeterminates=(u)\n"
@@ -459,7 +463,12 @@ print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalu
     assert shown.startswith(start)
     assert silent == ""
     assert elapsed < 2.0, f"took {elapsed:.2f}s against a 2s budget"
-    if "--json" in argv:
+    if "--json" in argv and argv[0] == "validate":
+        payload = json.loads(out)
+        _check(payload, "validation_report.schema.json")
+        traces = [(t["elements"], t["delta"], t["reduced_to_zero"]) for t in payload["delta_traces"]]
+        assert traces == [([0, 1], "0", True)]
+    elif "--json" in argv:
         payload = json.loads(out)
         _check(payload, "omega_result.schema.json")
         assert payload["janet_boxes"] == [
