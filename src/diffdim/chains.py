@@ -105,7 +105,8 @@ class DiffChain:
     criterion's masks, built only for a pair that needs a witness), the
     validation report, and the evidence behind its verdict, delta_checks
     and skipped_pairs, built by one scan of every pair.  Lifts fill
-    per-element tables one derivative at a time, and reduced obstructions
+    per-element tables one derivative at a time, a leader-only element's in
+    one step per requested lift, and reduced obstructions
     one table of DeltaChecks keyed by pair, so each kept pair is reduced
     once.  All of them die with the chain, and none refers back to it.
     """
@@ -145,15 +146,21 @@ class DiffChain:
 
         Walks down those steps to the nearest lift already in the table (or
         to the element itself), then derives back up, entering every lift on
-        the way; a loop, so the depth of mu is bounded by time alone.  A mu
-        missing from the table that is not a multi-index of the ring's
-        length raises ValueError naming it, and so does an i that is not an
-        int in range(len(self))."""
+        the way; a loop, so the depth of mu is bounded by time alone.  A
+        leader-only element c·u[nu] lifts to c·u[nu + mu] directly, entered
+        under mu alone, in time independent of mu's order.  A mu missing
+        from the table that is not a multi-index of the ring's length raises
+        ValueError naming it, and so does an i that is not an int in
+        range(len(self))."""
         _require_element(self, i)
         table, path = self._lifts[i], []
         out = table.get(mu)
         if out is None and (len(mu) != self.ring.num_derivations or not is_multi_index(mu)):
             raise ValueError(f"cannot lift element {i} by {mu!r}: not a multi-index of the ring")
+        if out is None and self.leader_only[i] and any(mu):
+            x = self.leaders[i]
+            up = Derivative(x.indeterminate, tuple(map(operator.add, x.index, mu)))
+            out = table[mu] = self.separants[i] * DiffPoly.variable(up)
         while out is None:
             first = next(filter(None, mu), 0)
             if not first:
@@ -342,8 +349,9 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
 
     Every pair takes this one path; for leader-only p = c·u[mu] and
     q = d·u[nu], mul_sub's proportionality test returns d·c·u[t] - c·d·u[t]
-    = 0 without a product, after lifts to t that the chain's delta_checks,
-    which keep the Δs, skip for such a pair.
+    = 0 without a product, after two one-step lifts to t (see
+    DiffChain.lift) that the chain's delta_checks, which keep the Δs, skip
+    for such a pair.
     """
     _require_element(chain, i)
     _require_element(chain, j)

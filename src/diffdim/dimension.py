@@ -12,7 +12,11 @@ brute-force lattice-point oracle they are checked against:
   Hilbert functions", JSC 1992), which stops at Bigatti's closed form
   once the generators, a lex-sorted antichain, are at most two or use at
   most two axes (Bigatti, "Computation of Hilbert-Poincare series", JPAA
-  1997), and adds every level's terms into one accumulator;
+  1997), and adds every level's terms into one accumulator.  Once the
+  pivot is needed it runs on packed ints: each multi-index becomes one
+  int of n fields of w bits plus a guard bit, w = (n * largest
+  exponent).bit_length(), so a colon, a divisibility test and an order
+  are a few int operations;
 - the minimal Janet basis of the leaders, whose Janet cones are disjoint,
   built one slice of the first coordinate at a time: every value of that
   coordinate between two consecutive first exponents of the leaders
@@ -34,6 +38,11 @@ brute-force lattice-point oracle they are checked against:
   a slice's copies, with their multiplicative axes, fill one box
   prod_i [a_i, b_i), b_i = infinity on a multiplicative axis, so the
   number of boxes does not depend on the gaps either.
+
+The Janet route stays on tuples, so the inclusion-exclusion check shares
+neither its formula above two derivations nor its representation with the
+result: a packing error shows as InternalDisagreementError, not as the
+same wrong ω from both routes.
 """
 
 from __future__ import annotations
@@ -48,11 +57,9 @@ from .chains import DiffChain, LeaderSpec, minimalize
 from .diffpoly import (
     MultiIndex,
     dominates,
-    index_order,
     is_multi_index,
     is_natural,
     iter_indices,
-    join_indices,
 )
 from .numpoly import NumericalPolynomial
 
@@ -135,36 +142,99 @@ def _hilbert_numerator(gens) -> dict[int, int]:
     a lex-sorted antichain gens, as {exponent: nonzero coefficient}.
 
     K(t) is the signed sum over subsets S of the generators of
-    (-1)^|S| t^|join(S)|.  Two base cases need the lex-sorted antichain:
-    on at most two generators, or on at most two used axes, where lex order
-    sorts the generators up one axis and down the other, Bigatti's closed
-    form K = 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))| applies; with
-    two generators it is the sum over their four subsets.  Otherwise the
-    pivot adds one generator m at a time,
-    K(done + {m}) = K(done) - t^|m| K(done : m), where the colon ideal
-    done : m is generated by the antichain of join(g, m) - m over done.
-    Every level of the pivot adds its terms, shifted and signed, into one
-    dict.
+    (-1)^|S| t^|join(S)|.  On at most two generators, or on at most two
+    used axes, Bigatti's closed form gives it (see _add_closed_form);
+    that test runs on the tuples.  Otherwise the generators are packed
+    into ints and the pivot runs on those (see _add_pivot).  Every level
+    adds its terms, shifted and signed, into one dict.
     """
     k: dict[int, int] = {}
-    _add_hilbert_numerator(gens, 0, 1, k)
+    if len(gens) <= 2 or sum(map(any, zip(*gens))) <= 2:
+        joins = (sum(map(max, g, h)) for g, h in zip(gens, gens[1:]))
+        _add_closed_form(k, 0, 1, map(sum, gens), joins)
+    else:
+        _add_pivot(gens, k)
     return {e: c for e, c in k.items() if c}
 
 
-def _add_hilbert_numerator(gens, shift: int, sign: int, k: dict[int, int]) -> None:
-    """Add sign * t^shift * K(gens) into k, by _hilbert_numerator's cases."""
+def _add_closed_form(k: dict[int, int], shift: int, sign: int, orders, join_orders) -> None:
+    """Add sign * t^shift * (1 - sum_i t^orders_i + sum_i t^join_orders_i)
+    into k: Bigatti's K = 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))|
+    for a lex-sorted antichain g on at most two generators, where it is the
+    sum over their four subsets, or on at most two used axes, where lex
+    order sorts the generators up one axis and down the other."""
     k[shift] = k.get(shift, 0) + sign
-    if len(gens) <= 2 or sum(map(any, zip(*gens))) <= 2:
-        for g in gens:
-            e = shift + sum(g)
-            k[e] = k.get(e, 0) - sign
-        for g, h in zip(gens, gens[1:]):
-            e = shift + sum(map(max, g, h))
-            k[e] = k.get(e, 0) + sign
-    else:
-        for i, m in enumerate(gens):
-            colon = minimalize(tuple(map(operator.sub, map(max, g, m), m)) for g in gens[:i])
-            _add_hilbert_numerator(colon, shift + sum(m), -sign, k)
+    for e in orders:
+        k[shift + e] = k.get(shift + e, 0) - sign
+    for e in join_orders:
+        k[shift + e] = k.get(shift + e, 0) + sign
+
+
+def _add_pivot(gens, k: dict[int, int]) -> None:
+    """Add K(gens) into k by the pivot K(done + {m}) = K(done) - t^|m| K(done : m)
+    over the generators m in order, where the colon ideal done : m is
+    generated by the antichain of join(g, m) - m over done, down to
+    _add_closed_form's base cases.
+
+    Each multi-index is packed into one int of n fields, axis 0 in the top
+    one, so int order is lex order.  A field holds w bits and a guard bit
+    above them, with w = (n * largest exponent).bit_length(): every entry,
+    and every order, is below 2^w, so no field carries into or borrows from
+    the next.  With H the guard bits and ONES bit 0 of every field:
+    x >= y on every axis exactly when ((x | H) - y) & H == H, the order of x
+    is the top field of x * ONES, and max(g - m, 0) is _colon's d & (G -
+    (G >> w)), d = (g | H) - m and G = d & H.
+    """
+    n = len(gens[0])
+    w = (n * max(map(max, gens))).bit_length()
+    step = w + 1
+    ones = sum(1 << a * step for a in range(n))
+    guards = ones << w
+    top, values = (n - 1) * step, (1 << w) - 1
+    packed = []
+    for g in gens:
+        x = 0
+        for e in g:
+            x = x << step | e
+        packed.append(x)
+    pending = [(packed, 0, 1)]
+    while pending:
+        level, shift, sign = pending.pop()
+        if len(level) > 2 and _used_axes(level, guards, ones) > 2:
+            k[shift] = k.get(shift, 0) + sign
+            for i, m in enumerate(level):
+                order = m * ones >> top & values
+                pending.append((_colon(level[:i], m, guards, w), shift + order, -sign))
+        else:
+            joins = []
+            for g, h in zip(level, level[1:]):
+                d = (g | guards) - h  # join(g, h) = h + max(g - h, 0), as in _colon
+                high = d & guards
+                joins.append((h + (d & (high - (high >> w)))) * ones >> top & values)
+            _add_closed_form(k, shift, sign, (x * ones >> top & values for x in level), joins)
+
+
+def _used_axes(level: list[int], guards: int, ones: int) -> int:
+    """Number of axes on which some packed index in level is nonzero."""
+    return (((functools.reduce(operator.or_, level) | guards) - ones) & guards).bit_count()
+
+
+def _colon(level: list[int], m: int, guards: int, w: int) -> list[int]:
+    """The lex-sorted antichain of max(g - m, 0) over the packed g in level,
+    packed as _add_pivot describes."""
+    found = set()
+    for g in level:
+        d = (g | guards) - m  # each field holds guard + g_a - m_a >= 1
+        high = d & guards  # the guard stays set exactly where g_a >= m_a
+        found.add(d & (high - (high >> w)))
+    kept: list[int] = []
+    for x in sorted(found):
+        for y in kept:
+            if ((x | guards) - y) & guards == guards:
+                break
+        else:
+            kept.append(x)
+    return kept
 
 
 def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
@@ -177,16 +247,17 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     the Hilbert numerator computed by the pivot (see _hilbert_numerator), so
     no subset is enumerated; each group is a lex-sorted antichain, as
     LeaderSpec stores it, which the pivot's two-axis base case (Bigatti 1997)
-    needs.  A leader of order 0 makes K = 0: its cone is everything.  The
-    identity stabilizes at the largest join order, which is the order of the
-    join of all of a group's generators.
+    needs.  The base cases are tested on the tuples, and only the pivot
+    runs on packed ints, n fields of w = (n * largest exponent).bit_length()
+    bits and a guard bit each (see _add_pivot).  A leader of order 0 makes
+    K = 0: its cone is everything.
+    The identity stabilizes at the largest join order, which is the order
+    of the join of all of a group's generators: the sum over the axes of
+    the group's largest exponent.
     """
     n = spec.num_derivations
     numerators = [_hilbert_numerator(gens) for gens in spec.generators]
-    bound = max(
-        (index_order(functools.reduce(join_indices, g)) for g in spec.generators if g),
-        default=0,
-    )
+    bound = max((sum(map(max, zip(*gens))) for gens in spec.generators if gens), default=0)
     terms = [(c, e, n) for k in numerators for e, c in k.items()]
     return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound)
 
@@ -355,6 +426,9 @@ def omega(chain: DiffChain) -> OmegaResult:
     above two derivations: in n <= 2 both routes build the terms
     sum t^|g_i| - sum t^|join(g_i, g_(i+1))|, so K_Janet = 1 - K_Hilbert,
     and it guards their loops, not the formula, which krull_oracle checks.
+    Above two derivations the pivot runs on packed ints while the Janet
+    route stays on tuples, so the check's representation is independent
+    too, and a packing error raises InternalDisagreementError.
     """
     chain.require_valid()
     spec = chain.leader_spec

@@ -51,12 +51,18 @@ class NumericalPolynomial:
 
             C(l - s + k, k) = sum_{i=0..k} (-1)^(k-i) C(s, k-i) C(l+i, i),
 
-        and each term adds straight into the coefficients.
+        and each term adds straight into the coefficients.  Terms that share
+        s and k are merged first, and each row of signed binomials is built
+        by the running product C(s, j+1) = C(s, j) (s - j) / (j + 1).
         """
-        coeffs = [0] * width
+        merged: dict[tuple[int, int], int] = {}
         for c, s, k in terms:
+            merged[s, k] = merged.get((s, k), 0) + c
+        coeffs = [0] * width
+        for (s, k), c in merged.items():
             for j in range(min(s, k) + 1):
-                coeffs[k - j] += (-1) ** j * math.comb(s, j) * c
+                coeffs[k - j] += c  # c = (-1)^j C(s, j) times the merged coefficient
+                c = -c * (s - j) // (j + 1)
         return cls(coeffs)
 
     @property

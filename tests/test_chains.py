@@ -614,6 +614,33 @@ def test_full_pseudo_reduce_lifts_1500_steps_deep():
     assert full_pseudo_reduce(dvar(0, (1500, 0)), chain).remainder.is_zero()
 
 
+def test_leader_only_lifts_take_one_step_at_any_order():
+    """A leader-only element c·u[nu] lifts to c·u[nu + mu] at once, entered
+    under mu alone, so Δ of u[10^12,0] and u[0,1] is zero within 2 s, and so
+    is a reduction by a lift 10^12 deep.  Run in a fresh process with a time
+    limit, so that a lift built one derivative at a time fails the test
+    instead of hanging the suite."""
+    script = """
+import time
+from diffdim import DiffChain, delta_polynomial, full_pseudo_reduce
+from corpus import dvar, plain_ranking
+start = time.perf_counter()
+chain = DiffChain([dvar(0, (10**12, 0)), dvar(0, (0, 1))], plain_ranking(2, 1))
+print(delta_polynomial(chain, 0, 1).is_zero())
+scaled = DiffChain([dvar(0, (10**12, 0)), 3 * dvar(0, (0, 1))], plain_ranking(2, 1))
+print(delta_polynomial(scaled, 1, 0).is_zero())
+print(scaled.lift(1, (10**12, 5)) == 3 * dvar(0, (10**12, 6)))
+print(full_pseudo_reduce(dvar(0, (10**12 + 5, 9)), scaled).remainder.is_zero())
+print([sorted(table) for table in scaled._lifts])
+print(time.perf_counter() - start < 2)
+"""
+    out = run_in_fresh_process(script, timeout=10).splitlines()
+    assert out == ["True"] * 4 + [
+        str([[(0, 1)], [(10**12, 0), (10**12, 5), (10**12 + 5, 8)]]),
+        "True",
+    ]
+
+
 def _every_pair_failures(chain):
     """The check without the chain criterion: every same-indeterminate pair
     is reduced, and the failing ones are returned in (i, k) order."""

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import operator
+import pathlib
 import random
 import time
 
@@ -592,32 +594,85 @@ def _embed(gens, axes, n):
     return minimalize(out)
 
 
+def _scaled(gens, big, rng):
+    """gens under a strictly increasing map of each axis, e -> e * big + r with
+    r < big fixed per (axis, e), which keeps every comparison of entries."""
+    offsets = {}
+    return tuple(
+        tuple(e * big + offsets.setdefault((a, e), rng.randrange(big)) for a, e in enumerate(g))
+        for g in gens
+    )
+
+
+def _field_width_boundaries():
+    """Antichains in n axes whose largest exponent top makes n * top equal
+    2^k - 1 or 2^k: the n indices with top on all axes but one, whose
+    joins reach order n * top, and random antichains over {0, 1, top // 2,
+    top - 1, top}."""
+    rng = random.Random(61)
+    cases = []
+    for n, top in ((3, 5461), (5, 13107), (5, 209715), (4, 4096), (4, 2**20)):
+        assert (n * top + 1).bit_count() == 1 or (n * top).bit_count() == 1, (n, top)
+        cases.append(tuple(tuple(0 if a == b else top for a in range(n)) for b in range(n)))
+        for _ in range(10):
+            points = [tuple(rng.choice((0, 1, top // 2, top - 1, top)) for _ in range(n))
+                      for _ in range(rng.randint(3, 6))]
+            cases.append(minimalize(points + [(top,) + (0,) * (n - 1)]))
+    return cases
+
+
 def test_hilbert_numerator_matches_subset_sum():
     rng = random.Random(16)
     cases = [(), ((0, 0, 0),), ((3,),), ((0, 2, 0, 0),), ((1, 1, 1),)]
     for _ in range(400):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 6)
         cases.append(minimalize(_random_antichain(rng, n, rng.randint(0, 10), 6)))
-    for n in range(3, 6):
+    for n in range(3, 7):
         for axes in itertools.combinations(range(n), 2):
             for _ in range(5):
                 plane = _random_antichain(rng, 2, rng.randint(1, 10), 8)
                 cases.append(_embed(plane, axes, n))
         for axis in range(n):
             cases.append(_embed([(rng.randint(1, 6),)], (axis,), n))
+        for big in (10**12, 10**599):
+            for _ in range(5):
+                gens = minimalize(_random_antichain(rng, n, rng.randint(3, 6), 5))
+                cases.append(minimalize(_scaled(gens, big, rng)))
+            points = [tuple(rng.randrange(big, 10 * big) for _ in range(n)) for _ in range(6)]
+            cases.append(minimalize(points))
     cases.append(_embed([(2, 0), (1, 3), (0, 5)], (1, 3), 4))
+    cases += _field_width_boundaries()
+    assert max(max(map(max, gens), default=0) for gens in cases) >= 10**599
     for gens in cases:
         assert dimension._hilbert_numerator(gens) == _numerator_by_subsets(gens), gens
 
 
-def test_hilbert_numerator_two_axis_base_case_skips_the_pivot(monkeypatch):
+def test_incl_excl_matches_janet_on_the_cones_pool():
+    """Both routes on every set of bench/cones_pool.json, the leaders of the
+    cones workload in four derivations, where the pivot runs packed."""
+    pool = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "cones_pool.json").read_text())
+    assert len(pool["sets"]) == 240
+    for entry in pool["sets"]:
+        gens = [tuple(g) for g in entry["generators"]]
+        spec = LeaderSpec(len(gens[0]), 1, {0: gens})
+        assert omega_incl_excl(spec).omega == omega_janet(spec).omega, gens
+
+
+def _count_colons(monkeypatch):
+    """The list that gains one entry per colon ideal the packed pivot builds."""
     calls = []
+    colon = dimension._colon
 
-    def counting_minimalize(indices):
+    def counting_colon(*args):
         calls.append(1)
-        return minimalize(indices)
+        return colon(*args)
 
-    monkeypatch.setattr(dimension, "minimalize", counting_minimalize)
+    monkeypatch.setattr(dimension, "_colon", counting_colon)
+    return calls
+
+
+def test_hilbert_numerator_two_axis_base_case_skips_the_pivot(monkeypatch):
+    calls = _count_colons(monkeypatch)
     staircase = tuple((a, 19 - a) for a in range(20))
     assert dimension._hilbert_numerator(staircase) == {0: 1, 19: -20, 20: 19}
     assert dimension._hilbert_numerator(_embed(staircase, (0, 2), 4)) == {0: 1, 19: -20, 20: 19}
@@ -628,12 +683,6 @@ def test_hilbert_numerator_two_axis_base_case_skips_the_pivot(monkeypatch):
 
 
 def test_hilbert_numerator_two_generator_base_case_skips_the_pivot(monkeypatch):
-    calls = []
-
-    def counting_minimalize(indices):
-        calls.append(1)
-        return minimalize(indices)
-
     rng = random.Random(32)
     cases = [((0, 1, 2), (1, 0, 0)), ((0, 0, 0, 1, 1), (2, 1, 1, 0, 0))]
     while len(cases) < 300:
@@ -642,7 +691,7 @@ def test_hilbert_numerator_two_generator_base_case_skips_the_pivot(monkeypatch):
         if len(gens) == 2 and sum(map(any, zip(*gens))) > 2:
             cases.append(gens)
     expected = [_numerator_by_subsets(gens) for gens in cases]
-    monkeypatch.setattr(dimension, "minimalize", counting_minimalize)
+    calls = _count_colons(monkeypatch)
     assert [dimension._hilbert_numerator(gens) for gens in cases] == expected
     assert calls == []
 

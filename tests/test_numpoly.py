@@ -137,6 +137,24 @@ def test_from_shifted_basis_sums_shifted_binomials():
     assert NumericalPolynomial.from_shifted_basis(terms, 4).coeffs == (8, -1, 2, 0)
 
 
+def test_from_shifted_basis_merges_terms_to_the_per_term_expansion():
+    """Terms sharing s and k, cancelling ones and shifts of 10^12 give the
+    coefficients of sum (-1)^j C(s, j) c added term by term."""
+    rng = random.Random(33)
+    for _ in range(2000):
+        width = rng.randint(1, 7)
+        shifts = [rng.randint(0, 12), rng.randint(0, 12), 10**12 + rng.randint(0, 9)]
+        terms = [
+            (rng.randint(-5, 5), rng.choice(shifts), rng.randint(0, width - 1))
+            for _ in range(rng.randint(0, 10))
+        ]
+        expected = [0] * width
+        for c, s, k in terms:
+            for j in range(min(s, k) + 1):
+                expected[k - j] += (-1) ** j * math.comb(s, j) * c
+        assert NumericalPolynomial.from_shifted_basis(terms, width).coeffs == tuple(expected)
+
+
 def test_text_rendering():
     p = NumericalPolynomial([-1, 2])
     assert standard_text(p) == "2ℓ + 1"
