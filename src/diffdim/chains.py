@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -34,10 +35,23 @@ class InvalidChainError(ValueError):
 
 
 def minimalize(indices) -> tuple[MultiIndex, ...]:
-    """Antichain of the given multi-indices: a lexicographic scan keeps an index unless a kept
-    one divides it; lex order extends the componentwise order, so minimal divisors come first."""
+    """Antichain of the given multi-indices, lex-sorted: a lexicographic scan keeps an index
+    unless a kept one divides it; lex order extends the componentwise order, so minimal divisors
+    come first.
+
+    Two-entry indices take one sweep with no divisibility test (Kung, Luccio and Preparata, JACM
+    1975): every index before mu in lex order has a first entry at most mu[0], and one with an
+    equal first entry has a smaller second, so mu has a divisor exactly when some earlier index
+    has a second entry at most mu[1].  The smallest such entry is that of the last index kept,
+    since each index dropped has a kept divisor; so mu is kept exactly when mu[1] is below it."""
+    unique = sorted(set(map(tuple, indices)))
     kept: list[MultiIndex] = []
-    for mu in sorted(set(map(tuple, indices))):
+    if {*map(len, unique)} == {2}:
+        for mu in unique:
+            if not kept or mu[1] < kept[-1][1]:
+                kept.append(mu)
+        return tuple(kept)
+    for mu in unique:
         for g in kept:
             if all(map(operator.ge, mu, g)):
                 break
@@ -100,15 +114,16 @@ class DiffChain:
     Each fact about the elements that validation, reduction and compare
     read is a cached attribute, computed for every element on its first
     use: separants, leader_only, initials, degrees (each element's degree
-    in its own leader), by_rank, leader_spec (the leader antichains that ω
-    reads and triangularity is decided from), leader_table (the chain
-    criterion's masks, built only for a pair that needs a witness), the
-    validation report, and the evidence behind its verdict, delta_checks
-    and skipped_pairs, built by one scan of every pair.  Lifts fill
-    per-element tables one derivative at a time, a leader-only element's in
-    one step per requested lift, and reduced obstructions
-    one table of DeltaChecks keyed by pair, so each kept pair is reduced
-    once.  All of them die with the chain, and none refers back to it.
+    in its own leader), by_rank, leader_elements (each leader's element,
+    which answers reduction by a leader in one lookup), leader_spec (the
+    leader antichains that ω reads and triangularity is decided from),
+    leader_table (the chain criterion's masks, built only for a pair that
+    needs a witness), the validation report, and the evidence behind its
+    verdict, delta_checks and skipped_pairs, built by one scan of every
+    pair.  Lifts fill per-element tables one derivative at a time, a
+    leader-only element's in one step per requested lift, and reduced
+    obstructions one table of DeltaChecks keyed by pair, so each kept pair
+    is reduced once.  All of them die with the chain, and none refers back to it.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -198,6 +213,12 @@ class DiffChain:
     def by_rank(self) -> tuple[int, ...]:
         """The element indices in the rank order of their leaders."""
         return tuple(sorted(range(len(self)), key=lambda i: self.ranking.key(self.leaders[i])))
+
+    @functools.cached_property
+    def leader_elements(self) -> dict[Derivative, int]:
+        """Each leader's element; a leader shared by elements, which only a
+        chain that is not weakly triangular has, maps to the last of them."""
+        return {x: i for i, x in enumerate(self.leaders)}
 
     @functools.cached_property
     def leader_spec(self) -> LeaderSpec:
@@ -407,7 +428,16 @@ def _partial_reduction_failures(chain: DiffChain) -> list[str]:
 
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     """First element, in the rank order of leaders, whose leader divides x,
-    with the quotient x / leader."""
+    with the quotient x / leader.
+
+    A leader x is answered by one lookup in the chain's leader_elements, as
+    its own element with the quotient 0…0: full_pseudo_reduce, the only
+    caller, has refused a chain that is not weakly triangular, and in a
+    weakly triangular chain no other leader divides a leader.  Any other x
+    is found by a scan of by_rank."""
+    idx = chain.leader_elements.get(x)
+    if idx is not None:
+        return idx, (0,) * len(x.index)
     leaders = chain.leaders
     for idx in chain.by_rank:
         ld = leaders[idx]
@@ -479,14 +509,21 @@ def _obstruction_pairs(chain: DiffChain, every: bool):
     """(i, k, via) for the same-indeterminate pairs i < k of a triangular
     chain in (i, k) order, via the lowest witness of the chain criterion or
     None when the pair is kept; unless every, only the pairs with an element
-    that is not leader-only."""
+    that is not leader-only.
+
+    Those pairs are the only ones visited: a leader-only i is paired with the
+    later elements that are not, so with a such elements the loop makes
+    O(len(chain)·a) visits, and none at all when a = 0.  With every, all the
+    elements count as such, and every pair is visited."""
     leaders, leader_only = chain.leaders, chain.leader_only
+    others = [t for t, only in enumerate(leader_only) if every or not only]
+    if not others:
+        return
     for i, x in enumerate(leaders):
-        for k in range(i + 1, len(leaders)):
+        later = others[bisect.bisect(others, i) :] if leader_only[i] else range(i + 1, len(leaders))
+        for k in later:
             y = leaders[k]
-            if x.indeterminate != y.indeterminate or (
-                not every and leader_only[i] and leader_only[k]
-            ):
+            if x.indeterminate != y.indeterminate:
                 continue
             witnesses = _witnesses(chain, x.index, y.index, i, k)
             # the lowest witness, as a scan in index order would find first
@@ -528,7 +565,9 @@ def validate(chain: DiffChain) -> ValidationReport:
     d·c·u[t] - c·d·u[t] = 0, kept or skipped, so it never makes a chain
     incoherent, and in the lemma's induction such a witness pair is
     trivially in the ideal.  So validate runs the chain criterion, Δ and
-    reduction only on the pairs with an element that is not leader-only,
+    reduction only on the pairs with an element that is not leader-only, and
+    never visits a pair of two leader-only elements: a chain of pure
+    derivatives costs no more than finding its leader antichain.  The Δs go
     through the chain's DeltaCheck table; its delta_checks reuse them and
     give each leader-only pair that zero.  The report holds only data.
 

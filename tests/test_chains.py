@@ -641,6 +641,79 @@ print(time.perf_counter() - start < 2)
     ]
 
 
+def test_staircase_omega_is_the_count_below_it():
+    """ω of the staircase u[i, k-1-i], i < k, is C(k, 2): the derivatives
+    below it are those of order at most k - 2.  Checked by krull_oracle at
+    small k, the formula that the 5,000-leader staircase below relies on."""
+    for k in range(1, 12):
+        chain = _chain([dvar(0, (i, k - 1 - i)) for i in range(k)], 2, 1)
+        result = omega(chain)
+        assert result.omega.coeffs == (math.comb(k, 2), 0, 0)
+        for ell in range(k + 3):
+            counted = krull_oracle(chain.leader_spec, ell)
+            assert counted == math.comb(min(ell, k - 2) + 2, 2)
+            if ell >= k - 2:
+                assert result.omega.eval(ell) == counted
+
+
+_STAIRCASE = """
+import time
+from diffdim import DiffChain, compare_ideals, omega, validate
+from corpus import dvar, plain_ranking
+def staircase(k):
+    return [dvar(0, (i, k - 1 - i)) for i in range(k)]
+start = time.perf_counter()
+"""
+
+
+def test_omega_of_a_5000_leader_staircase_costs_no_quadratic_work():
+    """Validating a chain of pure derivatives visits no pair and finds the
+    leader antichain in one sweep, so ω of the staircase u[i, 4999-i] takes
+    well under 1 s; it took seconds when both were pairwise.  Run in a fresh
+    process with a time limit, so that a quadratic return fails the test
+    instead of slowing the suite."""
+    script = _STAIRCASE + """
+chain = DiffChain(staircase(5000), plain_ranking(2, 1))
+print(omega(chain).omega.coeffs)
+print(time.perf_counter() - start < 1)
+"""
+    out = run_in_fresh_process(script, timeout=10).splitlines()
+    assert out == [str((math.comb(5000, 2), 0, 0)), "True"]
+
+
+def test_one_nonlinear_element_beside_a_5000_leader_staircase_is_validated_at_once():
+    """The element v[0,1]^2 - v[0,0] is the only one that is not leader-only,
+    so validate visits only its pairs, none of them on u, and accepts the
+    chain within 1 s."""
+    script = _STAIRCASE + """
+extra = dvar(1, (0, 1)) ** 2 - dvar(1, (0, 0))
+chain = DiffChain(staircase(5000) + [extra], plain_ranking(2, 2))
+report = validate(chain)
+print(report.accepted, report.messages)
+print(time.perf_counter() - start < 1)
+"""
+    out = run_in_fresh_process(script, timeout=10).splitlines()
+    assert out == [
+        "True ['regularity of initials and separants assumed, not verified']",
+        "True",
+    ]
+
+
+def test_compare_of_two_2000_leader_staircases_reduces_each_leader_at_once():
+    """Containment reduces every element of one staircase by the other, and
+    each is a leader there, found by one lookup instead of a scan of all
+    2,000 leaders, so compare_ideals establishes Equal within 1 s."""
+    script = _STAIRCASE + """
+smaller = DiffChain(staircase(2000), plain_ranking(2, 1))
+larger = DiffChain(staircase(2000), plain_ranking(2, 1))
+verdict = compare_ideals(smaller, larger)
+print(verdict.relation.value, verdict.containment.value)
+print(time.perf_counter() - start < 1)
+"""
+    out = run_in_fresh_process(script, timeout=10).splitlines()
+    assert out == ["Equal established", "True"]
+
+
 def _every_pair_failures(chain):
     """The check without the chain criterion: every same-indeterminate pair
     is reduced, and the failing ones are returned in (i, k) order."""
@@ -733,6 +806,81 @@ def test_chain_criterion_agrees_with_the_every_pair_check():
         seen["coherent" if report.coherent else "incoherent"] += 1
         seen["failures_skipped"] += len(set(failing) - set(pruned)) > 0
     assert all(seen.values()), seen
+
+
+def _mixed_chain(rng):
+    """Weakly triangular chain in n = 2-3 and m = 2-3, in a shuffled order:
+    an antichain of leaders of order 1-3 on each indeterminate, and each
+    element, with a probability drawn per chain (0 and 1 included), the
+    leader-only c·x, else I·x^e + T with I = c·u_last + k and a tail T of
+    lower-order derivatives of every indeterminate."""
+    n, m = rng.randint(2, 3), rng.randint(2, 3)
+    share = rng.choice((0.0, 1.0, rng.random()))
+    elements = []
+    for j in range(m):
+        for mu in _antichain(rng, n, (1, 2, 3), rng.randint(1, 4)):
+            x = dvar(j, mu)
+            if rng.random() < share:
+                elements.append(rng.choice((1, -2, 3)) * x)
+                continue
+            lower = [dvar(i, nu) for i in range(m) for nu in iter_indices(n, sum(mu) - 1)]
+            tail = DiffPoly.constant(rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 2)):
+                tail = tail + rng.choice((-2, 1, 2)) * rng.choice(lower) * rng.choice(lower)
+            initial = rng.randint(1, 3) * dvar(m - 1, (0,) * n) + rng.choice((-2, 1, 3))
+            elements.append(initial * x ** rng.randint(1, 2) + tail)
+    rng.shuffle(elements)
+    return _chain(elements, n, m)
+
+
+def test_obstruction_pairs_leave_out_exactly_the_pairs_of_two_leader_only_elements():
+    """With every, the pair loop yields the chain criterion's verdict on
+    every same-indeterminate pair, as read off the leaders by definition;
+    without it, exactly those triples whose pair holds an element that is
+    not leader-only, in the same order with the same witness."""
+    rng = random.Random(3407)
+    seen = {"none leader-only": 0, "all leader-only": 0, "mixed": 0, "witnessed": 0}
+    for _ in range(200):
+        chain = _mixed_chain(rng)
+        failures, skipped, kept = _reference_validation(chain)
+        assert not failures
+        every = list(chains._obstruction_pairs(chain, every=True))
+        assert every == sorted(skipped + [(i, k, None) for i, k in kept])
+        only = chain.leader_only
+        assert list(chains._obstruction_pairs(chain, every=False)) == [
+            (i, k, via) for i, k, via in every if not (only[i] and only[k])
+        ]
+        seen["all leader-only" if all(only) else "mixed" if any(only) else "none leader-only"] += 1
+        seen["witnessed"] += any(via is not None and not (only[i] and only[k])
+                                 for i, k, via in every)
+    assert min(seen.values()) >= 20, seen
+
+
+def _scan_reducer(chain, x):
+    """The first element in by_rank whose leader divides x, with the quotient."""
+    for idx in chain.by_rank:
+        ld = chain.leaders[idx]
+        if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
+            return idx, tuple(a - b for a, b in zip(x.index, ld.index))
+    return None
+
+
+def test_reducer_agrees_with_the_rank_order_scan():
+    """For every derivative of every lift of order at most 2 of each element,
+    leaders included, the leader lookup and the scan give one answer."""
+    rng = random.Random(1975)
+    seen = {"leader": 0, "proper derivative": 0, "irreducible": 0}
+    for _ in range(40):
+        chain = _mixed_chain(rng)
+        for i in range(len(chain)):
+            for mu in iter_indices(chain.ring.num_derivations, 2):
+                for x in chain.lift(i, mu).derivatives():
+                    found = chains._reducer(chain, x)
+                    assert found == _scan_reducer(chain, x), x
+                    kind = ("irreducible" if found is None
+                            else "leader" if not any(found[1]) else "proper derivative")
+                    seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def _implied_by(leaders, i, k):

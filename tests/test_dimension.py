@@ -74,6 +74,37 @@ def test_minimalize():
         assert minimalize(indices) == _minimalize_all_pairs(indices), indices
 
 
+def test_minimalize_sweeps_two_entry_indices_as_the_definition_does():
+    """The two-entry sweep against the definition on seeded sets of up to
+    300 points: entries up to 10^12, many ties on the first entry,
+    duplicates, full staircases and staircases with points above them."""
+    rng = random.Random(34)
+    seen = {"dropped": 0, "tied first entries": 0, "kept all": 0}
+    for trial in range(90):
+        size = rng.randint(0, 300)
+        top = rng.choice((3, 40, 10**12))
+        indices = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(size)]
+        if trial % 3 == 1:
+            # few first entries, so most points tie on one
+            firsts = [rng.randint(0, top) for _ in range(rng.randint(1, 4))]
+            indices = [(rng.choice(firsts), b) for _, b in indices]
+        elif trial % 3 == 2:
+            # a full staircase of the size, in half the cases with points above it
+            step = rng.choice((1, 10**9))
+            indices = [(i * step, (size - 1 - i) * step) for i in range(size)]
+            above = rng.sample(indices, min(size, rng.randint(0, 30))) if trial % 2 else []
+            indices += [(a + rng.randint(0, 2), b + rng.randint(0, 2)) for a, b in above]
+        indices += rng.sample(indices, min(len(indices), rng.randint(0, 20)))
+        rng.shuffle(indices)
+        expected = _minimalize_all_pairs(indices)
+        assert minimalize(indices) == expected, indices
+        distinct = set(indices)
+        seen["dropped"] += len(expected) < len(distinct)
+        seen["tied first entries"] += len({a for a, _ in distinct}) < len(distinct)
+        seen["kept all"] += bool(distinct) and len(expected) == len(distinct)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_leader_spec_validation():
     # a zero count, and counts that are not ints, even integral floats
     for counts in ((0, 1), (2.0, 1), (2, 1.0), ("2", 1)):
