@@ -6,7 +6,6 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from .diffpoly import (
     ConstantPolynomialError,
@@ -22,6 +21,7 @@ from .diffpoly import (
     mul_sub,
     poly_text,
 )
+from .record import FrozenRecord, Record
 
 REGULARITY_TAG = "unverified-assumed"
 
@@ -60,8 +60,7 @@ def minimalize(indices) -> tuple[MultiIndex, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True, slots=True)
-class LeaderSpec:
+class LeaderSpec(FrozenRecord):
     """Leader cones of a chain, one antichain of multi-indices per indeterminate.
 
     generators may be given as a mapping from indeterminate to multi-indices or
@@ -69,24 +68,22 @@ class LeaderSpec:
     per indeterminate.
     """
 
-    num_derivations: int
-    num_indeterminates: int
-    generators: tuple[tuple[MultiIndex, ...], ...] = ()
+    __slots__ = ("num_derivations", "num_indeterminates", "generators")
 
-    def __post_init__(self):
-        counts = (self.num_derivations, self.num_indeterminates)
-        if not all(is_natural(c) and c > 0 for c in counts):
+    def __init__(self, num_derivations: int, num_indeterminates: int, generators=()):
+        object.__setattr__(self, "num_derivations", num_derivations)
+        object.__setattr__(self, "num_indeterminates", num_indeterminates)
+        if not all(is_natural(c) and c > 0 for c in (num_derivations, num_indeterminates)):
             raise ValueError("need at least one derivation and one indeterminate")
-        groups: list[tuple[MultiIndex, ...]] = [()] * self.num_indeterminates
-        generators = self.generators
+        groups: list[tuple[MultiIndex, ...]] = [()] * num_indeterminates
         if generators:
             items = generators.items() if hasattr(generators, "items") else enumerate(generators)
             for j, gens in items:
-                if not is_natural(j) or j >= self.num_indeterminates:
+                if not is_natural(j) or j >= num_indeterminates:
                     raise ValueError(f"bad indeterminate {j!r}")
                 gens = tuple(tuple(mu) for mu in gens)
                 for mu in gens:
-                    if len(mu) != self.num_derivations or not is_multi_index(mu):
+                    if len(mu) != num_derivations or not is_multi_index(mu):
                         raise ValueError(f"bad multi-index {mu}")
                 groups[j] = minimalize(gens)
         object.__setattr__(self, "generators", tuple(groups))
@@ -107,9 +104,11 @@ class DiffChain:
     """Ordered finite family of non-constant differential polynomials.
 
     Every derivative must belong to the ranking's ring; one that does not
-    raises ValueError naming the element and the derivative.  Each element's
-    set of derivatives is computed once, for that check, its leader and the
-    partial-reduction check.
+    raises ValueError naming the element and the derivative.  Each element is
+    read in one pass: its set of derivatives, computed once, decides whether
+    it is constant, is checked against the ring one derivative at a time,
+    and gives its leader, the only derivative or the highest ranked; the
+    partial-reduction check reads the set again.
 
     Each fact about the elements that validation, reduction and compare
     read is a cached attribute, computed for every element on its first
@@ -128,19 +127,26 @@ class DiffChain:
 
     def __init__(self, elements, ranking: Ranking):
         elements = tuple(elements)
-        derivatives = []
+        ring = ranking.ring
+        n, m = ring.num_derivations, ring.num_indeterminates
+        derivatives, leaders = [], []
         for i, p in enumerate(elements):
-            if not isinstance(p, DiffPoly) or p.is_constant():
+            # a polynomial is constant exactly when it holds no derivative
+            found = p.derivatives() if isinstance(p, DiffPoly) else None
+            if not found:
                 raise ConstantPolynomialError(
                     "chain elements must be non-constant differential polynomials"
                 )
-            derivatives.append(p.derivatives())
-            _require_in_ring(derivatives[i], ranking.ring, f"chain element {i}")
+            for d in found:
+                if d.indeterminate >= m or len(d.index) != n:
+                    _require_in_ring(found, ring, f"chain element {i}")
+            derivatives.append(found)
+            leaders.append(max(found, key=ranking.key) if len(found) > 1 else next(iter(found)))
         vars(self).update(
             elements=elements,
             ranking=ranking,
             _derivatives=tuple(derivatives),
-            leaders=tuple(max(found, key=ranking.key) for found in derivatives),
+            leaders=tuple(leaders),
             _lifts=tuple({} for _ in elements),
             _checks={},
         )
@@ -305,8 +311,7 @@ class DiffChain:
             raise InvalidChainError("; ".join(report.messages))
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(Record):
     """Outcome of full pseudo-reduction, with the log of its steps.
 
     steps holds one (lead, coefficient, mu, element index) tuple per
@@ -318,8 +323,10 @@ class ReductionTrace:
                             later leads) * element derived mu times).
     """
 
-    remainder: DiffPoly
-    steps: tuple[tuple[DiffPoly, DiffPoly, MultiIndex, int], ...] = ()
+    __slots__ = ("remainder", "steps")
+
+    def __init__(self, remainder: DiffPoly, steps: tuple[tuple, ...] = ()):
+        self.remainder, self.steps = remainder, steps
 
     @property
     def multipliers(self) -> tuple[tuple[DiffPoly, int], ...]:
@@ -328,25 +335,32 @@ class ReductionTrace:
         return tuple((lead, sum(1 for _ in run)) for lead, run in runs)
 
 
-@dataclass
-class DeltaCheck:
+class DeltaCheck(Record):
     """Coherence evidence for one pair of chain elements."""
 
-    first: int
-    second: int
-    delta: DiffPoly
-    trace: ReductionTrace
+    __slots__ = ("first", "second", "delta", "trace")
+
+    def __init__(self, first: int, second: int, delta: DiffPoly, trace: ReductionTrace):
+        self.first, self.second, self.delta, self.trace = first, second, delta, trace
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Verdicts of validate, as plain data; the evidence behind them is the
-    chain's delta_checks and skipped_pairs."""
+    chain's delta_checks and skipped_pairs.  messages defaults to a new
+    empty list."""
 
-    triangular: bool
-    coherent: bool
-    messages: list[str] = field(default_factory=list)
-    regularity_of_initials_and_separants: str = REGULARITY_TAG
+    __slots__ = ("triangular", "coherent", "messages", "regularity_of_initials_and_separants")
+
+    def __init__(
+        self,
+        triangular: bool,
+        coherent: bool,
+        messages: list[str] | None = None,
+        regularity_of_initials_and_separants: str = REGULARITY_TAG,
+    ):
+        self.triangular, self.coherent = triangular, coherent
+        self.messages = [] if messages is None else messages
+        self.regularity_of_initials_and_separants = regularity_of_initials_and_separants
 
     @property
     def accepted(self) -> bool:

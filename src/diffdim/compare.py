@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .chains import DiffChain, membership
 from .diffpoly import Derivative
 from .numpoly import NumericalPolynomial, Ordering
 from .dimension import omega
+from .record import Record
 
 
 class RankingMismatchError(ValueError):
@@ -38,15 +38,31 @@ class Containment(enum.Enum):
     ASSERTED = "asserted"
 
 
-@dataclass
-class CompareVerdict:
-    relation: Relation
-    omega_smaller: NumericalPolynomial
-    omega_larger: NumericalPolynomial
-    leader_report: dict[Derivative, tuple[int | None, int | None]]
-    degree_products: tuple[int, int]
-    containment: Containment
-    assumed_relation: Relation | None = None
+class CompareVerdict(Record):
+    __slots__ = (
+        "relation",
+        "omega_smaller",
+        "omega_larger",
+        "leader_report",
+        "degree_products",
+        "containment",
+        "assumed_relation",
+    )
+
+    def __init__(
+        self,
+        relation: Relation,
+        omega_smaller: NumericalPolynomial,
+        omega_larger: NumericalPolynomial,
+        leader_report: dict[Derivative, tuple[int | None, int | None]],
+        degree_products: tuple[int, int],
+        containment: Containment,
+        assumed_relation: Relation | None = None,
+    ):
+        self.relation = relation
+        self.omega_smaller, self.omega_larger = omega_smaller, omega_larger
+        self.leader_report, self.degree_products = leader_report, degree_products
+        self.containment, self.assumed_relation = containment, assumed_relation
 
 
 def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import bisect
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+from .record import FrozenRecord
 
 MultiIndex = tuple[int, ...]
 
@@ -65,16 +66,14 @@ def iter_indices(n: int, max_order: int) -> Iterator[MultiIndex]:
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(FrozenRecord):
     """Names of the derivation axes and the differential indeterminates."""
 
-    derivation_names: tuple[str, ...]
-    indeterminate_names: tuple[str, ...]
+    __slots__ = ("derivation_names", "indeterminate_names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "derivation_names", tuple(self.derivation_names))
-        object.__setattr__(self, "indeterminate_names", tuple(self.indeterminate_names))
+    def __init__(self, derivation_names: Iterable[str], indeterminate_names: Iterable[str]):
+        object.__setattr__(self, "derivation_names", tuple(derivation_names))
+        object.__setattr__(self, "indeterminate_names", tuple(indeterminate_names))
         for name in self.derivation_names + self.indeterminate_names:
             if not isinstance(name, str):
                 raise TypeError(f"ring names must be str, got {name!r}")
@@ -285,6 +284,10 @@ class DiffPoly:
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
 
+    def __reduce__(self):
+        # by the decoded terms: ids are canonical only within one process
+        return DiffPoly, (self.terms,)
+
     @classmethod
     def zero(cls) -> "DiffPoly":
         return cls()
@@ -470,8 +473,7 @@ def poly_text(p: DiffPoly, names: tuple[str, ...] | None = None) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(FrozenRecord):
     """Orderly ranking of derivatives.
 
     Lower total order ranks lower.  Order ties go to the indeterminate that
@@ -480,11 +482,11 @@ class Ranking:
     first in the ring dominates.
     """
 
-    ring: RingSpec
-    indeterminate_order: tuple[int, ...]
+    __slots__ = ("ring", "indeterminate_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indeterminate_order", tuple(self.indeterminate_order))
+    def __init__(self, ring: RingSpec, indeterminate_order: Iterable[int]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "indeterminate_order", tuple(indeterminate_order))
         for j in self.indeterminate_order:
             if type(j) is not int:
                 raise TypeError(f"tiebreak entries must be int, got {j!r}")

@@ -51,7 +51,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .chains import DiffChain, LeaderSpec, minimalize
 from .diffpoly import (
@@ -62,6 +61,7 @@ from .diffpoly import (
     iter_indices,
 )
 from .numpoly import NumericalPolynomial
+from .record import FrozenRecord, Record
 
 
 class InternalDisagreementError(RuntimeError):
@@ -90,17 +90,22 @@ def krull_oracle(spec: LeaderSpec, max_order: int) -> int:
     return spec.num_indeterminates * math.comb(max_order + n, n) - covered
 
 
-@dataclass
-class OmegaResult:
+class OmegaResult(Record):
     """Dimension polynomial plus the bound after which it counts exactly.
 
     A result of the Janet route keeps the leaders it came from, and lists
     their minimal Janet basis as boxes when janet_boxes is read.
     """
 
-    omega: NumericalPolynomial
-    stabilization_bound: int
-    leaders: LeaderSpec | None = None
+    __slots__ = ("omega", "stabilization_bound", "leaders")
+
+    def __init__(
+        self,
+        omega: NumericalPolynomial,
+        stabilization_bound: int,
+        leaders: LeaderSpec | None = None,
+    ):
+        self.omega, self.stabilization_bound, self.leaders = omega, stabilization_bound, leaders
 
     @property
     def janet_boxes(self) -> tuple["JanetBox", ...] | None:
@@ -262,17 +267,19 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound)
 
 
-@dataclass(frozen=True)
-class JanetBox:
+class JanetBox(FrozenRecord):
     """Cones of a minimal Janet basis of one indeterminate whose union is the
     box prod_i [lower_i, upper_i) of multi-indices.  upper_i is None on the
     axes multiplicative for every cone of the box, where the box is
     unbounded and each generator is lower_i; on the other axes the
     generators take every value in [lower_i, upper_i)."""
 
-    lower: MultiIndex
-    upper: tuple[int | None, ...]
-    indeterminate: int
+    __slots__ = ("lower", "upper", "indeterminate")
+
+    def __init__(self, lower: MultiIndex, upper: tuple[int | None, ...], indeterminate: int):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "indeterminate", indeterminate)
 
 
 def _slices(gens):

@@ -40,6 +40,9 @@ class NumericalPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("NumericalPolynomial is immutable")
 
+    def __reduce__(self):
+        return NumericalPolynomial, (self.coeffs,)
+
     @classmethod
     def from_shifted_basis(cls, terms, width: int) -> "NumericalPolynomial":
         """Sum of c*C(l - s + k, k) over the terms (c, s, k), with s >= 0 and

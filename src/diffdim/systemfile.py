@@ -43,7 +43,6 @@ derivative token is split, checked and interned once per parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -57,6 +56,7 @@ from .diffpoly import (
     RingSpec,
     _intern,
 )
+from .record import Record
 
 
 MAX_TERM_DEGREE = 1000
@@ -104,11 +104,11 @@ class _Replay(Exception):
     """A parse over packed tokens met an error, which only plain tokens place."""
 
 
-@dataclass
-class SystemFile:
-    ring: RingSpec
-    ranking: Ranking
-    chains: dict[str, DiffChain]
+class SystemFile(Record):
+    __slots__ = ("ring", "ranking", "chains")
+
+    def __init__(self, ring: RingSpec, ranking: Ranking, chains: dict[str, DiffChain]):
+        self.ring, self.ranking, self.chains = ring, ranking, chains
 
 
 class _Parser:

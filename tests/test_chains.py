@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import json
@@ -70,6 +69,46 @@ def test_chain_rejects_derivative_outside_its_ring():
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):
             DiffChain(elements, ranking)
+
+
+NOT_A_CHAIN_ELEMENT = "chain elements must be non-constant differential polynomials"
+BAD_ELEMENTS = {
+    "constant": (lambda: DiffPoly.constant(3), ConstantPolynomialError, NOT_A_CHAIN_ELEMENT),
+    "zero": (DiffPoly.zero, ConstantPolynomialError, NOT_A_CHAIN_ELEMENT),
+    "not a DiffPoly": (lambda: make_derivative(0, (1, 0)), ConstantPolynomialError, NOT_A_CHAIN_ELEMENT),
+    "outside the ring": (
+        lambda: dvar(0, (2, 1)) + dvar(1, (0, 3)) * dvar(0, (0, 0, 1)),
+        ValueError,
+        "chain element {i} has Derivative(indeterminate=0, index=(0, 0, 1)), "
+        "outside the ring of 1 indeterminates and 2 derivations",
+    ),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("kind", list(BAD_ELEMENTS))
+def test_chain_construction_names_the_first_bad_element(kind, position):
+    """Each kind of bad element at the first, a middle and the last place
+    of five raises exactly its error; the good ones around it are leaders."""
+    make, error, message = BAD_ELEMENTS[kind]
+    elements = [dvar(0, (4 - j, j)) for j in range(5)]
+    elements[position] = make()
+    with pytest.raises(error) as raised:
+        DiffChain(elements, plain_ranking(2, 1))
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(i=position)
+
+
+@pytest.mark.parametrize(
+    "first, second", [("outside the ring", "constant"), ("zero", "outside the ring")]
+)
+def test_chain_construction_stops_at_the_first_of_two_bad_elements(first, second):
+    elements = [dvar(0, (1, 0)), BAD_ELEMENTS[first][0](), dvar(0, (0, 1)), BAD_ELEMENTS[second][0]()]
+    _, error, message = BAD_ELEMENTS[first]
+    with pytest.raises(error) as raised:
+        DiffChain(elements, plain_ranking(2, 1))
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(i=1)
 
 
 def test_interning_keeps_numerically_equal_derivatives_apart():
@@ -289,9 +328,9 @@ def test_a_validated_chain_is_freed_by_reference_counting(data_dir):
     """Nothing a chain or a result holds refers back to the chain, so it
     dies at its last reference, without the cyclic collector."""
     text = (data_dir / "prolong_pair.sys").read_text(encoding="utf-8")
-    assert [f.name for f in dataclasses.fields(ValidationReport)] == [
+    assert ValidationReport.__slots__ == (
         "triangular", "coherent", "messages", "regularity_of_initials_and_separants"
-    ]
+    )
     gc.collect()
     gc.disable()
     try:

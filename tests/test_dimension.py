@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -143,8 +142,10 @@ def test_leader_spec_is_frozen_hashable_and_accepts_every_form():
         assert spec == forms[0]
     assert len(set(forms)) == 1
     assert LeaderSpec(2, 2, {0: gens}) != forms[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'generators'"):
         forms[0].generators = ()
+    with pytest.raises(AttributeError, match="cannot delete field 'generators'"):
+        del forms[0].generators
 
 def test_omega_reads_the_leader_spec_of_a_valid_chain():
     chain = DiffChain(
