@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import operator
@@ -35,28 +36,54 @@ class InvalidChainError(ValueError):
 
 
 def minimalize(indices) -> tuple[MultiIndex, ...]:
-    """Antichain of the given multi-indices, lex-sorted: a lexicographic scan keeps an index
-    unless a kept one divides it; lex order extends the componentwise order, so minimal divisors
-    come first.
+    """Antichain of the given multi-indices, lex-sorted: the indices that no other one divides,
+    each once.
 
-    Two-entry indices take one sweep with no divisibility test (Kung, Luccio and Preparata, JACM
-    1975): every index before mu in lex order has a first entry at most mu[0], and one with an
-    equal first entry has a smaller second, so mu has a divisor exactly when some earlier index
-    has a second entry at most mu[1].  The smallest such entry is that of the last index kept,
-    since each index dropped has a kept divisor; so mu is kept exactly when mu[1] is below it."""
+    One scan in lex order decides each index mu against the indices kept before it.  Lex order
+    extends the componentwise order, so a divisor of mu comes before it, and a later index never
+    divides an earlier one: nu <= mu componentwise with nu != mu puts nu first.  Each index
+    dropped has a kept divisor, so mu has a divisor among the earlier indices exactly when it has
+    one among the kept ones.
+
+    Two and three entries take one sweep with no divisibility test (Kung, Luccio and Preparata,
+    JACM 1975): every earlier index has a first entry at most mu[0], so mu has a divisor exactly
+    when some kept index is at most mu on the other entries.  With two, one with an equal first
+    entry has a smaller second, so the least second entry kept is that of the last index kept,
+    and mu is kept exactly when mu[1] is below it.  With three, mu = (a, b, c), the kept (b', c')
+    pairs that no other kept pair lies below form a staircase, b' rising and c' falling, and the
+    last pair with b' <= b has the least c' among those pairs; one bisect finds it, and mu is
+    kept exactly when that c' exceeds c.  A kept mu then enters the staircase after the pairs
+    with b' < b, in place of the run of pairs it lies below, whose c' >= c.  Other lengths take
+    the pairwise scan; a trie of staircases, tried for four entries, slowed the groups of eight or
+    nine leaders that ω meets in four derivations."""
     unique = sorted(set(map(tuple, indices)))
     kept: list[MultiIndex] = []
-    if {*map(len, unique)} == {2}:
+    widths = {*map(len, unique)}
+    if widths == {2}:
         for mu in unique:
             if not kept or mu[1] < kept[-1][1]:
                 kept.append(mu)
-        return tuple(kept)
-    for mu in unique:
-        for g in kept:
-            if all(map(operator.ge, mu, g)):
-                break
-        else:
+    elif widths == {3}:
+        bs: list[int] = []
+        cs: list[int] = []
+        for mu in unique:
+            _, b, c = mu
+            i = bisect.bisect_right(bs, b)
+            if i and cs[i - 1] <= c:
+                continue
             kept.append(mu)
+            i = j = bisect.bisect_left(bs, b, 0, i)
+            while j < len(cs) and cs[j] >= c:
+                j += 1
+            bs[i:j] = (b,)
+            cs[i:j] = (c,)
+    else:
+        for mu in unique:
+            for g in kept:
+                if all(map(operator.ge, mu, g)):
+                    break
+            else:
+                kept.append(mu)
     return tuple(kept)
 
 
@@ -65,7 +92,10 @@ class LeaderSpec(FrozenRecord):
 
     generators may be given as a mapping from indeterminate to multi-indices or
     as a sequence indexed by indeterminate; it is stored minimalized, one tuple
-    per indeterminate.
+    per indeterminate.  This constructor checks everything it is given: the two
+    counts are positive ints, each indeterminate is in range and each multi-index
+    is a tuple of num_derivations naturals, or it raises ValueError.  A chain
+    builds its leader_spec through _of instead, from leaders already checked.
     """
 
     __slots__ = ("num_derivations", "num_indeterminates", "generators")
@@ -87,6 +117,20 @@ class LeaderSpec(FrozenRecord):
                         raise ValueError(f"bad multi-index {mu}")
                 groups[j] = minimalize(gens)
         object.__setattr__(self, "generators", tuple(groups))
+
+    @classmethod
+    def _of(cls, num_derivations: int, num_indeterminates: int, groups) -> "LeaderSpec":
+        """The spec of groups, a mapping from indeterminate to multi-indices
+        that are known to be valid: each key is an indeterminate of the ring and
+        each index a tuple of num_derivations naturals, as the leaders of a
+        DiffChain are.  It only minimalizes each group, with none of the checks
+        of the constructor."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num_derivations", num_derivations)
+        object.__setattr__(out, "num_indeterminates", num_indeterminates)
+        generators = tuple(minimalize(groups.get(j, ())) for j in range(num_indeterminates))
+        object.__setattr__(out, "generators", generators)
+        return out
 
 
 def _require_in_ring(found: set[Derivative], ring: RingSpec, what: str) -> None:
@@ -228,16 +272,22 @@ class DiffChain:
 
     @functools.cached_property
     def leader_spec(self) -> LeaderSpec:
-        """The leaders grouped by indeterminate and minimalized.
+        """The leaders grouped by indeterminate and minimalized, in one sweep
+        per group (see minimalize).
 
         Minimalizing drops a leader exactly when it is a derivative of
         another one, a copy of it included, so the chain is weakly
-        triangular exactly when every leader is kept.
+        triangular exactly when every leader is kept.  The spec is built by
+        LeaderSpec._of, without the public constructor's checks: every
+        leader is an interned Derivative, whose index was checked to be a
+        tuple of naturals when it was interned, and __init__ checked its
+        indeterminate and length against the ring.  It equals
+        LeaderSpec(n, m, groups) of the same groups.
         """
         groups: dict[int, list[MultiIndex]] = {}
         for x in self.leaders:
             groups.setdefault(x.indeterminate, []).append(x.index)
-        return LeaderSpec(self.ring.num_derivations, self.ring.num_indeterminates, groups)
+        return LeaderSpec._of(self.ring.num_derivations, self.ring.num_indeterminates, groups)
 
     @functools.cached_property
     def leader_table(self):
@@ -402,14 +452,24 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
 
 def _triangularity_failures(chain: DiffChain) -> list[str]:
     """The weak-triangularity violations in (i, j) order, leader i a
-    derivative of leader j; none exactly when leader_spec kept every leader."""
+    derivative of leader j; none exactly when leader_spec kept every leader.
+
+    Only a leader that minimalizing dropped, or one whose value another leader
+    repeats, can be a derivative of another leader: a leader kept once has no
+    divisor among the others.  So only those leaders are tested against every
+    leader, and a chain with one leader above a staircase of k costs k tests,
+    not k^2."""
     leaders, names = chain.leaders, chain.ring.indeterminate_names
-    if sum(map(len, chain.leader_spec.generators)) == len(leaders):
+    gens = chain.leader_spec.generators
+    if sum(map(len, gens)) == len(leaders):
         return []
+    kept = {Derivative(j, mu) for j, group in enumerate(gens) for mu in group}
+    counts = collections.Counter(leaders)
     return [
         f"leader {derivative_text(x, names)} of element {i} is a derivative "
         f"of leader {derivative_text(y, names)} of element {j}"
         for i, x in enumerate(leaders)
+        if counts[x] > 1 or x not in kept
         for j, y in enumerate(leaders)
         if i != j and x.indeterminate == y.indeterminate and dominates(x.index, y.index)
     ]

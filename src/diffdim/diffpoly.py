@@ -304,7 +304,10 @@ class DiffPoly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not mono for mono in self._terms)
+        """True for 0 and the other constants.  The monomials are distinct
+        keys, so a constant holds at most one, the empty monomial ()."""
+        terms = self._terms
+        return not terms or (len(terms) == 1 and not next(iter(terms)))
 
     def is_linear_term(self) -> bool:
         """True when p is one term c·x of degree 1, x a derivative."""

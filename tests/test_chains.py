@@ -285,6 +285,72 @@ def test_triangularity_messages_are_exact(tmp_path, capsys):
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
+REPEATS = (
+    "ring derivations=(t,x) indeterminates=(u,v)\n"
+    "ranking orderly tiebreak=(u<v)\n"
+    "chain Repeats {\n  u[1,1];\n  u[0,1];\n  u[1,1] + u[0,0];\n  u[2,1];\n  v[0,0];\n"
+    "  u[1,1]*u[1,0];\n  u[3,0];\n  v[0,0]^2 + v[0,0];\n  v[1,2];\n}\n"
+)
+
+REPEATS_FAILURES = [
+    "leader u[1,1] of element 0 is a derivative of leader u[0,1] of element 1",
+    "leader u[1,1] of element 0 is a derivative of leader u[1,1] of element 2",
+    "leader u[1,1] of element 0 is a derivative of leader u[1,1] of element 5",
+    "leader u[1,1] of element 2 is a derivative of leader u[1,1] of element 0",
+    "leader u[1,1] of element 2 is a derivative of leader u[0,1] of element 1",
+    "leader u[1,1] of element 2 is a derivative of leader u[1,1] of element 5",
+    "leader u[2,1] of element 3 is a derivative of leader u[1,1] of element 0",
+    "leader u[2,1] of element 3 is a derivative of leader u[0,1] of element 1",
+    "leader u[2,1] of element 3 is a derivative of leader u[1,1] of element 2",
+    "leader u[2,1] of element 3 is a derivative of leader u[1,1] of element 5",
+    "leader v[0,0] of element 4 is a derivative of leader v[0,0] of element 7",
+    "leader u[1,1] of element 5 is a derivative of leader u[1,1] of element 0",
+    "leader u[1,1] of element 5 is a derivative of leader u[0,1] of element 1",
+    "leader u[1,1] of element 5 is a derivative of leader u[1,1] of element 2",
+    "leader v[0,0] of element 7 is a derivative of leader v[0,0] of element 4",
+    "leader v[1,2] of element 8 is a derivative of leader v[0,0] of element 4",
+    "leader v[1,2] of element 8 is a derivative of leader v[0,0] of element 7",
+]
+
+
+def test_triangularity_messages_name_every_copy_and_every_nested_derivative():
+    """A leader held three times, each copy also a derivative of a fourth
+    leader, a derivative of all four, a leader kept once that nothing
+    divides, and a repeated leader on a second indeterminate with a
+    derivative of both copies: every violating ordered pair, in (i, j)
+    order."""
+    chain = parse_system(REPEATS).chains["Repeats"]
+    assert validate(chain).messages == REPEATS_FAILURES + [
+        "coherence not evaluated: chain is not triangular"
+    ]
+    with pytest.raises(NotTriangularError) as info:
+        full_pseudo_reduce(chain.elements[1], chain)
+    assert str(info.value) == "; ".join(REPEATS_FAILURES)
+
+
+def test_triangularity_report_above_a_10000_leader_staircase_is_linear():
+    """u[10000,10000] above the staircase u[i, 9999-i] is a derivative of
+    each of its 10,000 leaders, and nothing else fails.  Only a leader that
+    minimalizing dropped or that repeats is tested against the others, so
+    validate lists the 10,000 messages within 5 s, where the test of every
+    ordered pair took far longer.  Run in a fresh process with a time limit."""
+    script = _STAIRCASE + """
+chain = DiffChain(staircase(10000) + [dvar(0, (10000, 10000))], plain_ranking(2, 1))
+messages = validate(chain).messages
+print(len(messages))
+print(messages[0])
+print(messages[-2])
+print(time.perf_counter() - start < 5)
+"""
+    out = run_in_fresh_process(script, timeout=60).splitlines()
+    assert out == [
+        "10001",
+        "leader u0[10000,10000] of element 10000 is a derivative of leader u0[0,9999] of element 0",
+        "leader u0[10000,10000] of element 10000 is a derivative of leader u0[9999,0] of element 9999",
+        "True",
+    ]
+
+
 def test_delta_polynomial_worked_example():
     p = dvar(0, (1, 0)) ** 2 - dvar(0, (0, 0))
     q = dvar(0, (0, 1))
@@ -304,6 +370,25 @@ def test_delta_polynomial_worked_example():
     u0, u1 = dvar(0, (0,)), dvar(0, (1,))
     shapes = _chain([u1**2, u1 + 1, u0 * u1, 3 * u1, Fraction(-2, 7) * u1, u0 + 0 * u1], 1, 1)
     assert shapes.leader_only == (False, False, False, True, True, True)
+
+
+def test_leader_spec_equals_the_checked_constructor_on_seeded_chains():
+    """A chain builds its leader_spec without the public constructor's
+    checks; on the seeded chains of this file it equals the spec that the
+    constructor builds from the same grouped leaders."""
+    rng = random.Random(36)
+    chains_seen = [parse_system(TANGLE).chains["Tangle"], parse_system(REPEATS).chains["Repeats"]]
+    for _ in range(150):
+        chains_seen.append(_random_leader_chain(rng))
+        chains_seen.append(random_monomial_chain(rng))
+        chains_seen.append(random_power_chain(rng))
+    for chain in chains_seen:
+        ring = chain.ring
+        groups = {}
+        for x in chain.leaders:
+            groups.setdefault(x.indeterminate, []).append(x.index)
+        expected = LeaderSpec(ring.num_derivations, ring.num_indeterminates, groups)
+        assert chain.leader_spec == expected
 
 
 def test_delta_polynomial_none_for_distinct_indeterminates():

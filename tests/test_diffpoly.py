@@ -160,6 +160,9 @@ def test_constant_handling():
     assert DiffPoly.zero().is_constant()
     u = dvar(0, (0,))
     assert not u.is_constant()
+    # a constant term beside a monomial, and a constant left when the monomials cancel
+    assert not (u + 2).is_constant() and not (u * u - 1).is_constant()
+    assert (u + 2 - u).is_constant() and (u + 2 - u).constant_value() == 2
     with pytest.raises(ValueError):
         u.constant_value()
 

@@ -37,6 +37,7 @@ from corpus import (
     random_index,
     random_leader_spec,
     random_monomial_chain,
+    run_in_fresh_process,
 )
 
 
@@ -102,6 +103,83 @@ def test_minimalize_sweeps_two_entry_indices_as_the_definition_does():
         seen["tied first entries"] += len({a for a, _ in distinct}) < len(distinct)
         seen["kept all"] += bool(distinct) and len(expected) == len(distinct)
     assert min(seen.values()) >= 10, seen
+
+
+def _simplex(n, d):
+    """The staircase of the multi-indices of n entries and order d."""
+    return [mu for mu in iter_indices(n, d) if sum(mu) == d]
+
+
+def test_minimalize_sweeps_three_entry_indices_as_the_definition_does():
+    """The three-entry staircase sweep against the definition on seeded sets
+    of up to 300 points: entries up to 10^12, ties on the first entry and on
+    the first two, duplicates, and full simplex staircases, in half the cases
+    with points above them."""
+    rng = random.Random(36)
+    seen = {"dropped": 0, "tied first entries": 0, "tied first two": 0, "kept all": 0}
+    for trial in range(120):
+        size = rng.randint(0, 300)
+        top = rng.choice((3, 40, 10**12))
+        indices = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(size)]
+        if trial % 4 == 1:
+            # few first entries, so most points tie on one
+            firsts = [rng.randint(0, top) for _ in range(rng.randint(1, 4))]
+            indices = [(rng.choice(firsts), b, c) for _, b, c in indices]
+        elif trial % 4 == 2:
+            # few (first, second) pairs, so most points tie on both
+            heads = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(rng.randint(1, 4))]
+            indices = [(*rng.choice(heads), c) for _, _, c in indices]
+        elif trial % 4 == 3:
+            # a full simplex staircase, scaled, in half the cases with points above it
+            step = rng.choice((1, 10**9))
+            stair = [tuple(e * step for e in mu) for mu in _simplex(3, rng.randint(0, 22))]
+            above = rng.sample(stair, min(len(stair), rng.randint(0, 30))) if trial % 8 == 7 else []
+            indices = stair + [tuple(e + rng.randint(0, 2) for e in mu) for mu in above]
+        indices += rng.sample(indices, min(len(indices), rng.randint(0, 20)))
+        rng.shuffle(indices)
+        expected = _minimalize_all_pairs(indices)
+        assert minimalize(indices) == expected, indices
+        distinct = set(indices)
+        seen["dropped"] += len(expected) < len(distinct)
+        seen["tied first entries"] += len({mu[0] for mu in distinct}) < len(distinct)
+        seen["tied first two"] += len({mu[:2] for mu in distinct}) < len(distinct)
+        seen["kept all"] += bool(distinct) and len(expected) == len(distinct)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_minimalize_agrees_with_the_definition_on_the_cones_pool_and_field_widths():
+    """Every set of bench/cones_pool.json and every field-width boundary case,
+    with the tails g[1:] of each, which the Janet route's slices minimalize."""
+    pool = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "cones_pool.json").read_text())
+    cases = [[tuple(g) for g in entry["generators"]] for entry in pool["sets"]]
+    cases += _field_width_boundaries()
+    assert {len(gens[0]) for gens in cases} == {3, 4, 5}
+    for gens in cases:
+        for indices in (gens, [g[1:] for g in gens]):
+            assert minimalize(indices) == _minimalize_all_pairs(indices), indices
+
+
+def test_validate_and_janet_route_on_a_three_derivation_staircase_cost_no_quadratic_work():
+    """The 11,476 leaders u[a,b,c] with a + b + c = 150: validate finds their
+    antichain in one sweep and the Janet route, whose slices' tails are the
+    staircases of two entries, counts the C(152, 3) derivatives below them.
+    Both take well under 5 s together; validate alone took 11 s with the
+    pairwise scan.  Run in a fresh process with a time limit, so that a
+    quadratic return fails the test instead of slowing the suite."""
+    script = """
+import time
+from diffdim import DiffChain, omega_janet, validate
+from corpus import dvar, plain_ranking
+leaders = [(a, b, 150 - a - b) for a in range(151) for b in range(151 - a)]
+chain = DiffChain([dvar(0, mu) for mu in leaders], plain_ranking(3, 1))
+start = time.perf_counter()
+report = validate(chain)
+result = omega_janet(chain.leader_spec)
+print(len(leaders), report.accepted, result.omega.coeffs)
+print(time.perf_counter() - start < 5)
+"""
+    out = run_in_fresh_process(script, timeout=60).splitlines()
+    assert out == [f"11476 True {(math.comb(152, 3), 0, 0, 0)}", "True"]
 
 
 def test_leader_spec_validation():
