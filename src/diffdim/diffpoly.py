@@ -19,9 +19,10 @@ from __future__ import annotations
 import bisect
 import operator
 import threading
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .record import FrozenRecord
 
@@ -93,9 +94,11 @@ class RingSpec(FrozenRecord):
         return len(self.indeterminate_names)
 
 
-class Derivative(NamedTuple):
-    indeterminate: int
-    index: MultiIndex
+class Derivative(namedtuple("Derivative", ("indeterminate", "index"))):
+    """An indeterminate (an int) and its multi-index over the derivation
+    axes (a MultiIndex)."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -39,10 +39,13 @@ brute-force lattice-point oracle they are checked against:
   prod_i [a_i, b_i), b_i = infinity on a multiplicative axis, so the
   number of boxes does not depend on the gaps either.
 
-The Janet route stays on tuples, so the inclusion-exclusion check shares
-neither its formula above two derivations nor its representation with the
-result: a packing error shows as InternalDisagreementError, not as the
-same wrong ω from both routes.
+Each route sums its groups' numerators into one dict {shift: coefficient}
+and converts it once, by NumericalPolynomial.from_numerator.  omega returns
+the Janet result and checks its polynomial against the inclusion-exclusion
+polynomial alone, with no second bound or result.  The Janet route stays on
+tuples, so that check shares neither its formula above two derivations nor
+its representation with the result: a packing error shows as
+InternalDisagreementError, not as the same wrong ω from both routes.
 """
 
 from __future__ import annotations
@@ -242,6 +245,19 @@ def _colon(level: list[int], m: int, guards: int, w: int) -> list[int]:
     return kept
 
 
+def _incl_excl_polynomial(spec: LeaderSpec) -> NumericalPolynomial:
+    """Sum over the groups of sum_e K_e C(l - e + n, n), K the Hilbert
+    numerator of the group (see _hilbert_numerator): the count of the
+    derivatives of order <= l outside every leader cone, once l is at least
+    the bound of omega_incl_excl.  The numerators are added into one dict
+    and converted once, by NumericalPolynomial.from_numerator."""
+    total: dict[int, int] = {}
+    for gens in spec.generators:
+        for e, c in _hilbert_numerator(gens).items():
+            total[e] = total.get(e, 0) + c
+    return NumericalPolynomial.from_numerator(total, spec.num_derivations)
+
+
 def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     """Dimension polynomial by inclusion-exclusion over cone intersections.
 
@@ -255,16 +271,15 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     needs.  The base cases are tested on the tuples, and only the pivot
     runs on packed ints, n fields of w = (n * largest exponent).bit_length()
     bits and a guard bit each (see _add_pivot).  A leader of order 0 makes
-    K = 0: its cone is everything.
+    K = 0: its cone is everything.  The groups' numerators are summed and
+    converted once (see _incl_excl_polynomial), the polynomial that omega
+    checks the Janet route against.
     The identity stabilizes at the largest join order, which is the order
     of the join of all of a group's generators: the sum over the axes of
     the group's largest exponent.
     """
-    n = spec.num_derivations
-    numerators = [_hilbert_numerator(gens) for gens in spec.generators]
     bound = max((sum(map(max, zip(*gens))) for gens in spec.generators if gens), default=0)
-    terms = [(c, e, n) for k in numerators for e, c in k.items()]
-    return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound)
+    return OmegaResult(_incl_excl_polynomial(spec), bound)
 
 
 class JanetBox(FrozenRecord):
@@ -413,37 +428,41 @@ def omega_janet(spec: LeaderSpec) -> OmegaResult:
     result lists the basis (janet_boxes) only when it is read.
     """
     n = spec.num_derivations
-    terms = [(spec.num_indeterminates, 0, n)]
+    total = {0: spec.num_indeterminates}
     bound = 0
     for gens in spec.generators:
         if gens:
             numerator, top = _janet_numerator(gens, n)
-            terms += [(-c, s, n) for s, c in numerator.items()]
+            for s, c in numerator.items():
+                total[s] = total.get(s, 0) - c
             bound = max(bound, top)
-    return OmegaResult(NumericalPolynomial.from_shifted_basis(terms, n + 1), bound, spec)
+    return OmegaResult(NumericalPolynomial.from_numerator(total, n), bound, spec)
 
 
 def omega(chain: DiffChain) -> OmegaResult:
     """Dimension polynomial of a validated chain.
 
     The Janet route gives the result, in closed form, and lists its basis
-    only if janet_boxes is read; the inclusion-exclusion route, collapsed
-    into the Hilbert-numerator pivot, always runs as well, and the two
-    polynomials must agree coefficientwise.  The check is independent only
-    above two derivations: in n <= 2 both routes build the terms
-    sum t^|g_i| - sum t^|join(g_i, g_(i+1))|, so K_Janet = 1 - K_Hilbert,
-    and it guards their loops, not the formula, which krull_oracle checks.
-    Above two derivations the pivot runs on packed ints while the Janet
-    route stays on tuples, so the check's representation is independent
-    too, and a packing error raises InternalDisagreementError.
+    only if janet_boxes is read.  The inclusion-exclusion route checks it on
+    every call: the polynomial of the groups' Hilbert numerators, collapsed
+    by the pivot and converted by the same NumericalPolynomial.from_numerator
+    (see _incl_excl_polynomial), must equal the Janet polynomial
+    coefficientwise.  That is the polynomial omega_incl_excl returns, built
+    without its stabilization bound or a second OmegaResult, which nothing
+    here reads.  The check is independent only above two derivations: in
+    n <= 2 both routes build the terms sum t^|g_i| - sum t^|join(g_i,
+    g_(i+1))|, so K_Janet = 1 - K_Hilbert, and it guards their loops, not
+    the formula, which krull_oracle checks.  Above two derivations the pivot
+    runs on packed ints while the Janet route stays on tuples, so the
+    check's representation is independent too, and a packing error raises
+    InternalDisagreementError.
     """
     chain.require_valid()
     spec = chain.leader_spec
     janet_result = omega_janet(spec)
-    other = omega_incl_excl(spec)
-    if other.omega != janet_result.omega:
+    other = _incl_excl_polynomial(spec)
+    if other != janet_result.omega:
         raise InternalDisagreementError(
-            f"inclusion-exclusion gave {other.omega!r}, "
-            f"Janet cones gave {janet_result.omega!r}"
+            f"inclusion-exclusion gave {other!r}, Janet cones gave {janet_result.omega!r}"
         )
     return janet_result

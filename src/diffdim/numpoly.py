@@ -44,27 +44,33 @@ class NumericalPolynomial:
         return NumericalPolynomial, (self.coeffs,)
 
     @classmethod
-    def from_shifted_basis(cls, terms, width: int) -> "NumericalPolynomial":
-        """Sum of c*C(l - s + k, k) over the terms (c, s, k), with s >= 0 and
-        k < width, as width coefficients.
+    def from_numerator(cls, numerator, n: int) -> "NumericalPolynomial":
+        """Sum of K[s]*C(l - s + n, n) over the items of numerator, a dict
+        {shift s: coefficient K[s]}, as n + 1 coefficients.
 
         Shifting the argument down by s is (1 - D)^s, where the backward
         difference D p(l) = p(l) - p(l-1) lowers the basis index by one:
-        D C(l+k, k) = C(l+k-1, k-1).  So, as polynomials in l,
+        D C(l+n, n) = C(l+n-1, n-1).  So, as polynomials in l,
 
-            C(l - s + k, k) = sum_{i=0..k} (-1)^(k-i) C(s, k-i) C(l+i, i),
+            C(l - s + n, n) = sum_{i=0..n} (-1)^(n-i) C(s, n-i) C(l+i, i),
 
-        and each term adds straight into the coefficients.  Terms that share
-        s and k are merged first, and each row of signed binomials is built
-        by the running product C(s, j+1) = C(s, j) (s - j) / (j + 1).
+        and each shift adds straight into the coefficients, its row of signed
+        binomials built by the running product C(s, j+1) = C(s, j) (s - j) /
+        (j + 1).  A shift or coefficient, or n, that is not an int (a bool is
+        not one) raises TypeError; a negative shift or n raises ValueError.
         """
-        merged: dict[tuple[int, int], int] = {}
-        for c, s, k in terms:
-            merged[s, k] = merged.get((s, k), 0) + c
-        coeffs = [0] * width
-        for (s, k), c in merged.items():
-            for j in range(min(s, k) + 1):
-                coeffs[k - j] += c  # c = (-1)^j C(s, j) times the merged coefficient
+        if type(n) is not int:
+            raise TypeError(f"n must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        coeffs = [0] * (n + 1)
+        for s, c in numerator.items():
+            if type(s) is not int or type(c) is not int:
+                raise TypeError(f"numerator terms must be int: int, got {s!r}: {c!r}")
+            if s < 0:
+                raise ValueError(f"numerator shifts must be nonnegative, got {s}")
+            for j in range(min(s, n) + 1):
+                coeffs[n - j] += c  # c = (-1)^j C(s, j) K[s]
                 c = -c * (s - j) // (j + 1)
         return cls(coeffs)
 

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import diffdim
-from diffdim import NumericalPolynomial, cli, dimension
+from diffdim import cli, dimension
 from diffdim.cli import ORACLE_VISIT_LIMIT, run
 
 from corpus import run_in_fresh_process
@@ -508,10 +508,10 @@ def test_omega_cross_checks_large_groups(tmp_path, capsys, monkeypatch):
     assert payload["binomial_coeffs"] == [210, 0, 0]
     assert payload["stabilization_bound"] == 20
 
-    def wrong(spec):
-        return dimension.OmegaResult(NumericalPolynomial((123,)), 0)
+    def wrong(gens):
+        return {0: 123}
 
-    monkeypatch.setattr(dimension, "omega_incl_excl", wrong)
+    monkeypatch.setattr(dimension, "_hilbert_numerator", wrong)
     for argv in (
         ["omega", str(path), "--chain", "L"],
         ["oracle", str(path), "--chain", "L", "--max-order", "2"],

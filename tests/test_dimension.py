@@ -637,14 +637,14 @@ def test_omega_rejects_invalid_chain():
         omega(bad)
 
 
-def _wrong_incl_excl(spec):
-    return dimension.OmegaResult(NumericalPolynomial((123,)), 0)
+def _wrong_numerator(gens):
+    return {0: 123}
 
 
 def test_cross_check_runs_above_twenty_leaders(monkeypatch):
     chain = DiffChain([dvar(0, (a, 20 - a)) for a in range(21)], plain_ranking(2, 1))
     assert omega(chain).omega == NumericalPolynomial((210,))
-    monkeypatch.setattr(dimension, "omega_incl_excl", _wrong_incl_excl)
+    monkeypatch.setattr(dimension, "_hilbert_numerator", _wrong_numerator)
     with pytest.raises(InternalDisagreementError):
         omega(chain)
 
@@ -816,10 +816,46 @@ def test_incl_excl_twenty_leaders_of_order_nineteen():
 
 
 def test_internal_disagreement_is_raised(monkeypatch):
-    monkeypatch.setattr(dimension, "omega_incl_excl", _wrong_incl_excl)
+    monkeypatch.setattr(dimension, "_hilbert_numerator", _wrong_numerator)
     chain = DiffChain([dvar(0, (1, 0))], plain_ranking(2, 1))
     with pytest.raises(InternalDisagreementError):
         dimension.omega(chain)
+
+
+def test_omega_checks_every_group_numerator_against_the_janet_polynomial(monkeypatch):
+    """On seeded monomial chains in n = 1..4 with up to three indeterminates,
+    empty groups and order-0 leaders among them, omega gives the polynomial
+    of omega_incl_excl, and one wrong coefficient in the Hilbert numerator
+    of any single group raises InternalDisagreementError."""
+    rng = random.Random(37)
+    right = dimension._hilbert_numerator
+    seen_n, empty_groups, order_zero = set(), 0, 0
+    for _ in range(150):
+        chain = random_monomial_chain(rng, max_n=4, max_m=3, max_gens=4, max_order=3)
+        spec = chain.leader_spec
+        assert omega(chain).omega == omega_incl_excl(spec).omega
+        seen_n.add(spec.num_derivations)
+        empty_groups += sum(not gens for gens in spec.generators)
+        order_zero += sum(not any(g) for gens in spec.generators for g in gens)
+        target = rng.randrange(spec.num_indeterminates)
+        calls = []
+
+        def wrong_in_target(gens):
+            k = right(gens)
+            if len(calls) == target:
+                shift = rng.choice(sorted(k) + [rng.randint(0, 8)])
+                k = dict(k)
+                k[shift] = k.get(shift, 0) + rng.choice((-2, -1, 1, 2))
+            calls.append(gens)
+            return k
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dimension, "_hilbert_numerator", wrong_in_target)
+            with pytest.raises(InternalDisagreementError, match="^inclusion-exclusion gave"):
+                omega(chain)
+        assert len(calls) == spec.num_indeterminates > target
+    assert seen_n == {1, 2, 3, 4}
+    assert empty_groups and order_zero
 
 
 def test_omega_degree_and_leading_coefficient_are_birational_invariants(data_dir):

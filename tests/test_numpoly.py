@@ -122,37 +122,54 @@ def test_standard_basis_agrees_with_eval_everywhere():
             assert sum(c * point**k for k, c in enumerate(coeffs)) == p.eval(point)
 
 
-def test_from_shifted_basis_sums_shifted_binomials():
-    for k in range(6):
+def test_from_numerator_sums_shifted_binomials():
+    for n in range(6):
         for s in range(13):
             for c in (1, -1, 3, -7):
-                p = NumericalPolynomial.from_shifted_basis([(c, s, k)], k + 1)
-                assert len(p.coeffs) == k + 1
+                p = NumericalPolynomial.from_numerator({s: c}, n)
+                assert len(p.coeffs) == n + 1
                 for point in range(s + 4):
                     expected = Fraction(c)
-                    for j in range(1, k + 1):
+                    for j in range(1, n + 1):
                         expected *= Fraction(point - s + j, j)
                     assert p.eval(point) == expected
-    terms = [(2, 0, 2), (-1, 3, 1), (5, 1, 0)]
-    assert NumericalPolynomial.from_shifted_basis(terms, 4).coeffs == (8, -1, 2, 0)
+    assert NumericalPolynomial.from_numerator({0: 2, 3: -1, 1: 5}, 2).coeffs == (-3, -2, 6)
+    assert NumericalPolynomial.from_numerator({}, 3).coeffs == (0, 0, 0, 0)
 
 
-def test_from_shifted_basis_merges_terms_to_the_per_term_expansion():
-    """Terms sharing s and k, cancelling ones and shifts of 10^12 give the
-    coefficients of sum (-1)^j C(s, j) c added term by term."""
+def test_from_numerator_gives_the_per_term_expansion():
+    """Cancelling coefficients and shifts of 10^12 give the coefficients of
+    sum (-1)^j C(s, j) K[s] added term by term."""
     rng = random.Random(33)
     for _ in range(2000):
-        width = rng.randint(1, 7)
+        n = rng.randint(0, 6)
         shifts = [rng.randint(0, 12), rng.randint(0, 12), 10**12 + rng.randint(0, 9)]
-        terms = [
-            (rng.randint(-5, 5), rng.choice(shifts), rng.randint(0, width - 1))
-            for _ in range(rng.randint(0, 10))
-        ]
-        expected = [0] * width
-        for c, s, k in terms:
-            for j in range(min(s, k) + 1):
-                expected[k - j] += (-1) ** j * math.comb(s, j) * c
-        assert NumericalPolynomial.from_shifted_basis(terms, width).coeffs == tuple(expected)
+        numerator = {rng.choice(shifts): rng.randint(-5, 5) for _ in range(rng.randint(0, 10))}
+        expected = [0] * (n + 1)
+        for s, c in numerator.items():
+            for j in range(min(s, n) + 1):
+                expected[n - j] += (-1) ** j * math.comb(s, j) * c
+        assert NumericalPolynomial.from_numerator(numerator, n).coeffs == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "numerator, n, error",
+    [
+        ({-1: 1}, 1, ValueError),
+        ({0: 1, -3: 2}, 2, ValueError),
+        ({0: 1}, -1, ValueError),
+        ({1.0: 1}, 2, TypeError),
+        ({True: 1}, 2, TypeError),
+        ({1: 0.5}, 2, TypeError),
+        ({1: Fraction(1)}, 2, TypeError),
+        ({1: False}, 2, TypeError),
+        ({1: 1}, 2.0, TypeError),
+        ({1: 1}, True, TypeError),
+    ],
+)
+def test_from_numerator_refuses_bad_terms(numerator, n, error):
+    with pytest.raises(error):
+        NumericalPolynomial.from_numerator(numerator, n)
 
 
 def test_text_rendering():

@@ -86,9 +86,11 @@ def test_records_compare_hash_and_print_by_their_fields(data_dir):
 
 
 def _loaded_in_bare_interpreter(statement: str) -> set[str]:
-    """Which of dataclasses and inspect `python -S -c statement` leaves loaded."""
+    """Which of dataclasses, inspect and typing `python -S -c statement`
+    leaves loaded."""
     env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
-    script = f"{statement}; import sys; print(*{{'dataclasses', 'inspect'}} & set(sys.modules))"
+    watched = "{'dataclasses', 'inspect', 'typing'}"
+    script = f"{statement}; import sys; print(*{watched} & set(sys.modules))"
     run = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, check=True, text=True
     )
@@ -96,11 +98,11 @@ def _loaded_in_bare_interpreter(statement: str) -> set[str]:
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    """Start-up pays for no module that diffdim does not use: the standard
-    modules the CLI imports load inspect on no Python this package supports,
-    and if one ever does, only dataclasses is asserted."""
+    """Start-up pays for no module that diffdim does not use: neither
+    dataclasses, nor inspect, nor typing.  The standard modules the CLI
+    imports load inspect and typing on no Python this package supports; if
+    one ever does, that module is not asserted, only dataclasses is."""
     loaded = _loaded_in_bare_interpreter("import diffdim.cli")
     assert "dataclasses" not in loaded
-    stdlib = "import argparse, json, fractions, threading, enum, re, typing"
-    if not _loaded_in_bare_interpreter(stdlib):
-        assert "inspect" not in loaded
+    stdlib = _loaded_in_bare_interpreter("import argparse, json, fractions, threading, enum, re")
+    assert not loaded & ({"inspect", "typing"} - stdlib)
