@@ -16,7 +16,6 @@ polynomials of the process have held; a query such as degree_in adds none.
 
 from __future__ import annotations
 
-import bisect
 import operator
 import threading
 from collections import namedtuple
@@ -145,7 +144,7 @@ Monomial = tuple[int, ...]
 _DERIVATIVES: list[Derivative] = []  # id -> derivative, append-only
 _IDS: dict[Derivative, int] = {}  # derivative -> id
 _NEW_ID = threading.Lock()  # two threads must not give one id to two derivatives
-_SHIFTS: dict[tuple[int, int], int] = {}  # (id, axis) -> id of the shifted derivative
+_SHIFTS: dict[int, dict[int, int]] = {}  # axis -> {id: shifted id}, added at its first shift
 
 
 def _lookup(d: Derivative) -> int | None:
@@ -172,14 +171,6 @@ def _intern(d: Derivative) -> int:
                 _DERIVATIVES.append(d)  # before the id is published
                 i = _IDS[d] = len(_DERIVATIVES) - 1
     return i
-
-
-def _shift(i: int, axis: int) -> int:
-    """The id of derivative i derived once along axis."""
-    up = _SHIFTS.get((i, axis))
-    if up is None:
-        up = _SHIFTS[i, axis] = _intern(shift_derivative(_DERIVATIVES[i], axis))
-    return up
 
 
 def _powers(mono: tuple[Derivative, ...]) -> tuple[tuple[Derivative, int], ...]:
@@ -430,22 +421,31 @@ class DiffPoly:
         An axis that is not an int raises TypeError, and an int that names
         no axis of the factors IndexError."""
         if type(axis) is not int:
-            # checked before _SHIFTS, where 1.0 and True would find the key of 1
+            # checked before _SHIFTS, where 1.0 and True would find the table of 1
             raise TypeError(f"derivation axis must be an int, got {axis!r}")
+        shifts = _SHIFTS.get(axis) or {}
         acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
             for k, i in enumerate(mono):
                 if k and mono[k - 1] == i:
                     continue  # each distinct factor once, weighted by its exponent
-                up = _shift(i, axis)
-                rest = mono[:k] + mono[k + 1 :]
-                # ids follow no order of derivatives: up may sort anywhere in rest
-                j = bisect.bisect(rest, up)
-                key = rest[:j] + (up,) + rest[j:]
-                acc[key] = acc.get(key, 0) + coeff * mono.count(i)
+                up = shifts.get(i)
+                if up is None:
+                    up = _intern(shift_derivative(_DERIVATIVES[i], axis))
+                    _SHIFTS.setdefault(axis, shifts)[i] = up
+                # ids follow no order of derivatives: up may sort anywhere
+                key = list(mono)
+                key[k] = up
+                key.sort()
+                key = tuple(key)
+                e = mono.count(i)
+                acc[key] = acc.get(key, 0) + (coeff * e if e > 1 else coeff)
         return DiffPoly._of(acc)
 
     def derive_multi(self, mu: MultiIndex) -> "DiffPoly":
+        """Derive mu[axis] times along each axis; ValueError naming mu unless it is a multi-index."""
+        if not is_multi_index(mu):
+            raise ValueError(f"cannot derive by {mu!r}: not a multi-index")
         out = self
         for axis, times in enumerate(mu):
             for _ in range(times):

@@ -305,13 +305,80 @@ def test_derive_axis_bounds():
         for axis in (-1, 2):
             with pytest.raises(IndexError):
                 p.derive(axis)
-        # fills the shift cache under (id, 1), a key that 1.0 and True would match
+        # adds the shift table of axis 1, the key that 1.0 and True would match
         p.derive(1)
         for axis in (1.0, True, "1"):
             with pytest.raises(TypeError, match=re.escape(f"must be an int, got {axis!r}")):
                 p.derive(axis)
     with pytest.raises(TypeError, match="must be an int, got True"):
         DiffPoly.constant(5).derive(True)
+
+
+def test_refused_axis_adds_no_shift_table():
+    n = max(diffpoly._SHIFTS, default=0) + 2  # axes n - 1 and n have no table yet
+    p = 3 * dvar(0, (0,) * n) * dvar(1, (1,) + (0,) * (n - 1)) + 1
+    for axis in (-1, n):
+        with pytest.raises(IndexError):
+            p.derive(axis)
+        assert axis not in diffpoly._SHIFTS
+    assert DiffPoly.constant(5).derive(n - 1) == DiffPoly.zero()
+    assert n - 1 not in diffpoly._SHIFTS  # no shift has succeeded on it yet
+    p.derive(n - 1)
+    decode = diffpoly._DERIVATIVES.__getitem__
+    shifted = {decode(i): decode(up) for i, up in diffpoly._SHIFTS[n - 1].items()}
+    assert shifted == {d: shift_derivative(d, n - 1) for d in p.derivatives()}
+
+
+def _fresh_derivatives(order):
+    """Derivatives of indeterminates no polynomial has held, interned in the
+    given order: x = u[0], its shift x1 = u[1], y = v[0] and z = w[0]."""
+    m = max((d.indeterminate for d in diffpoly._DERIVATIVES), default=0) + 1
+    named = {"x": (m, (0,)), "x1": (m, (1,)), "y": (m + 1, (0,)), "z": (m + 2, (0,))}
+    ds = {name: make_derivative(*named[name]) for name in order}
+    for d in ds.values():
+        DiffPoly.variable(d)
+    return ds
+
+
+def test_derive_places_the_shifted_factor_anywhere():
+    """The shifted id sorts before, between or after the other factors,
+    with repeated factors, fractional coefficients and cancelling terms."""
+    for position, order in ((0, "x1 y z x"), (1, "x y x1 z"), (2, "x y z x1")):
+        ds = _fresh_derivatives(order.split())
+        x, x1, y, z = (DiffPoly.variable(ds[k]) for k in ("x", "x1", "y", "z"))
+        ids = {k: diffpoly._IDS[d] for k, d in ds.items()}
+        half = Fraction(1, 2)
+        polys = [
+            x * y * z, x**2 * y, x * y**2, x**2 * y * z - 3 * x**3, half * x**2 * y,
+            half * x * y.derive(0) - half * x1 * y, 5 * x * y * z - 5 * z * y * x + 2,
+        ]
+        for p in polys:
+            got = p.derive(0)
+            assert got == _reference_derive(p, 0), (order, p)
+            assert _coefficients_are_reduced(got), got
+        # x1 leaves the place of x in (x, y, z) sorted by id for the given position
+        mono = tuple(sorted((ids["x1"], ids["y"], ids["z"])))
+        assert (x * y * z).derive(0)._terms[mono] == 1 and mono.index(ids["x1"]) == position
+        # 1/2·x^2 -> x·x1 with the int 1
+        got = (half * x**2).derive(0).terms
+        assert got == {tuple(sorted((ds["x"], ds["x1"]))): 1} and type(*got.values()) is int
+        # x1·y1 cancels out of the derivative of x·y1 - x1·y
+        y1 = y.derive(0)
+        got = (x * y1 - x1 * y).derive(0)
+        assert got == x * y1.derive(0) - x1.derive(0) * y and len(got.terms) == 2
+
+
+def test_derive_multi_refuses_malformed_multi_indices():
+    u = dvar(0, (0, 0))
+    p = 3 * u * dvar(0, (1, 0)) + 1
+    for mu in ((-1, 0), (True, 0), (1.5,), (0, 1.0), (0, None), (0, -2)):
+        with pytest.raises(ValueError, match=re.escape(f"cannot derive by {mu!r}")):
+            p.derive_multi(mu)
+    # a polynomial has no ring: only a nonzero entry past the factors' axes shows
+    with pytest.raises(IndexError):
+        p.derive_multi((0, 0, 1))
+    assert p.derive_multi((0, 0, 0)) == p and p.derive_multi(()) == p
+    assert p.derive_multi((1, 2)) == p.derive(0).derive(1).derive(1)
 
 
 def _random_poly(rng, n, m, max_order=2, terms=3):
