@@ -166,7 +166,8 @@ class DiffChain:
     pair.  Lifts fill per-element tables one derivative at a time, a
     leader-only element's in one step per requested lift, and reduced
     obstructions one table of DeltaChecks keyed by pair, so each kept pair
-    is reduced once.  All of them die with the chain, and none refers back to it.
+    gets its Δ from delta_polynomial and is reduced once.  All of them die
+    with the chain, and none refers back to it.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -323,12 +324,11 @@ class DiffChain:
         return validate(self)
 
     def _delta_check(self, i: int, k: int) -> "DeltaCheck":
-        """Δ of the same-indeterminate pair (i, k) and its reduction, made once; a pair of two
-        leader-only elements gets its zero Δ (see validate) without delta_polynomial's lifts."""
+        """Δ of the same-indeterminate pair (i, k), from delta_polynomial, and its reduction,
+        made once."""
         check = self._checks.get((i, k))
         if check is None:
-            zero = self.leader_only[i] and self.leader_only[k]
-            delta = DiffPoly.zero() if zero else delta_polynomial(self, i, k)
+            delta = delta_polynomial(self, i, k)
             check = self._checks[i, k] = DeltaCheck(i, k, delta, full_pseudo_reduce(delta, self))
         return check
 
@@ -432,11 +432,10 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     common derivative exists.  An i or j that is not an int in
     range(len(chain)) raises ValueError naming it.
 
-    Every pair takes this one path; for leader-only p = c·u[mu] and
-    q = d·u[nu], mul_sub's proportionality test returns d·c·u[t] - c·d·u[t]
-    = 0 without a product, after two one-step lifts to t (see
-    DiffChain.lift) that the chain's delta_checks, which keep the Δs, skip
-    for such a pair.
+    Every pair takes this one path, the chain's delta_checks included; for
+    leader-only p = c·u[mu] and q = d·u[nu], mul_sub's proportionality test
+    returns d·c·u[t] - c·d·u[t] = 0 without a product, after two one-step
+    lifts to t (see DiffChain.lift), in time independent of t's order.
     """
     _require_element(chain, i)
     _require_element(chain, j)
@@ -529,13 +528,14 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
     coefficient and x is eliminated outright; when x is itself a leader, the
     degree in x is pushed below the chain element's by ordinary
     pseudo-division, multiplying through by the initial.  No derivative
-    ranked >= x is ever reintroduced, so the procedure terminates.
+    ranked >= x is ever reintroduced, so the procedure terminates.  A p that
+    is not a DiffPoly raises TypeError.
     """
+    if not isinstance(p, DiffPoly):
+        raise TypeError(f"p must be a DiffPoly, got {p!r}")
     failures = _triangularity_failures(chain)
     if failures:
         raise NotTriangularError("; ".join(failures))
-    if not p:
-        return ReductionTrace(p)
     _require_in_ring(p.derivatives(), chain.ring, "the polynomial to reduce")
     ranking = chain.ranking
     r = p
@@ -642,8 +642,9 @@ def validate(chain: DiffChain) -> ValidationReport:
     reduction only on the pairs with an element that is not leader-only, and
     never visits a pair of two leader-only elements: a chain of pure
     derivatives costs no more than finding its leader antichain.  The Δs go
-    through the chain's DeltaCheck table; its delta_checks reuse them and
-    give each leader-only pair that zero.  The report holds only data.
+    through the chain's DeltaCheck table, each from delta_polynomial; its
+    delta_checks reuse them, and reach a leader-only pair's zero by the same
+    path, in two one-step lifts.  The report holds only data.
 
     Each kept pair is reduced in (i, k) order.  A skipped pair that fails
     is never reduced, so incoherence is reported by a kept pair, which may

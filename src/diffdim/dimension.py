@@ -12,11 +12,11 @@ brute-force lattice-point oracle they are checked against:
   Hilbert functions", JSC 1992), which stops at Bigatti's closed form
   once the generators, a lex-sorted antichain, are at most two or use at
   most two axes (Bigatti, "Computation of Hilbert-Poincare series", JPAA
-  1997), and adds every level's terms into one accumulator.  Once the
-  pivot is needed it runs on packed ints: each multi-index becomes one
-  int of n fields of w bits plus a guard bit, w = (n * largest
-  exponent).bit_length(), so a colon, a divisibility test and an order
-  are a few int operations;
+  1997), and adds every level's terms into one accumulator.  Every group
+  is packed once, in every n: each multi-index becomes one int of n
+  fields of w bits plus a guard bit, w = (n * largest
+  exponent).bit_length(), so a colon, a join, a divisibility test and an
+  order are a few int operations;
 - the minimal Janet basis of the leaders, whose Janet cones are disjoint,
   built one slice of the first coordinate at a time: every value of that
   coordinate between two consecutive first exponents of the leaders
@@ -43,9 +43,10 @@ Each route sums its groups' numerators into one dict {shift: coefficient}
 and converts it once, by NumericalPolynomial.from_numerator.  omega returns
 the Janet result and checks its polynomial against the inclusion-exclusion
 polynomial alone, with no second bound or result.  The Janet route stays on
-tuples, so that check shares neither its formula above two derivations nor
-its representation with the result: a packing error shows as
-InternalDisagreementError, not as the same wrong ω from both routes.
+tuples and the check runs on packed ints, so the check never shares its
+representation with the result, and above two derivations not its formula
+either: a packing error shows as InternalDisagreementError, not as the same
+wrong ω from both routes.
 """
 
 from __future__ import annotations
@@ -147,42 +148,21 @@ class OmegaResult(Record):
 
 def _hilbert_numerator(gens) -> dict[int, int]:
     """Numerator K(t) of the Hilbert series of the monomial ideal generated by
-    a lex-sorted antichain gens, as {exponent: nonzero coefficient}.
+    a lex-sorted antichain gens, as {exponent: nonzero coefficient}: the
+    signed sum over subsets S of the generators of (-1)^|S| t^|join(S)|, and
+    {0: 1} for no generators.
 
-    K(t) is the signed sum over subsets S of the generators of
-    (-1)^|S| t^|join(S)|.  On at most two generators, or on at most two
-    used axes, Bigatti's closed form gives it (see _add_closed_form);
-    that test runs on the tuples.  Otherwise the generators are packed
-    into ints and the pivot runs on those (see _add_pivot).  Every level
-    adds its terms, shifted and signed, into one dict.
-    """
-    k: dict[int, int] = {}
-    if len(gens) <= 2 or sum(map(any, zip(*gens))) <= 2:
-        joins = (sum(map(max, g, h)) for g, h in zip(gens, gens[1:]))
-        _add_closed_form(k, 0, 1, map(sum, gens), joins)
-    else:
-        _add_pivot(gens, k)
-    return {e: c for e, c in k.items() if c}
-
-
-def _add_closed_form(k: dict[int, int], shift: int, sign: int, orders, join_orders) -> None:
-    """Add sign * t^shift * (1 - sum_i t^orders_i + sum_i t^join_orders_i)
-    into k: Bigatti's K = 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))|
-    for a lex-sorted antichain g on at most two generators, where it is the
-    sum over their four subsets, or on at most two used axes, where lex
-    order sorts the generators up one axis and down the other."""
-    k[shift] = k.get(shift, 0) + sign
-    for e in orders:
-        k[shift + e] = k.get(shift + e, 0) - sign
-    for e in join_orders:
-        k[shift + e] = k.get(shift + e, 0) + sign
-
-
-def _add_pivot(gens, k: dict[int, int]) -> None:
-    """Add K(gens) into k by the pivot K(done + {m}) = K(done) - t^|m| K(done : m)
-    over the generators m in order, where the colon ideal done : m is
-    generated by the antichain of join(g, m) - m over done, down to
-    _add_closed_form's base cases.
+    The generators are packed into ints, and one loop over a stack of
+    pending levels, each a lex-sorted antichain with a shift and a sign,
+    adds every level's terms, shifted and signed, into one dict.  A level in
+    n <= 2, on at most two generators, or on at most two used axes adds
+    Bigatti's closed form 1 - sum_i t^|g_i| + sum_i t^|join(g_i, g_(i+1))|
+    (JPAA 1997): on two generators it is the sum over their four subsets,
+    and on two axes lex order sorts the generators up one axis and down the
+    other.  Any other level pivots, K(done + {m}) = K(done) - t^|m| K(done :
+    m) over the generators m in order (Bayer-Stillman 1992), where the colon
+    ideal done : m is generated by the antichain of join(g, m) - m over done
+    (see _colon).
 
     Each multi-index is packed into one int of n fields, axis 0 in the top
     one, so int order is lex order.  A field holds w bits and a guard bit
@@ -193,10 +173,12 @@ def _add_pivot(gens, k: dict[int, int]) -> None:
     is the top field of x * ONES, and max(g - m, 0) is _colon's d & (G -
     (G >> w)), d = (g | H) - m and G = d & H.
     """
+    if not gens:
+        return {0: 1}
     n = len(gens[0])
     w = (n * max(map(max, gens))).bit_length()
     step = w + 1
-    ones = sum(1 << a * step for a in range(n))
+    ones = ((1 << step * n) - 1) // ((1 << step) - 1)
     guards = ones << w
     top, values = (n - 1) * step, (1 << w) - 1
     packed = []
@@ -205,21 +187,25 @@ def _add_pivot(gens, k: dict[int, int]) -> None:
         for e in g:
             x = x << step | e
         packed.append(x)
+    k: dict[int, int] = {}
     pending = [(packed, 0, 1)]
     while pending:
         level, shift, sign = pending.pop()
-        if len(level) > 2 and _used_axes(level, guards, ones) > 2:
-            k[shift] = k.get(shift, 0) + sign
+        k[shift] = k.get(shift, 0) + sign
+        if n > 2 and len(level) > 2 and _used_axes(level, guards, ones) > 2:
             for i, m in enumerate(level):
                 order = m * ones >> top & values
                 pending.append((_colon(level[:i], m, guards, w), shift + order, -sign))
-        else:
-            joins = []
-            for g, h in zip(level, level[1:]):
-                d = (g | guards) - h  # join(g, h) = h + max(g - h, 0), as in _colon
-                high = d & guards
-                joins.append((h + (d & (high - (high >> w)))) * ones >> top & values)
-            _add_closed_form(k, shift, sign, (x * ones >> top & values for x in level), joins)
+            continue
+        for x in level:
+            e = shift + (x * ones >> top & values)
+            k[e] = k.get(e, 0) - sign
+        for g, h in zip(level, level[1:]):
+            d = (g | guards) - h  # join(g, h) = h + max(g - h, 0), as in _colon
+            high = d & guards
+            e = shift + ((h + (d & (high - (high >> w)))) * ones >> top & values)
+            k[e] = k.get(e, 0) + sign
+    return {e: c for e, c in k.items() if c}
 
 
 def _used_axes(level: list[int], guards: int, ones: int) -> int:
@@ -229,7 +215,7 @@ def _used_axes(level: list[int], guards: int, ones: int) -> int:
 
 def _colon(level: list[int], m: int, guards: int, w: int) -> list[int]:
     """The lex-sorted antichain of max(g - m, 0) over the packed g in level,
-    packed as _add_pivot describes."""
+    packed as _hilbert_numerator describes."""
     found = set()
     for g in level:
         d = (g | guards) - m  # each field holds guard + g_a - m_a >= 1
@@ -268,12 +254,12 @@ def omega_incl_excl(spec: LeaderSpec) -> OmegaResult:
     the Hilbert numerator computed by the pivot (see _hilbert_numerator), so
     no subset is enumerated; each group is a lex-sorted antichain, as
     LeaderSpec stores it, which the pivot's two-axis base case (Bigatti 1997)
-    needs.  The base cases are tested on the tuples, and only the pivot
-    runs on packed ints, n fields of w = (n * largest exponent).bit_length()
-    bits and a guard bit each (see _add_pivot).  A leader of order 0 makes
-    K = 0: its cone is everything.  The groups' numerators are summed and
-    converted once (see _incl_excl_polynomial), the polynomial that omega
-    checks the Janet route against.
+    needs.  Every group is packed into ints once, n fields of w = (n *
+    largest exponent).bit_length() bits and a guard bit each, and the
+    closed form and the pivot both run on those (see _hilbert_numerator).
+    A leader of order 0 makes K = 0: its cone is everything.  The groups'
+    numerators are summed and converted once (see _incl_excl_polynomial),
+    the polynomial that omega checks the Janet route against.
     The identity stabilizes at the largest join order, which is the order
     of the join of all of a group's generators: the sum over the axes of
     the group's largest exponent.
@@ -449,13 +435,12 @@ def omega(chain: DiffChain) -> OmegaResult:
     (see _incl_excl_polynomial), must equal the Janet polynomial
     coefficientwise.  That is the polynomial omega_incl_excl returns, built
     without its stabilization bound or a second OmegaResult, which nothing
-    here reads.  The check is independent only above two derivations: in
-    n <= 2 both routes build the terms sum t^|g_i| - sum t^|join(g_i,
-    g_(i+1))|, so K_Janet = 1 - K_Hilbert, and it guards their loops, not
-    the formula, which krull_oracle checks.  Above two derivations the pivot
-    runs on packed ints while the Janet route stays on tuples, so the
-    check's representation is independent too, and a packing error raises
-    InternalDisagreementError.
+    here reads.  In n <= 2 the formula is shared: both routes build the
+    terms sum t^|g_i| - sum t^|join(g_i, g_(i+1))|, so K_Janet = 1 -
+    K_Hilbert, and krull_oracle is the formula's independent check.  The
+    representation is never shared: the inclusion-exclusion route runs on
+    packed ints in every n while the Janet route stays on tuples, so a
+    packing error raises InternalDisagreementError.
     """
     chain.require_valid()
     spec = chain.leader_spec

@@ -479,10 +479,10 @@ def test_chain_lifts_match_derive_multi_in_any_request_order():
 def test_validate_deltas_match_from_scratch_obstructions(monkeypatch):
     """Every recorded Δ is s_q·θp − s_p·θq built by derive_multi, on random
     nonlinear chains and on the same chains with every element but one
-    replaced by a leader-only c*x, whose pairs get their zero Δ without lifts.
-    validate reduces only the kept pairs with a general element; reading the
-    chain's delta_checks reuses those checks and reduces each leader-only pair
-    once."""
+    replaced by a leader-only c*x, whose pairs get their zero Δ from the same
+    delta_polynomial.  validate reduces only the kept pairs with a general
+    element; reading the chain's delta_checks reuses those checks and reduces
+    each leader-only pair once."""
     traces = []
     original = chains.full_pseudo_reduce
 
@@ -556,10 +556,14 @@ def test_lift_tables_live_on_the_chain(monkeypatch):
     assert "by_rank" not in vars(staircase)
     # ω and the verdict read leader_spec; no pair needs a witness, so no masks
     assert "leader_spec" in vars(staircase) and "leader_table" not in vars(staircase)
-    # reading the lists gives each kept pair its zero Δ, without deriving anything
-    assert [(c.first, c.second) for c in staircase.delta_checks] == [(0, 1), (1, 2), (2, 3)]
-    assert all(c.delta.is_zero() and not c.trace.steps for c in staircase.delta_checks)
-    assert not calls and not any(staircase._lifts)
+    # reading the lists gives each kept pair its zero Δ through delta_polynomial,
+    # whose leader-only lifts take one step each, at any order
+    tall = _chain([dvar(0, (10**12, 0)), dvar(0, (0, 1))], 2, 1)
+    for chain, kept in ((staircase, [(0, 1), (1, 2), (2, 3)]), (tall, [(0, 1)])):
+        assert [(c.first, c.second) for c in chain.delta_checks] == kept
+        assert all(c.delta.is_zero() and not c.trace.steps for c in chain.delta_checks)
+        for i, table in enumerate(chain._lifts):
+            assert len(table) <= sum(i in pair for pair in kept)
 
 
 def test_coherence_accepts_nontrivial_reduction():
@@ -598,6 +602,12 @@ def test_full_pseudo_reduce_of_zero():
     trace = full_pseudo_reduce(DiffPoly.zero(), chain)
     assert trace.remainder == DiffPoly.zero() and trace.multipliers == ()
     assert trace.steps == ()
+    # the int 0 is refused, not taken for the zero polynomial
+    for p in (0, 5, None):
+        with pytest.raises(TypeError, match="p must be a DiffPoly"):
+            full_pseudo_reduce(p, chain)
+        with pytest.raises(TypeError, match="p must be a DiffPoly"):
+            membership(p, chain)
 
 
 def test_reduction_examples():
@@ -1117,7 +1127,8 @@ def test_validate_reduces_each_kept_pair_once_and_no_skipped_pair(monkeypatch):
     assert calls == []  # every pair is leader-only: the lists are built when read
     assert chain.skipped_pairs == [(0, 2, 1)]
     assert [(c.first, c.second) for c in chain.delta_checks] == [(0, 1), (1, 2)]
-    assert calls == []  # and their zero Δs need no delta_polynomial
+    assert all(c.delta.is_zero() and not c.trace.steps for c in chain.delta_checks)
+    assert calls == [(0, 1), (1, 2)]  # one Δ per kept pair, read for the lists
 
 
 def _chain_families(data_dir):

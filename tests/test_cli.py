@@ -439,8 +439,8 @@ def test_leader_of_order_ten_to_the_twelve_answers_fast(tmp_path, argv, code, st
     # The Janet basis has 10^12 + 1 cones here, in two boxes; omega and
     # compare sum the cones in closed form, omega --json lists the boxes, and
     # the subprocess timeout stops a run that lists the cones.  validate
-    # --explain gives the leader-only pair its zero Δ without a lift of
-    # order 10^12.
+    # --explain gets the leader-only pair's zero Δ from delta_polynomial,
+    # whose two lifts to order 10^12 take one step each.
     path = tmp_path / "tall.sys"
     path.write_text(
         "ring derivations=(t,x) indeterminates=(u)\n"

@@ -153,7 +153,7 @@ def test_minimalize_agrees_with_the_definition_on_the_cones_pool_and_field_width
     pool = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "cones_pool.json").read_text())
     cases = [[tuple(g) for g in entry["generators"]] for entry in pool["sets"]]
     cases += _field_width_boundaries()
-    assert {len(gens[0]) for gens in cases} == {3, 4, 5}
+    assert {len(gens[0]) for gens in cases} == {1, 2, 3, 4, 5}
     for gens in cases:
         for indices in (gens, [g[1:] for g in gens]):
             assert minimalize(indices) == _minimalize_all_pairs(indices), indices
@@ -716,13 +716,20 @@ def _scaled(gens, big, rng):
 
 def _field_width_boundaries():
     """Antichains in n axes whose largest exponent top makes n * top equal
-    2^k - 1 or 2^k: the n indices with top on all axes but one, whose
-    joins reach order n * top, and random antichains over {0, 1, top // 2,
-    top - 1, top}."""
+    2^k - 1 or 2^k (in n = 2, where n * top is even, 2^k - 2 or 2^k): the
+    index (top, 0, ..., 0), the n indices with top on all axes but one,
+    whose joins reach order n * top, and random antichains over {0, 1,
+    top // 2, top - 1, top}."""
     rng = random.Random(61)
     cases = []
-    for n, top in ((3, 5461), (5, 13107), (5, 209715), (4, 4096), (4, 2**20)):
-        assert (n * top + 1).bit_count() == 1 or (n * top).bit_count() == 1, (n, top)
+    boundaries = (
+        (1, 2**10 - 1), (1, 2**10), (2, 2**15 - 1), (2, 2**15),
+        (3, 5461), (5, 13107), (5, 209715), (4, 4096), (4, 2**20),
+    )
+    for n, top in boundaries:
+        below = n * top + (2 if n == 2 else 1)
+        assert below.bit_count() == 1 or (n * top).bit_count() == 1, (n, top)
+        cases.append(((top,) + (0,) * (n - 1),))
         cases.append(tuple(tuple(0 if a == b else top for a in range(n)) for b in range(n)))
         for _ in range(10):
             points = [tuple(rng.choice((0, 1, top // 2, top - 1, top)) for _ in range(n))
@@ -744,6 +751,7 @@ def test_hilbert_numerator_matches_subset_sum():
                 cases.append(_embed(plane, axes, n))
         for axis in range(n):
             cases.append(_embed([(rng.randint(1, 6),)], (axis,), n))
+    for n in range(1, 7):
         for big in (10**12, 10**599):
             for _ in range(5):
                 gens = minimalize(_random_antichain(rng, n, rng.randint(3, 6), 5))
