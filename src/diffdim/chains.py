@@ -19,6 +19,7 @@ from .diffpoly import (
     dominates,
     is_multi_index,
     is_natural,
+    join_indices,
     mul_sub,
     poly_text,
 )
@@ -154,17 +155,17 @@ class DiffChain:
     and gives its leader, the only derivative or the highest ranked; the
     partial-reduction check reads the set again.
 
-    Each fact about the elements that validation, reduction and compare
-    read is a cached attribute, computed for every element on its first
-    use: separants, leader_only, initials, degrees (each element's degree
-    in its own leader), by_rank, leader_elements (each leader's element,
-    which answers reduction by a leader in one lookup), leader_spec (the
-    leader antichains that ω reads and triangularity is decided from),
-    leader_table (the chain criterion's masks, built only for a pair that
-    needs a witness), the validation report, and the evidence behind its
-    verdict, delta_checks and skipped_pairs, built by one scan of every
-    pair.  Lifts fill per-element tables one derivative at a time, a
-    leader-only element's in one step per requested lift, and reduced
+    Each fact about the elements that validation, reduction and compare read
+    is a cached attribute, computed for every element on its first use:
+    separants, leader_only, initials, degrees (each element's degree in its
+    own leader), by_rank, leader_elements (each leader's element, which
+    answers reduction by a leader in one lookup), leader_spec (the leader
+    antichains that ω reads and triangularity is decided from), leader_table
+    (the chain criterion's masks, built only for a pair that needs a witness),
+    the validation report, and the evidence behind its verdict, delta_checks
+    and skipped_pairs, built by one scan of every pair when the report finds
+    the chain d-triangular.  Lifts fill per-element tables one derivative at a
+    time, a leader-only element's in one step per requested lift, and reduced
     obstructions one table of DeltaChecks keyed by pair, so each kept pair
     gets its Δ from delta_polynomial and is reduced once.  All of them die
     with the chain, and none refers back to it.
@@ -334,9 +335,8 @@ class DiffChain:
 
     @functools.cached_property
     def _obstruction_lists(self) -> tuple[list["DeltaCheck"], list[tuple[int, int, int]]]:
-        """delta_checks and skipped_pairs, from one scan of every pair."""
-        triangular = not (_triangularity_failures(self) or _partial_reduction_failures(self))
-        pairs = list(_obstruction_pairs(self, every=True)) if triangular else []
+        """delta_checks and skipped_pairs, from one scan of every pair of a d-triangular chain."""
+        pairs = list(_obstruction_pairs(self, every=True)) if self._report.triangular else []
         checks = [self._delta_check(i, k) for i, k, via in pairs if via is None]
         return checks, [pair for pair in pairs if pair[2] is not None]
 
@@ -442,7 +442,7 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
     x, y = chain.leaders[i], chain.leaders[j]
     if x.indeterminate != y.indeterminate:
         return None
-    theta = tuple(map(max, x.index, y.index))
+    theta = join_indices(x.index, y.index)
     lift_p = chain.lift(i, tuple(map(operator.sub, theta, x.index)))
     lift_q = chain.lift(j, tuple(map(operator.sub, theta, y.index)))
     separants = chain.separants
@@ -528,41 +528,40 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
     coefficient and x is eliminated outright; when x is itself a leader, the
     degree in x is pushed below the chain element's by ordinary
     pseudo-division, multiplying through by the initial.  No derivative
-    ranked >= x is ever reintroduced, so the procedure terminates.  A p that
-    is not a DiffPoly raises TypeError.
+    ranked >= x is ever reintroduced, so the procedure terminates.  The
+    derivatives of p are read once, for the ring check and the first step,
+    and the remainder's again only after each elimination.  A p that is not
+    a DiffPoly raises TypeError.
     """
     if not isinstance(p, DiffPoly):
         raise TypeError(f"p must be a DiffPoly, got {p!r}")
     failures = _triangularity_failures(chain)
     if failures:
         raise NotTriangularError("; ".join(failures))
-    _require_in_ring(p.derivatives(), chain.ring, "the polynomial to reduce")
-    ranking = chain.ranking
-    r = p
-    steps = []
+    found = p.derivatives()
+    _require_in_ring(found, chain.ring, "the polynomial to reduce")
+    ranking, degrees = chain.ranking, chain.degrees
+    r, steps = p, []
     while True:
-        target = None
-        for x in sorted(r.derivatives(), key=ranking.key, reverse=True):
-            found = _reducer(chain, x)
-            if found is None:
+        for x in sorted(found, key=ranking.key, reverse=True):
+            reducer = _reducer(chain, x)
+            if reducer is None:
                 continue
-            idx, sigma = found
-            if any(sigma) or r.degree_in(x) >= chain.degrees[idx]:
-                target = (x, idx, sigma)
+            idx, sigma = reducer
+            if any(sigma) or r.degree_in(x) >= degrees[idx]:
                 break
-        if target is None:
-            break
-        x, idx, sigma = target
+        else:
+            return ReductionTrace(r, tuple(steps))
         g = chain.lift(idx, sigma)
         if any(sigma):
             lead, g_degree = chain.separants[idx], 1
         else:
-            lead, g_degree = chain.initials[idx], chain.degrees[idx]
+            lead, g_degree = chain.initials[idx], degrees[idx]
         while (d := r.degree_in(x)) >= g_degree:
             coefficient = r.top_part(x, d, g_degree)
             r = mul_sub(lead, r, coefficient, g)
             steps.append((lead, coefficient, sigma, idx))
-    return ReductionTrace(r, tuple(steps))
+        found = r.derivatives()
 
 
 def _witnesses(chain: DiffChain, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:

@@ -32,10 +32,6 @@ class ConstantPolynomialError(ValueError):
     """Raised when an operation needs a leader but the polynomial has none."""
 
 
-def index_order(mu: MultiIndex) -> int:
-    return sum(mu)
-
-
 def is_natural(x) -> bool:
     """True for an int >= 0, the one type of an indeterminate index, a
     multi-index entry or a count.  A bool or another subclass of int is not
@@ -48,7 +44,7 @@ def is_multi_index(mu) -> bool:
 
 
 def join_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def dominates(a: MultiIndex, b: MultiIndex) -> bool:

@@ -356,21 +356,23 @@ def janet_boxes(generators, num_derivations: int, indeterminate: int = 0) -> lis
     generators, such as one group of a LeaderSpec, as disjoint boxes in
     increasing order of their lower corners.
 
-    Slice along axis 0: with a_1 < ... < a_k the distinct first exponents
-    and R_i the antichain of tails g[1:] of the generators with g[0] <= a_i,
-    each x in [a_i, a_(i+1)) carries a copy of the minimal Janet basis of
-    R_i in the remaining axes, with axis 0 non-multiplicative, and x = a_k
-    alone carries R_k's basis with axis 0 multiplicative (Gerdt-Blinkov
-    1998).  In one variable the basis is the single cone at the minimum.
-    So each box of R_i becomes one box with [a_i, a_(i+1)) on axis 0, or
-    [a_k, infinity) on the last slice: the cones cover exactly the union of
-    the ordinary cones of the input, once each, and the number of boxes does
-    not depend on the gaps (two for u[N,0], u[0,1], against N + 1 cones).
-    A num_derivations that is not a positive int, or a generator that is
-    not a multi-index of num_derivations naturals, raises ValueError.
+    Slice along axis 0: with a_1 < ... < a_k the distinct first exponents and
+    R_i the antichain of tails g[1:] of the generators with g[0] <= a_i, each
+    x in [a_i, a_(i+1)) carries a copy of the minimal Janet basis of R_i in
+    the remaining axes, with axis 0 non-multiplicative, and x = a_k alone
+    carries R_k's basis with axis 0 multiplicative (Gerdt-Blinkov 1998).  In
+    one variable the basis is the single cone at the minimum.  So each box of
+    R_i becomes one box with [a_i, a_(i+1)) on axis 0, or [a_k, infinity) on
+    the last slice: the cones cover exactly the union of the ordinary cones of
+    the input, once each, and the number of boxes does not depend on the gaps
+    (two for u[N,0], u[0,1], against N + 1 cones).  A num_derivations that is
+    not a positive int, an indeterminate that is not a natural, or a generator
+    that is not a multi-index of that many naturals raises ValueError.
     """
     if not (is_natural(num_derivations) and num_derivations > 0):
         raise ValueError(f"need at least one derivation, got {num_derivations!r}")
+    if not is_natural(indeterminate):
+        raise ValueError(f"bad indeterminate {indeterminate!r}")
     gens = set(map(tuple, generators))
     for mu in gens:
         if len(mu) != num_derivations or not is_multi_index(mu):

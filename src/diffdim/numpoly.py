@@ -83,6 +83,8 @@ class NumericalPolynomial:
         return -1
 
     def eval(self, point: int) -> int:
+        if type(point) is not int:
+            raise TypeError(f"point must be an int, got {point!r}")
         if point < 0:
             raise ValueError("numerical polynomials are evaluated at l >= 0")
         return sum(a * math.comb(point + i, i) for i, a in enumerate(self.coeffs))

@@ -1198,3 +1198,47 @@ def test_containment_reductions_have_certificates(monkeypatch, data_dir):
     # S by A in prolong_pair.sys and S2 by S1 in pde_pair.sys: one step and
     # a zero remainder per element
     assert steps == 4 and sum(trace.remainder.is_zero() for *_, trace in made) == 4, made
+
+
+def test_reduction_reads_the_derivatives_once_per_step(monkeypatch, data_dir):
+    """full_pseudo_reduce builds its input's set of derivatives once, for the
+    ring check and the first step, and the remainder's again only after each
+    derivative it eliminates: k eliminations read k + 1 sets."""
+    text = (data_dir / "prolong_pair.sys").read_text(encoding="utf-8")
+    chain = parse_system(text).chains["A"]
+    chain.validation_report()  # the chain's facts, built before counting
+    (element,) = chain.elements
+    cases = [
+        (chain.separants[0], 0),  # already reduced
+        (element, 1),
+        (element**2, 1),  # two pseudo-division steps on one derivative
+        (chain.lift(0, (2, 0)) * element, 1),
+        (chain.lift(0, (1, 0)) + chain.lift(0, (0, 1)) + chain.lift(0, (1, 1)), 3),
+    ]
+    calls = []
+    original = DiffPoly.derivatives
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(DiffPoly, "derivatives", counting)
+    for p, eliminated in cases:
+        calls.clear()
+        trace = full_pseudo_reduce(p, chain)
+        assert len({(mu, i) for *_, mu, i in trace.steps}) == eliminated, p
+        assert len(calls) == eliminated + 1, p
+        assert trace.remainder.is_zero() == bool(eliminated)
+
+
+@pytest.mark.parametrize("name, key", [("scattered.sys", "C"), ("partially_reduced.sys", "P")])
+def test_evidence_is_the_same_read_before_or_after_the_report(data_dir, name, key):
+    """delta_checks and skipped_pairs read the report's verdict, so reading
+    them first builds the same lists; P is not d-triangular, and both are
+    empty."""
+    text = (data_dir / name).read_text(encoding="utf-8")
+    early, late = (parse_system(text).chains[key] for _ in range(2))
+    evidence = (early.delta_checks, early.skipped_pairs)
+    assert early.validation_report() == late.validation_report()
+    assert evidence == (late.delta_checks, late.skipped_pairs)
+    assert tuple(map(len, evidence)) == {"C": (16, 12), "P": (0, 0)}[key]

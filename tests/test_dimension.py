@@ -27,7 +27,7 @@ from diffdim import (
     parse_system,
 )
 from diffdim.dimension import minimalize
-from diffdim.diffpoly import dominates, index_order, iter_indices, join_indices
+from diffdim.diffpoly import dominates, iter_indices, join_indices
 from diffdim.numpoly import standard_text
 
 from corpus import (
@@ -310,22 +310,27 @@ def test_janet_completion_empty():
 
 
 @pytest.mark.parametrize(
-    "gens, n, message",
+    "gens, n, indeterminate, message",
     [
-        ([(1, 2)], 1, "bad multi-index"),
-        ([(1,)], 2, "bad multi-index"),
-        ([(1, -2)], 2, "bad multi-index"),
-        ([(True, 0)], 2, "bad multi-index"),
-        ([()], 0, "need at least one derivation, got 0"),
-        ([(1,)], True, "need at least one derivation, got True"),
-        ([], -1, "need at least one derivation, got -1"),
+        ([(1, 2)], 1, 0, "bad multi-index"),
+        ([(1,)], 2, 0, "bad multi-index"),
+        ([(1, -2)], 2, 0, "bad multi-index"),
+        ([(True, 0)], 2, 0, "bad multi-index"),
+        ([()], 0, 0, "need at least one derivation, got 0"),
+        ([(1,)], True, 0, "need at least one derivation, got True"),
+        ([], -1, 0, "need at least one derivation, got -1"),
+        ([(1, 2)], 2, -1, "bad indeterminate -1"),
+        ([(1, 2)], 2, True, "bad indeterminate True"),
+        ([(1, 2)], 2, 1.5, r"bad indeterminate 1\.5"),
+        ([(1, 2)], 2, "u", "bad indeterminate 'u'"),
     ],
 )
-def test_janet_boxes_and_listing_reject_a_bad_input(gens, n, message):
+def test_janet_boxes_and_listing_reject_a_bad_input(gens, n, indeterminate, message):
     with pytest.raises(ValueError, match=message):
-        janet_boxes(gens, n)
-    with pytest.raises(ValueError, match=message):
-        janet_complete(gens, n)
+        janet_boxes(gens, n, indeterminate=indeterminate)
+    if indeterminate == 0:  # janet_complete lists one group and takes no indeterminate
+        with pytest.raises(ValueError, match=message):
+            janet_complete(gens, n)
 
 
 def _janet_multiplicative(gens, n):
@@ -437,7 +442,7 @@ def test_janet_cones_partition_the_cone_union():
         spec = random_leader_spec(rng, max_n=3, max_m=1, max_gens=4, max_order=3)
         gens = spec.generators[0]
         cones = _box_cones(janet_boxes(gens, spec.num_derivations))
-        bound = max((index_order(u) for u, _ in cones), default=0)
+        bound = max((sum(u) for u, _ in cones), default=0)
         for mu in iter_indices(spec.num_derivations, bound + 3):
             hits = sum(_cone_contains(c, mu) for c in cones)
             in_union = any(dimension.dominates(mu, g) for g in gens)
@@ -511,7 +516,7 @@ def _janet_cone_reading(spec):
     listed Janet cones: m C(l + n, n) - sum of C(l - |u| + z, z), and max |u|."""
     n = spec.num_derivations
     cones = [c for g in spec.generators for c in _box_cones(janet_boxes(g, n))]
-    shifts = [(index_order(u), len(axes)) for u, axes in cones]
+    shifts = [(sum(u), len(axes)) for u, axes in cones]
     bound = max((q for q, _ in shifts), default=0)
     values = {
         ell: spec.num_indeterminates * math.comb(ell + n, n)
@@ -548,10 +553,10 @@ def _numerator_of_listed_cones(gens, n):
     k = {}
     cones = _box_cones(janet_boxes(gens, n))
     for u, axes in cones:
-        q, gap = index_order(u), n - len(axes)
+        q, gap = sum(u), n - len(axes)
         for j in range(gap + 1):
             k[q + j] = k.get(q + j, 0) + (-1) ** j * math.comb(gap, j)
-    return {e: c for e, c in k.items() if c}, max(index_order(u) for u, _ in cones)
+    return {e: c for e, c in k.items() if c}, max(sum(u) for u, _ in cones)
 
 
 def test_janet_numerator_two_axis_closed_form_matches_the_listed_cones():
@@ -677,7 +682,7 @@ def test_incl_excl_bound_is_order_of_full_join():
     for _ in range(150):
         spec = random_leader_spec(rng, max_n=4, max_gens=8, max_order=5)
         expected = max(
-            (index_order(functools.reduce(join_indices, g)) for g in spec.generators if g),
+            (sum(functools.reduce(join_indices, g)) for g in spec.generators if g),
             default=0,
         )
         assert omega_incl_excl(spec).stabilization_bound == expected, spec
@@ -688,7 +693,7 @@ def _numerator_by_subsets(gens):
     k = {}
     for size in range(len(gens) + 1):
         for subset in itertools.combinations(gens, size):
-            e = index_order(functools.reduce(join_indices, subset)) if subset else 0
+            e = sum(functools.reduce(join_indices, subset)) if subset else 0
             k[e] = k.get(e, 0) + (-1) ** size
     return {e: c for e, c in k.items() if c}
 

@@ -19,6 +19,12 @@ def test_eval_rejects_negative_argument():
         NumericalPolynomial([1]).eval(-1)
 
 
+@pytest.mark.parametrize("point", [True, False, 1.5, 2.0, "1", None])
+def test_eval_refuses_a_point_that_is_not_an_int(point):
+    with pytest.raises(TypeError, match=f"point must be an int, got {point!r}"):
+        NumericalPolynomial([1, 2]).eval(point)
+
+
 def test_coefficients_must_be_integers():
     with pytest.raises(TypeError):
         NumericalPolynomial([Fraction(1, 2)])
