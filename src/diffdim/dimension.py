@@ -12,11 +12,13 @@ brute-force lattice-point oracle they are checked against:
   Hilbert functions", JSC 1992), which stops at Bigatti's closed form
   once the generators, a lex-sorted antichain, are at most two or use at
   most two axes (Bigatti, "Computation of Hilbert-Poincare series", JPAA
-  1997), and adds every level's terms into one accumulator.  Every group
-  is packed once, in every n: each multi-index becomes one int of n
-  fields of w bits plus a guard bit, w = (n * largest
-  exponent).bit_length(), so a colon, a join, a divisibility test and an
-  order are a few int operations;
+  1997), and adds every level's terms into one accumulator.  On three
+  axes every colon G : m uses two, and is read off one staircase of the
+  generators before m in closed form, so in n <= 3 the pivot does a few
+  bisects per leader and no pairwise scan.  Every group is packed once,
+  in every n: each multi-index becomes one int of n fields of w bits plus
+  a guard bit, w = (n * largest exponent).bit_length(), so a colon, a
+  join, a divisibility test and an order are a few int operations;
 - the minimal Janet basis of the leaders, whose Janet cones are disjoint,
   built one slice of the first coordinate at a time: every value of that
   coordinate between two consecutive first exponents of the leaders
@@ -51,6 +53,7 @@ wrong ω from both routes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -161,8 +164,27 @@ def _hilbert_numerator(gens) -> dict[int, int]:
     and on two axes lex order sorts the generators up one axis and down the
     other.  Any other level pivots, K(done + {m}) = K(done) - t^|m| K(done :
     m) over the generators m in order (Bayer-Stillman 1992), where the colon
-    ideal done : m is generated by the antichain of join(g, m) - m over done
-    (see _colon).
+    ideal done : m is generated by the antichain of join(g, m) - m over done.
+
+    On a level whose generators use exactly three axes a < b < c, every
+    colon is read off one staircase, with no pairwise scan and no pending
+    level.  Lex order gives g_a <= m_a for every g before m, so each
+    generator of done : m is 0 on axis a.  The staircase holds the minimal
+    (b, c) projections of the generators before m, an antichain with b
+    rising and c falling; since x -> max(x - m, 0) is monotone, the colon's
+    minimal generators are images of its points.  No point has b <= m_b and
+    c <= m_c, as its generator would divide m, and the generators are an
+    antichain.  So two bisects split the staircase into the points with b <=
+    m_b, of which the last maps to (0, c - m_c); the run with b > m_b and c
+    > m_c, translated by -(m_b, m_c); and the points with c <= m_c, of which
+    the first maps to (b - m_b, 0).  Together they are a two-axis antichain
+    in lex order, so Bigatti's closed form adds the colon at once, and m's
+    projection then replaces the points it divides, the run among them: so
+    all the colons of a level hold at most three points per generator.  A
+    level on four or more axes builds each colon by _colon and pushes it as
+    a pending level, and a colon on three axes then takes the staircase.
+    The staircase reads b and c off the packed ints, so it shares no code
+    with the Janet route.
 
     Each multi-index is packed into one int of n fields, axis 0 in the top
     one, so int order is lex order.  A field holds w bits and a guard bit
@@ -192,10 +214,45 @@ def _hilbert_numerator(gens) -> dict[int, int]:
     while pending:
         level, shift, sign = pending.pop()
         k[shift] = k.get(shift, 0) + sign
-        if n > 2 and len(level) > 2 and _used_axes(level, guards, ones) > 2:
+        used = _used_fields(level, guards, ones) if n > 2 and len(level) > 2 else 0
+        axes = used.bit_count()
+        if axes > 3:
             for i, m in enumerate(level):
                 order = m * ones >> top & values
                 pending.append((_colon(level[:i], m, guards, w), shift + order, -sign))
+            continue
+        if axes == 3:
+            c_at = (used & -used).bit_length() - 1 - w  # axis c's field, the lowest used
+            used &= used - 1
+            b_at = (used & -used).bit_length() - 1 - w  # axis b's, the next one up
+            bs: list[int] = []  # the staircase: b rising,
+            negcs: list[int] = []  # and -c rising
+            for m in level:
+                mb, mc = m >> b_at & values, m >> c_at & values
+                s = shift + (m * ones >> top & values)
+                k[s] = k.get(s, 0) - sign
+                # done : m term by term, its generators in b order: t^|g|
+                # for each, and -t^|join| with the one before, whose c is last
+                lo = bisect.bisect_right(bs, mb)  # points [0, lo) have b <= mb
+                hi = bisect.bisect_left(negcs, -mc)  # points [hi, ...) have c <= mc
+                last = None
+                if lo:
+                    last = -negcs[lo - 1] - mc
+                    k[s + last] = k.get(s + last, 0) + sign
+                for i in range(lo, hi):
+                    b = bs[i] - mb
+                    if last is not None:
+                        k[s + b + last] = k.get(s + b + last, 0) - sign
+                    last = -negcs[i] - mc
+                    k[s + b + last] = k.get(s + b + last, 0) + sign
+                if hi < len(bs):
+                    b = bs[hi] - mb
+                    k[s + b] = k.get(s + b, 0) + sign
+                    if last is not None:
+                        k[s + b + last] = k.get(s + b + last, 0) - sign
+                lo = bisect.bisect_left(bs, mb)  # [lo, hi) are the points m's
+                hi = bisect.bisect_right(negcs, -mc)  # projection divides
+                bs[lo:hi], negcs[lo:hi] = [mb], [-mc]
             continue
         for x in level:
             e = shift + (x * ones >> top & values)
@@ -208,9 +265,10 @@ def _hilbert_numerator(gens) -> dict[int, int]:
     return {e: c for e, c in k.items() if c}
 
 
-def _used_axes(level: list[int], guards: int, ones: int) -> int:
-    """Number of axes on which some packed index in level is nonzero."""
-    return (((functools.reduce(operator.or_, level) | guards) - ones) & guards).bit_count()
+def _used_fields(level: list[int], guards: int, ones: int) -> int:
+    """The guard bits of the fields on which some packed index in level is
+    nonzero."""
+    return ((functools.reduce(operator.or_, level) | guards) - ones) & guards
 
 
 def _colon(level: list[int], m: int, guards: int, w: int) -> list[int]:
@@ -442,7 +500,10 @@ def omega(chain: DiffChain) -> OmegaResult:
     K_Hilbert, and krull_oracle is the formula's independent check.  The
     representation is never shared: the inclusion-exclusion route runs on
     packed ints in every n while the Janet route stays on tuples, so a
-    packing error raises InternalDisagreementError.
+    packing error raises InternalDisagreementError.  In n <= 3 the check
+    costs a few bisects per leader (see _hilbert_numerator); above three
+    derivations its top level builds one colon per leader by a pairwise
+    scan, so it is quadratic in the leaders there.
     """
     chain.require_valid()
     spec = chain.leader_spec

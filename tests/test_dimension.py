@@ -182,6 +182,28 @@ print(time.perf_counter() - start < 5)
     assert out == [f"11476 True {(math.comb(152, 3), 0, 0, 0)}", "True"]
 
 
+def test_omega_with_its_cross_check_on_a_three_derivation_staircase_costs_no_quadratic_work():
+    """The same 11,476 leaders through omega, which validates the chain,
+    takes the Janet route and checks it against the inclusion-exclusion
+    pivot.  Each of the pivot's colons is read off one staircase, so all of
+    it takes well under 5 s; the cross-check alone took 15.8 s when every
+    colon was minimalized by a pairwise scan.  Run in a fresh process with
+    a time limit, as above."""
+    script = """
+import time
+from diffdim import DiffChain, omega
+from corpus import dvar, plain_ranking
+leaders = [(a, b, 150 - a - b) for a in range(151) for b in range(151 - a)]
+chain = DiffChain([dvar(0, mu) for mu in leaders], plain_ranking(3, 1))
+start = time.perf_counter()
+result = omega(chain)
+print(len(leaders), result.omega.coeffs)
+print(time.perf_counter() - start < 5)
+"""
+    out = run_in_fresh_process(script, timeout=60).splitlines()
+    assert out == [f"11476 {(math.comb(152, 3), 0, 0, 0)}", "True"]
+
+
 def test_leader_spec_validation():
     # a zero count, and counts that are not ints, even integral floats
     for counts in ((0, 1), (2.0, 1), (2, 1.0), ("2", 1)):
@@ -800,9 +822,126 @@ def test_hilbert_numerator_two_axis_base_case_skips_the_pivot(monkeypatch):
     assert dimension._hilbert_numerator(staircase) == {0: 1, 19: -20, 20: 19}
     assert dimension._hilbert_numerator(_embed(staircase, (0, 2), 4)) == {0: 1, 19: -20, 20: 19}
     assert calls == []
+    # three axes read every colon off the staircase; four build them by _colon
     three_axes = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     assert dimension._hilbert_numerator(three_axes) == _numerator_by_subsets(three_axes)
+    assert calls == []
+    four_axes = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
+    assert dimension._hilbert_numerator(four_axes) == _numerator_by_subsets(four_axes)
     assert calls
+
+
+def _three_axis_colon_levels(monkeypatch):
+    """The list that gains one entry per colon ideal _colon builds whose
+    generators are more than two and use exactly three axes, the levels
+    under a four-axis pivot that take the three-axis staircase."""
+    levels = []
+    colon = dimension._colon
+
+    def recording_colon(level, m, guards, w):
+        out = colon(level, m, guards, w)
+        if len(out) > 2 and dimension._used_fields(out, guards, guards >> w).bit_count() == 3:
+            levels.append(out)
+        return out
+
+    monkeypatch.setattr(dimension, "_colon", recording_colon)
+    return levels
+
+
+def _colon_by_definition(done, m):
+    """The antichain of max(g - m, 0) over the indices g in done."""
+    return _minimalize_all_pairs(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in done)
+
+
+def test_hilbert_numerator_three_axis_staircase_matches_the_definition(monkeypatch):
+    """Seeded antichains on three axes, embedded on three of n = 3, 4 and 5
+    axes, in half the cases of n >= 4 with generators on a fourth axis, so
+    that the staircase runs at the top level and on the colons of a
+    four-axis pivot: the numerator against the subset sum for up to 12
+    generators, and against the Janet route's polynomial above that.  The
+    sets have ties on the middle entry, projections that a later one
+    divides, colons that are one boundary point and full simplex
+    staircases, and the field-width boundary cases run too."""
+    rng = random.Random(41)
+    colon_levels = _three_axis_colon_levels(monkeypatch)
+    seen = {
+        "tied middle entries": 0, "projection dropped": 0, "one boundary point": 0,
+        "simplex": 0, "under a four-axis pivot": 0, "field-width boundary": 0,
+    }
+    cases = []
+    for trial in range(240):
+        top = rng.choice((2, 5, 40, 10**12))
+        if trial % 4 == 3:
+            step = rng.choice((1, 10**9))
+            plane = [tuple(e * step for e in mu) for mu in _simplex(3, rng.randint(1, 24))]
+        else:
+            plane = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(rng.randint(3, 40))]
+            if trial % 4 == 1:
+                middles = [rng.randint(0, top) for _ in range(rng.randint(1, 3))]
+                plane = [(a, rng.choice(middles), c) for a, _, c in plane]
+        plane = minimalize(plane)
+        if len(plane) < 3 or sum(map(any, zip(*plane))) < 3:
+            continue
+        n = trial % 3 + 3
+        axes = sorted(rng.sample(range(n), 3))
+        gens = _embed(plane, axes, n)
+        if n > 3 and trial % 2:
+            # generators that also use a fourth axis, so the top level pivots
+            other = rng.choice([a for a in range(n) if a not in axes])
+            extra = [
+                tuple(rng.randint(1, 3) if a == other else rng.randint(0, 3) * (a in axes)
+                      for a in range(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            gens = minimalize(list(gens) + extra)
+        cases.append(gens)
+        seen["simplex"] += trial % 4 == 3
+        seen["tied middle entries"] += len({g[1] for g in plane}) < len(plane)
+        seen["projection dropped"] += any(
+            h[1] >= g[1] and h[2] >= g[2] for j, g in enumerate(plane) for h in plane[:j]
+        )
+        seen["one boundary point"] += any(
+            len(colon) == 1 and not all(colon[0][1:])
+            for colon in (_colon_by_definition(plane[:j], m) for j, m in enumerate(plane))
+        )
+    for i, gens in enumerate(cases + _field_width_boundaries()):
+        before = len(colon_levels)
+        got = dimension._hilbert_numerator(gens)
+        if len(gens) <= 12:
+            assert got == _numerator_by_subsets(gens), gens
+        else:
+            janet = omega_janet(LeaderSpec(len(gens[0]), 1, {0: gens})).omega
+            assert NumericalPolynomial.from_numerator(got, len(gens[0])) == janet, gens
+        under_pivot = len(colon_levels) > before
+        on_three = len(gens) > 2 and sum(map(any, zip(*gens))) == 3
+        seen["under a four-axis pivot"] += under_pivot
+        seen["field-width boundary"] += i >= len(cases) and (on_three or under_pivot)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_hilbert_numerator_on_three_axes_calls_no_janet_helper(monkeypatch):
+    """The cross-check stays independent of the Janet route: with minimalize,
+    _slices and _janet_numerator made to raise, the pivot still answers on
+    three-axis sets, at the top level and under a four-axis pivot."""
+    cases = [
+        ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+        tuple(_simplex(3, 9)),
+        _embed(_simplex(3, 6), (0, 2, 4), 5),
+        _embed(_simplex(3, 5), (1, 2, 3), 4) + ((2, 0, 0, 0),),
+    ]
+    expected = [omega_janet(LeaderSpec(len(gens[0]), 1, {0: gens})).omega for gens in cases]
+    colon_levels = _three_axis_colon_levels(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the cross-check called a helper of the Janet route")
+
+    for name in ("minimalize", "_slices", "_janet_numerator"):
+        monkeypatch.setattr(dimension, name, refuse)
+    assert dimension._hilbert_numerator(cases[0]) == _numerator_by_subsets(cases[0])
+    for gens, want in zip(cases, expected):
+        got = dimension._hilbert_numerator(gens)
+        assert NumericalPolynomial.from_numerator(got, len(gens[0])) == want, gens
+    assert colon_levels
 
 
 def test_hilbert_numerator_two_generator_base_case_skips_the_pivot(monkeypatch):
