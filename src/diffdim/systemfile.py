@@ -14,30 +14,38 @@ coefficient and derivative factors like v[1,0]^2 joined by '*'.  Integers
 are ASCII digits.  A term's total degree is at most MAX_TERM_DEGREE, since a
 monomial holds one factor per unit of degree.
 
-Reading a file takes a few passes, all in C.  Comments are stripped, and one
-regular expression lists the tokens as plain strings, ending with "" for the
-end of input.  A token's kind shows in its text: a symbol, a leading ASCII
-digit for an integer, a name ending in ']' for a derivative written without
-blanks (u[1,0] is one token), otherwise an identifier.  A derivative written with
-blanks, such as u[ 1, 0 ], is read token by token.  Every character that
-starts no token must be whitespace; if one is not, a greedy match of
-whitespace, comments and tokens from the start stops at the first unexpected
-character.  An integer has at most MAX_INTEGER_DIGITS digits, the fewest
-that any interpreter's limit on int() of a string allows.
+A file is read in one of two ways, which give the same system.  The term
+reader runs first.  Comments are stripped, and the text between each '{' and
+the next '}' is set aside as that chain's body; one regular expression lists
+what is left (the ring, the ranking and every `chain NAME {}` head) as plain
+tokens, ending with "" for the end of input.  A body is padded with blanks
+around '+', '-' and ';', and str.split() cuts it into signs, semicolons and
+terms, each written without blanks (3/2*v[3,0]^2*u[2,0]).  A term is a
+coefficient, a monomial (factors joined by '*'), or both joined by '*'.
+Each distinct term, coefficient, monomial and factor text is read once per
+parse, a coefficient or factor by a full match of its grammar, and kept
+with its value: a factor's is its interned derivative id repeated once per
+unit of its exponent, a monomial's the sorted ids of its factors.  Equal
+monomials add their coefficients in one {monomial: coefficient} map, and
+one DiffPoly is built per polynomial.  A body that this reading refuses and
+that has blanks next to '*', '^', '/', '[', ']' or ',' (2 * u[ 1, 0 ]) is
+read again with those blanks removed, which is sound because each of these
+characters is a token on its own.  A blank other than a space, tab,
+carriage return or line feed separates no tokens; counting the characters
+that str.split() kept catches one.
 
-Error positions count plain tokens, where a derivative is always its name,
-brackets, commas and integers.  A parse stops at its first error, and the
-text is then parsed again over plain tokens, whose error is the one raised;
-no identifier is a derivative token, so a derivative in a name position also
-takes the second parse.  No position is kept: a ParseError names its token
-by number, and only then is the text rescanned for that token's line and
-column, in code points.
+Anything else the term reader does not take, an error or a layout it does
+not know (2 u[0], juxtaposed without '*'), sends the whole file to the plain
+token parser, which lists every token of the text with the same regular
+expression: a symbol, an integer of ASCII digits, or an identifier.  Every
+character that starts no token must be whitespace; if one is not, a greedy
+match of whitespace, comments and tokens from the start stops at the first
+unexpected character.  An integer has at most MAX_INTEGER_DIGITS digits, the
+fewest that any interpreter's limit on int() of a string allows.
 
-Each polynomial is read in one loop.  A term's monomial is a list of
-interned derivative ids, each repeated once per unit of its exponent and
-sorted once; equal monomials add their coefficients in one {monomial:
-coefficient} map, and one DiffPoly is built at the end.  Each distinct
-derivative token is split, checked and interned once per parse.
+Only the plain parser places an error.  A parse stops at its first error,
+which names its token by number; only then is the text rescanned for that
+token's line and column, in code points.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .diffpoly import (
     Monomial,
     Ranking,
     RingSpec,
+    _IDS,
     _intern,
 )
 from .record import Record
@@ -81,16 +90,17 @@ class UnknownIdentifierError(ParseError):
 # Integers are [0-9], not \d, which takes any Unicode digit.
 # Symbols first, as most tokens are; the three classes start with disjoint characters.
 _TOKEN = r"[=(),<{};^*+\-/\[\]]|[0-9]+|[^\W\d]\w*"
-# A derivative written without blanks is one token, tried before its name.
-_PACKED_TOKEN = rf"[^\W\d]\w*\[[0-9]+(?:,[0-9]+)*\]|{_TOKEN}"
 _COMMENT = r"#[^\n]*"
 # Greedy with nothing after it, so re.match never backtracks into the loop;
 # the loop's stack grows with the text, so it runs only on a text that fails.
 _VALID = re.compile(rf"(?:[ \t\r\n]+|{_COMMENT}|{_TOKEN})*")
 _TOKENS = re.compile(_TOKEN)
-_PACKED_TOKENS = re.compile(_PACKED_TOKEN)
 _COMMENTS = re.compile(_COMMENT)
 _COMMENTS_AND_TOKENS = re.compile(rf"{_COMMENT}|{_TOKEN}")
+# The term reader's grammar, over the same integers and identifiers
+_COEFFICIENT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_FACTOR = re.compile(r"([^\W\d]\w*)\[([0-9]+(?:,[0-9]+)*)\](?:\^([0-9]+))?")
+_BLANKS = " \t\r\n"
 _SYMBOLS = frozenset("=(),<{};^*+-/[]")
 _DIGITS = frozenset("0123456789")
 
@@ -101,7 +111,7 @@ def _error_at(kind, message: str, text: str, offset: int) -> ParseError:
 
 
 class _Replay(Exception):
-    """A parse over packed tokens met an error, which only plain tokens place."""
+    """The term reader met text it does not take; the plain parser reads it."""
 
 
 class SystemFile(Record):
@@ -112,25 +122,45 @@ class SystemFile(Record):
 
 
 class _Parser:
-    def __init__(self, text: str, packed: bool):
+    def __init__(self, text: str, terms: bool):
+        """Tokens of the text, or with `terms` of its heads, chain bodies set aside."""
         code = _COMMENTS.sub("", text) if "#" in text else text
-        self.values = (_PACKED_TOKENS if packed else _TOKENS).findall(code)
+        self.bodies = None
+        if terms:
+            *chunks, tail = code.split("}")
+            heads, bodies = [], []
+            for chunk in chunks:
+                head, brace, body = chunk.partition("{")
+                if not brace or "{" in body:
+                    raise _Replay
+                heads.append(head)
+                bodies.append(body)
+            if "{" in tail:
+                raise _Replay
+            # each '{' of the heads is followed by its '}', so the bodies come in order
+            code = "{}".join(heads + [tail])
+            self.bodies = iter(bodies)
+            # text -> its (coefficient, monomial), value or sorted ids, for every body
+            self.terms: dict[str, tuple[Coefficient, Monomial]] = {}
+            self.coefficients: dict[str, Coefficient] = {}
+            self.monomials: dict[str, Monomial] = {}
+        self.values = _TOKENS.findall(code)
         # findall skips what starts no token: the text is valid if that is all whitespace
-        if sum(map(len, self.values)) + sum(map(code.count, " \t\r\n")) < len(code):
+        if sum(map(len, self.values)) + sum(map(code.count, _BLANKS)) < len(code):
+            if terms:
+                raise _Replay
             end = _VALID.match(text).end()
             raise _error_at(ParseError, f"unexpected character {text[end]!r}", text, end)
         self.values.append("")
         self.text = text
-        self.packed = packed
         self.pos = 0
-        # derivative token -> derivative id, shared by the factors of this parse
-        self.derivatives: dict[str, int] = {}
 
     def fail(self, message: str, at: int, kind=ParseError):
         """Raise `kind` at token number `at`, whose offset only a rescan finds.
 
-        Token numbers count plain tokens, so over packed ones raise _Replay."""
-        if self.packed:
+        Token numbers count the tokens of the whole text, so the term reader
+        raises _Replay instead."""
+        if self.bodies is not None:
             raise _Replay
         starts = (m.start() for m in _COMMENTS_AND_TOKENS.finditer(self.text) if m[0][0] != "#")
         raise _error_at(kind, message, self.text, next(islice(starts, at, None), len(self.text)))
@@ -148,7 +178,7 @@ class _Parser:
     def ident(self) -> str:
         value = self.values[self.pos]
         self.pos += 1
-        if not value or value[0] in _DIGITS or value in _SYMBOLS or value[-1] == "]":
+        if not value or value[0] in _DIGITS or value in _SYMBOLS:
             self.fail(f"expected an identifier, found {value!r}", self.pos - 1)
         return value
 
@@ -214,23 +244,143 @@ class _Parser:
         at = self.expect("chain") + 1
         name = self.ident()
         self.expect("{")
-        polys = []
-        while self.values[self.pos] != "}":
-            start = self.pos
-            poly = self.poly()
-            self.expect(";")
-            if poly.is_constant():
-                self.fail("chain elements must be non-constant", start)
-            polys.append(poly)
-        self.pos += 1
+        if self.bodies is not None:
+            polys = self.body(next(self.bodies))
+        else:
+            polys = []
+            while self.values[self.pos] != "}":
+                start = self.pos
+                poly = self.poly()
+                self.expect(";")
+                if poly.is_constant():
+                    self.fail("chain elements must be non-constant", start)
+                polys.append(poly)
+        self.expect("}")
         if not polys:
             self.fail("chain must contain at least one polynomial", at)
         return at, name, DiffChain(polys, self.ranking)
 
+    def body(self, text: str) -> list[DiffPoly]:
+        """The polynomials of one chain body, read a term at a time."""
+        size = len(text) - sum(map(text.count, _BLANKS))
+        try:
+            return self.polys(text, size)
+        except _Replay:
+            words = text.split()
+            tight = " ".join(words)
+            for symbol in "*^/[],":
+                tight = tight.replace(" " + symbol, symbol).replace(symbol + " ", symbol)
+            if tight.count(" ") == len(words) - 1:  # no blank was next to one
+                raise
+        return self.polys(tight, size)
+
+    def polys(self, text: str, size: int) -> list[DiffPoly]:
+        """The polynomials of a body that holds `size` characters besides blanks."""
+        pieces = text.replace("+", " + ").replace("-", " - ").replace(";", " ; ").split()
+        # str.split() also drops blanks that separate no tokens, such as '\xa0'
+        if not pieces or pieces[-1] != ";" or sum(map(len, pieces)) != size:
+            raise _Replay
+        known, polys, start, stop = self.terms, [], 0, len(pieces)
+        while start < stop:
+            end = pieces.index(";", start)
+            sign = pieces[start]
+            if sign == "+" or sign == "-":
+                start += 1
+            if (end - start) % 2 == 0:  # no term, or a sign before the ';'
+                raise _Replay
+            piece = pieces[start]
+            coeff, mono = known.get(piece) or self.term(piece)
+            terms = {mono: -coeff if sign == "-" else coeff}
+            for sign, piece in zip(pieces[start + 1 : end : 2], pieces[start + 2 : end : 2]):
+                coeff, mono = known.get(piece) or self.term(piece)
+                if sign == "-":
+                    coeff = -coeff
+                elif sign != "+":
+                    raise _Replay
+                terms[mono] = terms.get(mono, 0) + coeff
+            poly = DiffPoly._of(terms)
+            if poly.is_constant():
+                raise _Replay
+            polys.append(poly)
+            start = end + 1
+        return polys
+
+    def term(self, piece: str) -> tuple[Coefficient, Monomial]:
+        """The coefficient and monomial of a term written without blanks."""
+        coeff, star, text = 1, "*", piece
+        if piece[:1] in _DIGITS:
+            head, star, text = piece.partition("*")
+            coeff = self.coefficients.get(head)
+            if coeff is None:
+                coeff = self.coefficient(head)
+        # a coefficient alone is a constant term; one followed by '*' needs a factor
+        mono = (self.monomials.get(text) or self.monomial(text)) if star else ()
+        value = self.terms[piece] = coeff, mono
+        return value
+
+    def monomial(self, text: str) -> Monomial:
+        """The sorted ids of factors joined by '*', entered in the parse's table."""
+        if "*" not in text:
+            return self.factor(text)
+        known = self.monomials
+        mono: list[int] = []
+        for factor in text.split("*"):
+            mono += known.get(factor) or self.factor(factor)
+            if len(mono) > MAX_TERM_DEGREE:
+                raise _Replay
+        mono.sort()
+        ids = known[text] = tuple(mono)
+        return ids
+
+    def coefficient(self, text: str) -> Coefficient:
+        """The value of a coefficient n or n/d, entered in the parse's table."""
+        match = _COEFFICIENT.fullmatch(text)
+        if match is None:
+            raise _Replay
+        numerator, denominator = match.groups()
+        if len(numerator) > MAX_INTEGER_DIGITS:
+            raise _Replay
+        value = int(numerator)
+        if denominator is not None:
+            if len(denominator) > MAX_INTEGER_DIGITS or not denominator.strip("0"):
+                raise _Replay
+            value = Fraction(value, int(denominator))
+        self.coefficients[text] = value
+        return value
+
+    def factor(self, text: str) -> Monomial:
+        """The id of a factor name[i,...]^e, repeated e times, entered in the
+        parse's table."""
+        match = _FACTOR.fullmatch(text)
+        if match is None:
+            raise _Replay
+        name, index, exponent = match.groups()
+        indet = self.indices.get(name)
+        entries = index.split(",")
+        if (
+            indet is None
+            or len(entries) != self.ring.num_derivations
+            or max(map(len, entries)) > MAX_INTEGER_DIGITS
+        ):
+            raise _Replay
+        power = 1
+        if exponent is not None:
+            power = int(exponent) if len(exponent) <= MAX_INTEGER_DIGITS else 0
+            if not 1 <= power <= MAX_TERM_DEGREE:
+                raise _Replay
+        # built from ASCII digits and a declared indeterminate, so a
+        # derivative already interned needs none of _intern's checks
+        d = Derivative(indet, tuple(map(int, entries)))
+        i = _IDS.get(d)
+        if i is None:
+            i = _intern(d)
+        ids = self.monomials[text] = (i,) * power
+        return ids
+
     def poly(self) -> DiffPoly:
         """A signed sum of terms, each an int coefficient (a Fraction only for
-        n/d) and derivative factors."""
-        values, known = self.values, self.derivatives
+        n/d) and derivative factors, read over plain tokens."""
+        values = self.values
         terms: dict[Monomial, Coefficient] = {}
         pos = self.pos
         sign = values[pos]
@@ -259,13 +409,9 @@ class _Parser:
             mono: list[int] = []
             degree = 0
             while more:
-                d = known.get(values[pos])
-                if d is None:
-                    self.pos = pos
-                    d = self.derivative()
-                    pos = self.pos
-                else:
-                    pos += 1
+                self.pos = pos
+                d = self.derivative()
+                pos = self.pos
                 if values[pos] == "^":
                     self.pos = pos + 1
                     exponent = self.integer()
@@ -293,28 +439,17 @@ class _Parser:
             pos += 1
 
     def derivative(self) -> int:
-        """The id of the derivative at this token, read past it.  A packed
-        token is split, checked and entered in the parse's table; one written
-        with blanks is read token by token."""
+        """The id of the derivative whose name is at this token, read past
+        its multi-index."""
         at = self.pos
-        value = self.values[at]
-        n = self.ring.num_derivations
-        if len(value) > 1 and value[-1] == "]":
-            name, _, index = value[:-1].partition("[")
-            entries = index.split(",")
-            indet = self.indices.get(name)
-            if indet is None or len(entries) != n or max(map(len, entries)) > MAX_INTEGER_DIGITS:
-                raise _Replay  # the plain parse names the fault
-            self.pos = at + 1
-            d = self.derivatives[value] = _intern(Derivative(indet, tuple(map(int, entries))))
-            return d
-        indet = self.indices.get(value)
+        indet = self.indices.get(self.values[at])
         if indet is None:
             self.fail(f"unknown indeterminate {self.ident()!r}", at, UnknownIdentifierError)
         self.pos += 1
         open_at = self.expect("[") + 1
         index = self.separated(self.integer, ",")
         self.expect("]")
+        n = self.ring.num_derivations
         if len(index) != n:
             message = f"multi-index of length {len(index)} for a ring with {n} derivations"
             self.fail(message, open_at, ArityMismatchError)
@@ -323,7 +458,7 @@ class _Parser:
 
 def parse_system(text: str) -> SystemFile:
     try:
-        return _Parser(text, packed=True).parse()
+        return _Parser(text, terms=True).parse()
     except _Replay:
         pass
-    return _Parser(text, packed=False).parse()
+    return _Parser(text, terms=False).parse()

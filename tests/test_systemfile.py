@@ -19,7 +19,7 @@ from diffdim import (
 from diffdim.cli import run
 from diffdim.diffpoly import poly_text
 
-from corpus import dvar, random_power_chain
+from corpus import bench_module, dvar, random_power_chain
 
 HEADER = "ring derivations=(t,x) indeterminates=(u,v)\nranking orderly tiebreak=(u<v)\n"
 
@@ -156,6 +156,43 @@ def test_tiebreak_must_be_permutation():
     missing = HEADER.replace("(u<v)", "(u)") + "chain C { u[1,0]; }"
     with pytest.raises(ParseError):
         parse_system(missing)
+
+
+# Each takes a text without comments to another layout of the same system.
+LAYOUTS = {
+    "no blanks around signs": lambda text: re.sub(r"[ \t]*([+-])[ \t]*", r"\1", text),
+    "blanks around * ^ /": lambda text: re.sub(r"([*^/])", r" \1  ", text),
+    "blanks inside brackets": lambda text: re.sub(r"([\[,\]])", r" \1 ", text),
+    "tabs and CRLF": lambda text: text.replace(" ", "\t").replace("\n", "\r\n"),
+    "comments between terms": lambda text: re.sub(r" ([+-]) ", r" # between terms\n \1 ", text),
+    "a sign glued to the first term": lambda text: re.sub(r"([{;]\s*)(?=[^\s}+-])", r"\1+", text),
+    # a coefficient, after a blank or a sign, then a blank for its '*'
+    "juxtaposition": lambda text: re.sub(r"(?<=[\s+-])([0-9]+(?:/[0-9]+)?)\*", r"\1 ", text),
+}
+
+
+def test_layouts_read_alike(data_dir, tmp_path):
+    """Every layout of the data files and of a few bench-built compare pairs
+    reads as the same chains, elements and leaders."""
+    pairs = bench_module("inputs").compare(5, tmp_path, batch=25)
+    paths = sorted(data_dir.glob("*.sys")) + [pair.path for pair in pairs[::6]]
+    for path in paths:
+        text = re.sub(r"#[^\n]*", "", path.read_text(encoding="utf-8"))
+        system = parse_system(text)
+        expected = [(name, c.elements, c.leaders) for name, c in system.chains.items()]
+        layouts = dict(LAYOUTS, canonical=format_system)
+        for layout, relay in layouts.items():
+            again = parse_system(relay(system) if layout == "canonical" else relay(text))
+            got = [(name, c.elements, c.leaders) for name, c in again.chains.items()]
+            assert got == expected, (path.name, layout)
+            assert again.ranking == system.ranking
+
+
+def test_layouts_change_the_text():
+    text = HEADER + "chain C {\n  u[1,0]^2 - 2*u[0,1]*v[0,0] + 3/4*v[1,1];\n  v[0,1] + 1;\n}\n"
+    for layout, relay in LAYOUTS.items():
+        assert relay(text) != text, layout
+        assert parse_system(relay(text)).chains["C"].elements == parse_system(text).chains["C"].elements
 
 
 def test_unexpected_character():
@@ -361,6 +398,37 @@ def test_mutated_file_outcomes_match_pinned_digest(data_dir):
             HEADER + "chain C { v[0," + "1" * 641 + "]; }",
             3, 15, "integer of 641 digits exceeds the limit 640",
             id="641-digit multi-index entry",
+        ),
+        # faults inside a term of an element in the canonical layout
+        pytest.param(
+            HEADER + "chain C {\n  u[1,0] + " + "7" * 641 + "*v[0,1];\n}\n",
+            4, 12, "integer of 641 digits exceeds the limit 640",
+            id="641-digit coefficient",
+        ),
+        pytest.param(
+            HEADER + "chain C {\n  u[1,0]^" + "1" * 641 + " + v[0,1];\n}\n",
+            4, 10, "integer of 641 digits exceeds the limit 640",
+            id="641-digit exponent",
+        ),
+        (
+            HEADER + "chain C {\n  u[1,0]^1001 + v[0,1];\n}\n",
+            4, 3, "term of total degree 1001 exceeds the limit 1000",
+        ),
+        (
+            HEADER + "chain C {\n  v[0,1] - u[1,0]^600*u[1,0]^600;\n}\n",
+            4, 12, "term of total degree 1200 exceeds the limit 1000",
+        ),
+        (HEADER + "chain C {\n  u[1,0] + 2*;\n}\n", 4, 14, "expected an identifier, found ';'"),
+        (HEADER + "chain C {\n  --u[1,0];\n}\n", 4, 4, "expected an identifier, found '-'"),
+        (HEADER + "chain C {\n  u[1,0]u[0,1];\n}\n", 4, 9, "expected ';', found 'u'"),
+        (HEADER + "chain C {\n  v[0,1] + 3/0*u[1,0];\n}\n", 4, 13, "zero denominator"),
+        (
+            HEADER + "chain C {\n  u[1,0] +\xa0v[0,1];\n}\n",
+            4, 11, "unexpected character '\\xa0'",
+        ),
+        (
+            HEADER + "chain C {\n  u[1,0] - \u0663*v[0,1];\n}\n",
+            4, 12, "unexpected character '\u0663'",
         ),
     ],
 )
