@@ -141,8 +141,6 @@ _DERIVATIVES: list[Derivative] = []  # id -> derivative, append-only
 _IDS: dict[Derivative, int] = {}  # derivative -> id
 _NEW_ID = threading.Lock()  # two threads must not give one id to two derivatives
 _SHIFTS: dict[int, dict[int, int]] = {}  # axis -> {id: shifted id}, added at its first shift
-# tiebreak order -> {interned derivative: its Ranking.key}, added at its first key
-_KEYS: dict[tuple[int, ...], dict[Derivative, tuple]] = {}
 
 
 def _lookup(d: Derivative) -> int | None:
@@ -504,21 +502,11 @@ class Ranking(FrozenRecord):
         return cls(ring, tuple(tiebreak))
 
     def key(self, d: Derivative):
-        """d's rank as a tuple; ValueError if its indeterminate is not ranked.
-
-        Kept in _KEYS when d is the interned derivative of its id, so a
-        table holds at most one key per id."""
-        order = self.indeterminate_order
-        keys = _KEYS.get(order)
-        if keys is not None and type(d) is Derivative:
-            found = keys.get(d)
-            if found is not None:
-                return found
-        key = (d.order, order.index(d.indeterminate), tuple(map(operator.neg, reversed(d.index))))
-        i = _IDS.get(d) if type(d) is Derivative else None
-        if i is not None and _DERIVATIVES[i] is d:
-            _KEYS.setdefault(order, {})[d] = key
-        return key
+        return (
+            d.order,
+            self.indeterminate_order.index(d.indeterminate),
+            tuple(map(operator.neg, reversed(d.index))),
+        )
 
     def leader(self, p: DiffPoly) -> Derivative:
         """Highest-ranking derivative occurring in p."""

@@ -27,21 +27,19 @@ parse, a coefficient or factor by a full match of its grammar, and kept
 with its value: a factor's is its interned derivative id repeated once per
 unit of its exponent, a monomial's the sorted ids of its factors.  Equal
 monomials add their coefficients in one {monomial: coefficient} map, and
-one DiffPoly is built per polynomial.  A body that this reading refuses and
-that has blanks next to '*', '^', '/', '[', ']' or ',' (2 * u[ 1, 0 ]) is
-read again with those blanks removed, which is sound because each of these
-characters is a token on its own.  A blank other than a space, tab,
+one DiffPoly is built per polynomial.  A blank other than a space, tab,
 carriage return or line feed separates no tokens; counting the characters
 that str.split() kept catches one.
 
-Anything else the term reader does not take, an error or a layout it does
-not know (2 u[0], juxtaposed without '*'), sends the whole file to the plain
-token parser, which lists every token of the text with the same regular
-expression: a symbol, an integer of ASCII digits, or an identifier.  Every
-character that starts no token must be whitespace; if one is not, a greedy
-match of whitespace, comments and tokens from the start stops at the first
-unexpected character.  An integer has at most MAX_INTEGER_DIGITS digits, the
-fewest that any interpreter's limit on int() of a string allows.
+Anything the term reader does not take, an error or a layout it does not
+know (2 * u[ 1, 0 ], with blanks inside a term, or 2 u[0], juxtaposed
+without '*'), sends the whole file to the plain token parser, which lists
+every token of the text with the same regular expression: a symbol, an
+integer of ASCII digits, or an identifier.  Every character that starts
+no token must be whitespace; if one is not, a greedy match of whitespace,
+comments and tokens from the start stops at the first unexpected character.
+An integer has at most MAX_INTEGER_DIGITS digits, the fewest that any
+interpreter's limit on int() of a string allows.
 
 Only the plain parser places an error.  A parse stops at its first error,
 which names its token by number; only then is the text rescanned for that
@@ -62,7 +60,6 @@ from .diffpoly import (
     Monomial,
     Ranking,
     RingSpec,
-    _IDS,
     _intern,
 )
 from .record import Record
@@ -262,22 +259,9 @@ class _Parser:
 
     def body(self, text: str) -> list[DiffPoly]:
         """The polynomials of one chain body, read a term at a time."""
-        size = len(text) - sum(map(text.count, _BLANKS))
-        try:
-            return self.polys(text, size)
-        except _Replay:
-            words = text.split()
-            tight = " ".join(words)
-            for symbol in "*^/[],":
-                tight = tight.replace(" " + symbol, symbol).replace(symbol + " ", symbol)
-            if tight.count(" ") == len(words) - 1:  # no blank was next to one
-                raise
-        return self.polys(tight, size)
-
-    def polys(self, text: str, size: int) -> list[DiffPoly]:
-        """The polynomials of a body that holds `size` characters besides blanks."""
         pieces = text.replace("+", " + ").replace("-", " - ").replace(";", " ; ").split()
         # str.split() also drops blanks that separate no tokens, such as '\xa0'
+        size = len(text) - sum(map(text.count, _BLANKS))
         if not pieces or pieces[-1] != ";" or sum(map(len, pieces)) != size:
             raise _Replay
         known, polys, start, stop = self.terms, [], 0, len(pieces)
@@ -291,13 +275,14 @@ class _Parser:
             piece = pieces[start]
             coeff, mono = known.get(piece) or self.term(piece)
             terms = {mono: -coeff if sign == "-" else coeff}
-            for sign, piece in zip(pieces[start + 1 : end : 2], pieces[start + 2 : end : 2]):
-                coeff, mono = known.get(piece) or self.term(piece)
-                if sign == "-":
-                    coeff = -coeff
-                elif sign != "+":
-                    raise _Replay
-                terms[mono] = terms.get(mono, 0) + coeff
+            if end - start > 1:
+                for sign, piece in zip(pieces[start + 1 : end : 2], pieces[start + 2 : end : 2]):
+                    coeff, mono = known.get(piece) or self.term(piece)
+                    if sign == "-":
+                        coeff = -coeff
+                    elif sign != "+":
+                        raise _Replay
+                    terms[mono] = terms.get(mono, 0) + coeff
             poly = DiffPoly._of(terms)
             if poly.is_constant():
                 raise _Replay
@@ -368,12 +353,7 @@ class _Parser:
             power = int(exponent) if len(exponent) <= MAX_INTEGER_DIGITS else 0
             if not 1 <= power <= MAX_TERM_DEGREE:
                 raise _Replay
-        # built from ASCII digits and a declared indeterminate, so a
-        # derivative already interned needs none of _intern's checks
-        d = Derivative(indet, tuple(map(int, entries)))
-        i = _IDS.get(d)
-        if i is None:
-            i = _intern(d)
+        i = _intern(Derivative(indet, tuple(map(int, entries))))
         ids = self.monomials[text] = (i,) * power
         return ids
 

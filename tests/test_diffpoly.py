@@ -572,28 +572,6 @@ def test_indeterminate_outside_the_ranking_is_a_value_error():
         ranking.key(outside)
     with pytest.raises(ValueError):
         ranking.leader(dvar(0, (1,)) + DiffPoly.variable(outside))
-    # and again once both derivatives are interned and the inside one's key is kept
-    inside = ranking.leader(dvar(0, (1,)))
-    assert ranking.key(inside) == (1, 0, (-1,))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not in tuple"):
-            ranking.key(outside)
-        with pytest.raises(ValueError, match="not in tuple"):
-            ranking.leader(dvar(0, (1,)) + DiffPoly.variable(outside))
-
-
-def test_rank_keys_are_kept_only_for_interned_derivatives():
-    ranking = Ranking.orderly(plain_ring(2, 2), (1, 0))
-    kept = diffpoly._KEYS.setdefault(ranking.indeterminate_order, {})
-    fresh = Derivative(0, (9_876_543_210, 1))  # held by no polynomial, so not interned
-    assert ranking.key(fresh) == (9_876_543_211, 1, (-1, -9_876_543_210))
-    assert fresh not in kept
-    d = ranking.leader(dvar(1, (2, 3)))
-    assert ranking.key(d) == (5, 0, (-3, -2))
-    assert kept[d] == (5, 0, (-3, -2))
-    # a plain tuple equal to a derivative is not one
-    with pytest.raises(AttributeError):
-        ranking.key((1, (2, 3)))
 
 
 def test_ranking_axioms_exhaustively_small():
