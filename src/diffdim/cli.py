@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .chains import DiffChain, InvalidChainError
@@ -267,7 +268,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: exit EX_IOERR, and point stdout
+        # at devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 74
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,41 +9,31 @@ A system file declares one ring, one orderly ranking, and named chains:
       u[0,2] - u[1,0] - 2*u[0,1]*u[0,0];
     }
 
-A polynomial is a signed sum of terms; a term is an optional rational
-coefficient and derivative factors like v[1,0]^2 joined by '*'.  Integers
-are ASCII digits.  A term's total degree is at most MAX_TERM_DEGREE, since a
-monomial holds one factor per unit of degree.
+A polynomial is a signed sum of terms.  A term is parts joined by '*': the
+first a rational coefficient n or n/d or a factor name[i,...]^e, every later
+one a factor.  Integers are ASCII digits, at most MAX_INTEGER_DIGITS of
+them, the fewest that any interpreter's limit on int() of a string allows.
+A term's total degree is at most MAX_TERM_DEGREE, since a monomial holds one
+factor per unit of degree.
 
-A file is read in one of two ways, which give the same system.  The term
-reader runs first.  Comments are stripped, and the text between each '{' and
-the next '}' is set aside as that chain's body; one regular expression lists
-what is left (the ring, the ranking and every `chain NAME {}` head) as plain
-tokens, ending with "" for the end of input.  A body is padded with blanks
-around '+', '-' and ';', and str.split() cuts it into signs, semicolons and
-terms, each written without blanks (3/2*v[3,0]^2*u[2,0]).  A term is a
-coefficient, a monomial (factors joined by '*'), or both joined by '*'.
-Each distinct term, coefficient, monomial and factor text is read once per
-parse, a coefficient or factor by a full match of its grammar, and kept
-with its value: a factor's is its interned derivative id repeated once per
-unit of its exponent, a monomial's the sorted ids of its factors.  Equal
-monomials add their coefficients in one {monomial: coefficient} map, and
-one DiffPoly is built per polynomial.  A blank other than a space, tab,
-carriage return or line feed separates no tokens; counting the characters
-that str.split() kept catches one.
+The token parser is the reference.  One regular expression lists every
+token of the text (a symbol, an integer or an identifier), and every
+character that starts none must be whitespace.  It also takes a factor after
+a coefficient without '*' (2 u[0]) and blanks inside a term.  It is the only
+path that places an error: a parse stops at its first error, which names its
+token by number, and only then is the text rescanned for that token's line
+and column, in code points.
 
-Anything the term reader does not take, an error or a layout it does not
-know (2 * u[ 1, 0 ], with blanks inside a term, or 2 u[0], juxtaposed
-without '*'), sends the whole file to the plain token parser, which lists
-every token of the text with the same regular expression: a symbol, an
-integer of ASCII digits, or an identifier.  Every character that starts
-no token must be whitespace; if one is not, a greedy match of whitespace,
-comments and tokens from the start stops at the first unexpected character.
-An integer has at most MAX_INTEGER_DIGITS digits, the fewest that any
-interpreter's limit on int() of a string allows.
-
-Only the plain parser places an error.  A parse stops at its first error,
-which names its token by number; only then is the text rescanned for that
-token's line and column, in code points.
+The term reader runs first and gives the same system.  It strips comments,
+sets each chain body (the text between '{' and the next '}') aside, and
+lists the tokens of what is left in one pass.  A body is padded with blanks
+around '+', '-' and ';' and cut by str.split(), so each term is one piece
+written without blanks (3/2*v[3,0]^2*u[2,0]).  A piece is split at '*', and
+each distinct part is read once per parse, by a full match of its grammar,
+into one table: a coefficient as (value, ()), a factor as (1, its interned
+id repeated once per unit of its exponent).  Anything the reader does not
+take, an error, a blank other than space, tab, CR or LF, or another layout,
+sends the whole file to the token parser.
 """
 
 from __future__ import annotations
@@ -94,9 +84,8 @@ _VALID = re.compile(rf"(?:[ \t\r\n]+|{_COMMENT}|{_TOKEN})*")
 _TOKENS = re.compile(_TOKEN)
 _COMMENTS = re.compile(_COMMENT)
 _COMMENTS_AND_TOKENS = re.compile(rf"{_COMMENT}|{_TOKEN}")
-# The term reader's grammar, over the same integers and identifiers
-_COEFFICIENT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-_FACTOR = re.compile(r"([^\W\d]\w*)\[([0-9]+(?:,[0-9]+)*)\](?:\^([0-9]+))?")
+# The term reader's parts, a factor or a coefficient, over the same integers and identifiers
+_PART = re.compile(r"([^\W\d]\w*)\[([0-9]+(?:,[0-9]+)*)\](?:\^([0-9]+))?|([0-9]+)(?:/([0-9]+))?")
 _BLANKS = " \t\r\n"
 _SYMBOLS = frozenset("=(),<{};^*+-/[]")
 _DIGITS = frozenset("0123456789")
@@ -108,7 +97,7 @@ def _error_at(kind, message: str, text: str, offset: int) -> ParseError:
 
 
 class _Replay(Exception):
-    """The term reader met text it does not take; the plain parser reads it."""
+    """The term reader met text it does not take; the token parser reads it."""
 
 
 class SystemFile(Record):
@@ -137,10 +126,8 @@ class _Parser:
             # each '{' of the heads is followed by its '}', so the bodies come in order
             code = "{}".join(heads + [tail])
             self.bodies = iter(bodies)
-            # text -> its (coefficient, monomial), value or sorted ids, for every body
-            self.terms: dict[str, tuple[Coefficient, Monomial]] = {}
-            self.coefficients: dict[str, Coefficient] = {}
-            self.monomials: dict[str, Monomial] = {}
+            # a coefficient's or factor's text -> its (coefficient, monomial)
+            self.parts: dict[str, tuple[Coefficient, Monomial]] = {}
         self.values = _TOKENS.findall(code)
         # findall skips what starts no token: the text is valid if that is all whitespace
         if sum(map(len, self.values)) + sum(map(code.count, _BLANKS)) < len(code):
@@ -264,7 +251,7 @@ class _Parser:
         size = len(text) - sum(map(text.count, _BLANKS))
         if not pieces or pieces[-1] != ";" or sum(map(len, pieces)) != size:
             raise _Replay
-        known, polys, start, stop = self.terms, [], 0, len(pieces)
+        known, polys, start, stop = self.parts, [], 0, len(pieces)
         while start < stop:
             end = pieces.index(";", start)
             sign = pieces[start]
@@ -291,55 +278,41 @@ class _Parser:
         return polys
 
     def term(self, piece: str) -> tuple[Coefficient, Monomial]:
-        """The coefficient and monomial of a term written without blanks."""
-        coeff, star, text = 1, "*", piece
-        if piece[:1] in _DIGITS:
-            head, star, text = piece.partition("*")
-            coeff = self.coefficients.get(head)
-            if coeff is None:
-                coeff = self.coefficient(head)
-        # a coefficient alone is a constant term; one followed by '*' needs a factor
-        mono = (self.monomials.get(text) or self.monomial(text)) if star else ()
-        value = self.terms[piece] = coeff, mono
-        return value
+        """The coefficient and monomial of a term written without blanks: the
+        parts joined by '*', a coefficient or a factor first, factors after."""
+        known = self.parts
+        first, *rest = piece.split("*")
+        coeff, mono = known.get(first) or self.part(first)
+        if rest:
+            mono = list(mono)
+            for text in rest:
+                factor = (known.get(text) or self.part(text))[1]
+                if not factor:  # a coefficient after '*'
+                    raise _Replay
+                mono += factor
+                if len(mono) > MAX_TERM_DEGREE:
+                    raise _Replay
+            mono.sort()
+            mono = tuple(mono)
+        return coeff, mono
 
-    def monomial(self, text: str) -> Monomial:
-        """The sorted ids of factors joined by '*', entered in the parse's table."""
-        if "*" not in text:
-            return self.factor(text)
-        known = self.monomials
-        mono: list[int] = []
-        for factor in text.split("*"):
-            mono += known.get(factor) or self.factor(factor)
-            if len(mono) > MAX_TERM_DEGREE:
-                raise _Replay
-        mono.sort()
-        ids = known[text] = tuple(mono)
-        return ids
-
-    def coefficient(self, text: str) -> Coefficient:
-        """The value of a coefficient n or n/d, entered in the parse's table."""
-        match = _COEFFICIENT.fullmatch(text)
+    def part(self, text: str) -> tuple[Coefficient, Monomial]:
+        """A coefficient n or n/d as (its value, ()), or a factor name[i,...]^e
+        as (1, its id repeated e times), entered in the parse's table."""
+        match = _PART.fullmatch(text)
         if match is None:
             raise _Replay
-        numerator, denominator = match.groups()
-        if len(numerator) > MAX_INTEGER_DIGITS:
-            raise _Replay
-        value = int(numerator)
-        if denominator is not None:
-            if len(denominator) > MAX_INTEGER_DIGITS or not denominator.strip("0"):
+        name, index, exponent, numerator, denominator = match.groups()
+        if name is None:
+            if len(numerator) > MAX_INTEGER_DIGITS:
                 raise _Replay
-            value = Fraction(value, int(denominator))
-        self.coefficients[text] = value
-        return value
-
-    def factor(self, text: str) -> Monomial:
-        """The id of a factor name[i,...]^e, repeated e times, entered in the
-        parse's table."""
-        match = _FACTOR.fullmatch(text)
-        if match is None:
-            raise _Replay
-        name, index, exponent = match.groups()
+            value = int(numerator)
+            if denominator is not None:
+                if len(denominator) > MAX_INTEGER_DIGITS or not denominator.strip("0"):
+                    raise _Replay
+                value = Fraction(value, int(denominator))
+            entry = self.parts[text] = value, ()
+            return entry
         indet = self.indices.get(name)
         entries = index.split(",")
         if (
@@ -354,69 +327,62 @@ class _Parser:
             if not 1 <= power <= MAX_TERM_DEGREE:
                 raise _Replay
         i = _intern(Derivative(indet, tuple(map(int, entries))))
-        ids = self.monomials[text] = (i,) * power
-        return ids
+        entry = self.parts[text] = 1, (i,) * power
+        return entry
 
     def poly(self) -> DiffPoly:
-        """A signed sum of terms, each an int coefficient (a Fraction only for
-        n/d) and derivative factors, read over plain tokens."""
-        values = self.values
+        """A signed sum of terms, read by the token parser."""
         terms: dict[Monomial, Coefficient] = {}
-        pos = self.pos
-        sign = values[pos]
+        sign = self.values[self.pos]
         if sign == "+" or sign == "-":
-            pos += 1
+            self.pos += 1
         while True:
-            start = pos
-            coeff = 1
-            more = True  # whether a factor follows
-            if values[pos][:1] in _DIGITS:
-                self.pos = pos
-                coeff = self.integer()
-                if values[self.pos] == "/":
-                    slash = self.pos
-                    self.pos += 1
-                    denominator = self.integer()
-                    if denominator == 0:
-                        self.fail("zero denominator", slash)
-                    coeff = Fraction(coeff, denominator)
-                pos = self.pos
-                after = values[pos]
-                if after == "*":
-                    pos += 1
-                else:
-                    more = after and after[0] not in _DIGITS and after not in _SYMBOLS
-            mono: list[int] = []
-            degree = 0
-            while more:
-                self.pos = pos
-                d = self.derivative()
-                pos = self.pos
-                if values[pos] == "^":
-                    self.pos = pos + 1
-                    exponent = self.integer()
-                    if exponent < 1:
-                        self.fail("exponent must be positive", pos)
-                    pos = self.pos
-                    degree += exponent
-                    if degree <= MAX_TERM_DEGREE:
-                        mono += [d] * exponent
-                else:
-                    degree += 1
-                    mono.append(d)
-                more = values[pos] == "*"
-                if more:
-                    pos += 1
-            if degree > MAX_TERM_DEGREE:
-                self.fail(f"term of total degree {degree} exceeds the limit {MAX_TERM_DEGREE}", start)
-            mono.sort()
-            key = tuple(mono)
-            terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
-            sign = values[pos]
+            coeff, mono = self.product()
+            terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
+            sign = self.values[self.pos]
             if sign != "+" and sign != "-":
-                self.pos = pos
                 return DiffPoly._of(terms)
-            pos += 1
+            self.pos += 1
+
+    def product(self) -> tuple[Coefficient, Monomial]:
+        """The coefficient and monomial of the term at this token: parts joined
+        by '*', a coefficient (an int, a Fraction only for n/d) or a factor
+        first, factors after."""
+        values, start = self.values, self.pos
+        coeff, mono, degree = 1, [], 0
+        more = True  # whether a factor follows
+        if values[start][:1] in _DIGITS:
+            coeff = self.integer()
+            if values[self.pos] == "/":
+                slash = self.pos
+                self.pos += 1
+                denominator = self.integer()
+                if denominator == 0:
+                    self.fail("zero denominator", slash)
+                coeff = Fraction(coeff, denominator)
+            after = values[self.pos]
+            if after == "*":
+                self.pos += 1
+            else:  # a factor may follow without '*'; any other token ends the term
+                more = after != "" and after[0] not in _DIGITS and after not in _SYMBOLS
+        while more:
+            d = self.derivative()
+            power = 1
+            if values[self.pos] == "^":
+                caret = self.pos
+                self.pos += 1
+                power = self.integer()
+                if power < 1:
+                    self.fail("exponent must be positive", caret)
+            degree += power
+            if degree <= MAX_TERM_DEGREE:
+                mono += [d] * power
+            more = values[self.pos] == "*"
+            self.pos += more
+        if degree > MAX_TERM_DEGREE:
+            self.fail(f"term of total degree {degree} exceeds the limit {MAX_TERM_DEGREE}", start)
+        mono.sort()
+        return coeff, tuple(mono)
 
     def derivative(self) -> int:
         """The id of the derivative whose name is at this token, read past

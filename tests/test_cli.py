@@ -547,6 +547,26 @@ def test_module_form_runs_the_cli(data_dir):
     )
 
 
+def test_closed_output_pipe_exits_74_without_a_traceback(data_dir):
+    """A reader that closes standard output early ends the run with EX_IOERR
+    and nothing on stderr, in a fresh process whose stdout is that pipe."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "diffdim.cli", "compare", str(data_dir / "prolong_pair.sys"),
+             "--smaller", "A", "--larger", "S", "--json"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr.decode("utf-8")) == (74, "")
+
+
 def test_reused_argument_parser_carries_no_state(data_dir, capsys):
     path = str(data_dir / "pde_pair.sys")
     calls = (

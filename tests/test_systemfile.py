@@ -430,6 +430,16 @@ def test_mutated_file_outcomes_match_pinned_digest(data_dir):
             HEADER + "chain C {\n  u[1,0] - \u0663*v[0,1];\n}\n",
             4, 12, "unexpected character '\u0663'",
         ),
+        # a term is parts joined by '*': a coefficient or a factor first, factors after
+        (HEADER + "chain C {\n  u[1,0]*2;\n}\n", 4, 10, "expected an identifier, found '2'"),
+        (HEADER + "chain C {\n  2*3*u[1,0];\n}\n", 4, 5, "expected an identifier, found '3'"),
+        (HEADER + "chain C {\n  u[1,0]*3/4;\n}\n", 4, 10, "expected an identifier, found '3'"),
+        (HEADER + "chain C {\n  2*u[1,0]*1;\n}\n", 4, 12, "expected an identifier, found '1'"),
+        (HEADER + "chain C {\n  *u[1,0];\n}\n", 4, 3, "expected an identifier, found '*'"),
+        (
+            HEADER + "chain C {\n  u[1,0]*u[1,0]^999*v[0,1];\n}\n",
+            4, 3, "term of total degree 1001 exceeds the limit 1000",
+        ),
     ],
 )
 def test_error_positions_at_the_edges(text, line, column, message):
@@ -437,3 +447,16 @@ def test_error_positions_at_the_edges(text, line, column, message):
         parse_system(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_part_table_lives_for_one_parse():
+    """The same part text names a derivative of each parse's own ring."""
+    body = "chain C { 2*u[1,0]*v[0,1] + u[1,0]; }\n"
+    for names in ("u,v", "v,u"):
+        system = parse_system(
+            f"ring derivations=(t,x) indeterminates=({names})\n"
+            "ranking orderly tiebreak=(u<v)\n" + body
+        )
+        u, v = (system.ring.indeterminate_names.index(name) for name in "uv")
+        (element,) = system.chains["C"].elements
+        assert element == 2 * dvar(u, (1, 0)) * dvar(v, (0, 1)) + dvar(u, (1, 0))
