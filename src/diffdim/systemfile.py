@@ -31,9 +31,11 @@ around '+', '-' and ';' and cut by str.split(), so each term is one piece
 written without blanks (3/2*v[3,0]^2*u[2,0]).  A piece is split at '*', and
 each distinct part is read once per parse, by a full match of its grammar,
 into one table: a coefficient as (value, ()), a factor as (1, its interned
-id repeated once per unit of its exponent).  Anything the reader does not
-take, an error, a blank other than space, tab, CR or LF, or another layout,
-sends the whole file to the token parser.
+id repeated once per unit of its exponent).  The text after a piece's
+first '*' enters the same table as (1, its factors' ids sorted), so a
+monomial that recurs with another coefficient is one lookup.  Anything the
+reader does not take, an error, a blank other than space, tab, CR or LF, or
+another layout, sends the whole file to the token parser.
 """
 
 from __future__ import annotations
@@ -279,22 +281,32 @@ class _Parser:
 
     def term(self, piece: str) -> tuple[Coefficient, Monomial]:
         """The coefficient and monomial of a term written without blanks: the
-        parts joined by '*', a coefficient or a factor first, factors after."""
+        parts joined by '*', a coefficient or a factor first, factors after.
+        The text after the first '*' is entered in the parse's table as a
+        product of factors, (1, their ids sorted)."""
         known = self.parts
-        first, *rest = piece.split("*")
+        first, star, rest = piece.partition("*")
         coeff, mono = known.get(first) or self.part(first)
-        if rest:
-            mono = list(mono)
-            for text in rest:
+        if not star:
+            return coeff, mono
+        if rest not in known:
+            ids = []
+            for text in rest.split("*"):
                 factor = (known.get(text) or self.part(text))[1]
-                if not factor:  # a coefficient after '*'
+                ids += factor
+                if not factor or len(ids) > MAX_TERM_DEGREE:  # a coefficient after '*'
                     raise _Replay
-                mono += factor
-                if len(mono) > MAX_TERM_DEGREE:
-                    raise _Replay
-            mono.sort()
-            mono = tuple(mono)
-        return coeff, mono
+            ids.sort()
+            known[rest] = 1, tuple(ids)
+        factors = known[rest][1]
+        if not factors:  # the text after '*' was read before as a coefficient
+            raise _Replay
+        if mono:  # a factor first
+            mono += factors
+            if len(mono) > MAX_TERM_DEGREE:
+                raise _Replay
+            factors = tuple(sorted(mono))
+        return coeff, factors
 
     def part(self, text: str) -> tuple[Coefficient, Monomial]:
         """A coefficient n or n/d as (its value, ()), or a factor name[i,...]^e
@@ -311,15 +323,11 @@ class _Parser:
                 if len(denominator) > MAX_INTEGER_DIGITS or not denominator.strip("0"):
                     raise _Replay
                 value = Fraction(value, int(denominator))
-            entry = self.parts[text] = value, ()
-            return entry
+            return self.parts.setdefault(text, (value, ()))
         indet = self.indices.get(name)
         entries = index.split(",")
-        if (
-            indet is None
-            or len(entries) != self.ring.num_derivations
-            or max(map(len, entries)) > MAX_INTEGER_DIGITS
-        ):
+        n = self.ring.num_derivations
+        if indet is None or len(entries) != n or max(map(len, entries)) > MAX_INTEGER_DIGITS:
             raise _Replay
         power = 1
         if exponent is not None:
@@ -327,8 +335,7 @@ class _Parser:
             if not 1 <= power <= MAX_TERM_DEGREE:
                 raise _Replay
         i = _intern(Derivative(indet, tuple(map(int, entries))))
-        entry = self.parts[text] = 1, (i,) * power
-        return entry
+        return self.parts.setdefault(text, (1, (i,) * power))
 
     def poly(self) -> DiffPoly:
         """A signed sum of terms, read by the token parser."""

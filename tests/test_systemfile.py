@@ -440,6 +440,12 @@ def test_mutated_file_outcomes_match_pinned_digest(data_dir):
             HEADER + "chain C {\n  u[1,0]*u[1,0]^999*v[0,1];\n}\n",
             4, 3, "term of total degree 1001 exceeds the limit 1000",
         ),
+        # the text after a '*' read before, as a coefficient or as factors
+        (HEADER + "chain C {\n  u[1,0] + 3 + 2*3;\n}\n", 4, 18, "expected an identifier, found '3'"),
+        (
+            HEADER + "chain C {\n  2*u[1,0]^500*v[0,1]^500 + u[1,0]*u[1,0]^500*v[0,1]^500;\n}\n",
+            4, 29, "term of total degree 1001 exceeds the limit 1000",
+        ),
     ],
 )
 def test_error_positions_at_the_edges(text, line, column, message):
@@ -447,6 +453,21 @@ def test_error_positions_at_the_edges(text, line, column, message):
         parse_system(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_recurring_monomial_text():
+    """Factors read once after a coefficient read the same after another
+    coefficient, after a further factor and as a whole term."""
+    system = parse_system(
+        HEADER + "chain C {\n"
+        "  2*u[1,0]*v[0,1] - 3/2*u[1,0]*v[0,1] + u[0,1]*u[1,0]*v[0,1];\n"
+        "  u[1,0]*v[0,1] + v[1,1];\n"
+        "}\n"
+    )
+    first, second = system.chains["C"].elements
+    product = dvar(0, (1, 0)) * dvar(1, (0, 1))
+    assert first * 2 == product + 2 * dvar(0, (0, 1)) * product
+    assert second == product + dvar(1, (1, 1))
 
 
 def test_part_table_lives_for_one_parse():
