@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 import operator
@@ -16,7 +15,6 @@ from .diffpoly import (
     Ranking,
     RingSpec,
     derivative_text,
-    dominates,
     is_multi_index,
     is_natural,
     join_indices,
@@ -158,17 +156,17 @@ class DiffChain:
     Each fact about the elements that validation, reduction and compare read
     is a cached attribute, computed for every element on its first use:
     separants, leader_only, initials, degrees (each element's degree in its
-    own leader), by_rank, leader_elements (each leader's element, which
-    answers reduction by a leader in one lookup), leader_spec (the leader
-    antichains that ω reads and triangularity is decided from), leader_table
-    (the chain criterion's masks, built only for a pair that needs a witness),
-    the validation report, and the evidence behind its verdict, delta_checks
-    and skipped_pairs, built by one scan of every pair when the report finds
-    the chain d-triangular.  Lifts fill per-element tables one derivative at a
-    time, a leader-only element's in one step per requested lift, and reduced
-    obstructions one table of DeltaChecks keyed by pair, so each kept pair
-    gets its Δ from delta_polynomial and is reduced once.  All of them die
-    with the chain, and none refers back to it.
+    own leader), by_rank, leader_spec (the leader antichains that ω reads and
+    triangularity is decided from), leader_table (the leader index that
+    answers which leaders divide a derivative, built at the first such
+    question, which validating a triangular chain of pure derivatives never
+    asks), the validation report, and the evidence behind its verdict,
+    delta_checks and skipped_pairs, built by one scan of every pair when the
+    report finds the chain d-triangular.  Lifts fill per-element tables one
+    derivative at a time, a leader-only element's in one step per requested
+    lift, and reduced obstructions one table of DeltaChecks keyed by pair, so
+    each kept pair gets its Δ from delta_polynomial and is reduced once.  All
+    of them die with the chain, and none refers back to it.
     """
 
     def __init__(self, elements, ranking: Ranking):
@@ -267,12 +265,6 @@ class DiffChain:
         return tuple(sorted(range(len(self)), key=lambda i: self.ranking.key(self.leaders[i])))
 
     @functools.cached_property
-    def leader_elements(self) -> dict[Derivative, int]:
-        """Each leader's element; a leader shared by elements, which only a
-        chain that is not weakly triangular has, maps to the last of them."""
-        return {x: i for i, x in enumerate(self.leaders)}
-
-    @functools.cached_property
     def leader_spec(self) -> LeaderSpec:
         """The leaders grouped by indeterminate and minimalized, in one sweep
         per group (see minimalize).
@@ -292,33 +284,27 @@ class DiffChain:
         return LeaderSpec._of(self.ring.num_derivations, self.ring.num_indeterminates, groups)
 
     @functools.cached_property
-    def leader_table(self):
-        """The chain criterion's leader bit masks, as (below, above).
+    def leader_table(self) -> dict[int, list[tuple[list[int], list[int]]]]:
+        """The leader index: per indeterminate, per axis a, the entries l_t[a]
+        of the leaders t on it in increasing order, and unions, where
+        unions[p] is the bit mask of the first p leaders in that order.
 
-        Bit t of below[j][a] is set when leader t is on leader j's
-        indeterminate with l_t[a] <= l_j[a], and bit t of above[j][a] when
-        l_t[a] >= l_j[a].
-
-        The chain criterion for a pair (i, k) reads the masks, with θ the join
-        of l_i and l_k.  Leader j divides θ exactly when on each axis it lies
-        below l_i where l_i >= l_k and below l_k elsewhere.  For such j,
-        join(l_i, l_j) agrees with θ where l_i >= l_k, and where l_k > l_i it
-        reaches θ[a] = l_k[a] exactly when l_j[a] >= l_k[a].  So join(i, j) = θ
-        exactly when j lies in above[k][a] on every axis where l_k > l_i, and
-        join(j, k) = θ in the mirror case; otherwise both joins lie strictly
-        below θ.  When l_i and l_k are incomparable, as in a triangular chain,
-        i and k themselves fail that test, so neither is its own witness.
+        So the leaders whose entry on axis a is at most s are
+        unions[bisect_right(entries, s)], and those whose entry is below s
+        unions[bisect_left(entries, s)].  One sort per axis builds it; each
+        query is then one bisect per axis and a few k-bit operations (see
+        _divisors and _witnesses).
         """
-        leaders, axes = self.leaders, range(self.ring.num_derivations)
-
-        def masks(x, holds):
-            return [
-                sum(1 << t for t, y in enumerate(leaders)
-                    if y.indeterminate == x.indeterminate and holds(y.index[a], x.index[a]))
-                for a in axes
-            ]
-
-        return [masks(x, operator.le) for x in leaders], [masks(x, operator.ge) for x in leaders]
+        leaders, groups, table = self.leaders, {}, {}
+        for t, x in enumerate(leaders):
+            groups.setdefault(x.indeterminate, []).append(t)
+        for j, ts in groups.items():
+            table[j] = []
+            for a in range(self.ring.num_derivations):
+                ts.sort(key=lambda t: leaders[t].index[a])
+                unions = itertools.accumulate((1 << t for t in ts), operator.or_, initial=0)
+                table[j].append(([leaders[t].index[a] for t in ts], list(unions)))
+        return table
 
     @functools.cached_property
     def _report(self) -> "ValidationReport":
@@ -451,26 +437,18 @@ def delta_polynomial(chain: DiffChain, i: int, j: int) -> DiffPoly | None:
 
 def _triangularity_failures(chain: DiffChain) -> list[str]:
     """The weak-triangularity violations in (i, j) order, leader i a
-    derivative of leader j; none exactly when leader_spec kept every leader.
-
-    Only a leader that minimalizing dropped, or one whose value another leader
-    repeats, can be a derivative of another leader: a leader kept once has no
-    divisor among the others.  So only those leaders are tested against every
-    leader, and a chain with one leader above a staircase of k costs k tests,
-    not k^2."""
+    derivative of leader j; none exactly when leader_spec kept every leader,
+    which a chain of pure derivatives answers without the leader index.
+    Otherwise leader i's violations are the elements j != i of its
+    _divisors."""
     leaders, names = chain.leaders, chain.ring.indeterminate_names
-    gens = chain.leader_spec.generators
-    if sum(map(len, gens)) == len(leaders):
+    if sum(map(len, chain.leader_spec.generators)) == len(leaders):
         return []
-    kept = {Derivative(j, mu) for j, group in enumerate(gens) for mu in group}
-    counts = collections.Counter(leaders)
     return [
         f"leader {derivative_text(x, names)} of element {i} is a derivative "
-        f"of leader {derivative_text(y, names)} of element {j}"
+        f"of leader {derivative_text(leaders[j], names)} of element {j}"
         for i, x in enumerate(leaders)
-        if counts[x] > 1 or x not in kept
-        for j, y in enumerate(leaders)
-        if i != j and x.indeterminate == y.indeterminate and dominates(x.index, y.index)
+        for j in _bits(_divisors(chain, x) & ~(1 << i))
     ]
 
 
@@ -481,14 +459,11 @@ def _partial_reduction_failures(chain: DiffChain) -> list[str]:
     Such a derivative is not a leader but lies in the cone of a leader of
     its indeterminate.  A leader-only element holds no derivative but its
     leader, so only the others are scanned, and each derivative they hold
-    is tested once, before any message is built."""
-    gens = chain.leader_spec.generators
+    is tested once, before any message is built: it is one exactly when it
+    has _divisors."""
     held = [(i, xs) for i, xs in enumerate(chain._derivatives) if not chain.leader_only[i]]
-    proper = {
-        x
-        for x in set().union(*(xs for _, xs in held)).difference(chain.leaders)
-        if any(dominates(x.index, g) for g in gens[x.indeterminate])
-    }
+    others = set().union(*(xs for _, xs in held)).difference(chain.leaders)
+    proper = {x for x in others if _divisors(chain, x)}
     if not proper:
         return []
     names = chain.ring.indeterminate_names
@@ -499,24 +474,40 @@ def _partial_reduction_failures(chain: DiffChain) -> list[str]:
     ]
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _divisors(chain: DiffChain, x: Derivative) -> int:
+    """Bit mask of the elements whose leader divides x, one bisect per axis
+    in the chain's leader_table; 0 when no leader is on x's indeterminate."""
+    axes = chain.leader_table.get(x.indeterminate, ())
+    out = -1 if axes else 0
+    for (entries, unions), s in zip(axes, x.index):
+        out &= unions[bisect.bisect_right(entries, s)]
+    return out
+
+
 def _reducer(chain: DiffChain, x: Derivative) -> tuple[int, MultiIndex] | None:
     """First element, in the rank order of leaders, whose leader divides x,
     with the quotient x / leader.
 
-    A leader x is answered by one lookup in the chain's leader_elements, as
-    its own element with the quotient 0…0: full_pseudo_reduce, the only
-    caller, has refused a chain that is not weakly triangular, and in a
-    weakly triangular chain no other leader divides a leader.  Any other x
-    is found by a scan of by_rank."""
-    idx = chain.leader_elements.get(x)
-    if idx is not None:
-        return idx, (0,) * len(x.index)
-    leaders = chain.leaders
-    for idx in chain.by_rank:
-        ld = leaders[idx]
-        if ld.indeterminate == x.indeterminate and dominates(x.index, ld.index):
-            return idx, tuple(map(operator.sub, x.index, ld.index))
-    return None
+    The divisors come from _divisors.  One divisor is the answer, with no
+    ranking: full_pseudo_reduce, the only caller, has refused a chain that
+    is not weakly triangular, where a leader's only divisor is its own
+    element.  Only several divisors read by_rank."""
+    divisors = _divisors(chain, x)
+    if not divisors:
+        return None
+    if divisors & (divisors - 1):
+        idx = next(i for i in chain.by_rank if divisors >> i & 1)
+    else:
+        idx = divisors.bit_length() - 1
+    return idx, tuple(map(operator.sub, x.index, chain.leaders[idx].index))
 
 
 def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
@@ -564,18 +555,27 @@ def full_pseudo_reduce(p: DiffPoly, chain: DiffChain) -> ReductionTrace:
         found = r.derivatives()
 
 
-def _witnesses(chain: DiffChain, x: MultiIndex, y: MultiIndex, i: int, k: int) -> int:
-    """Mask of the elements j whose leader divides θ = join(i, k) while
-    join(i, j) and join(j, k) lie strictly below θ; see DiffChain.leader_table."""
-    below, above = chain.leader_table
-    divides = ei = ek = -1
-    for s, t, bi, bk, ai, ak in zip(x, y, below[i], below[k], above[i], above[k]):
-        divides &= bi if s >= t else bk
+def _witnesses(chain: DiffChain, x: Derivative, y: Derivative) -> int:
+    """Mask of the elements j whose leader divides θ = join(x, y), the
+    leaders of the pair, while join(x, l_j) and join(l_j, y) lie strictly
+    below θ: the chain criterion, from the leader index.
+
+    Leader j divides θ exactly when l_j[a] <= max(x[a], y[a]) on each axis.
+    For such j, join(x, l_j) agrees with θ where x >= y, and where y > x it
+    reaches θ[a] = y[a] exactly when l_j[a] >= y[a].  So join(x, l_j) < θ
+    exactly when l_j[a] < y[a] on some axis where y > x, and join(l_j, y) < θ
+    in the mirror case; the three sets are read off the index by bisect.
+    When x and y are incomparable, as in a triangular chain, neither pair
+    element passes that test, so neither is its own witness.
+    """
+    divides, lower_y, lower_x = -1, 0, 0
+    for (entries, unions), s, t in zip(chain.leader_table[x.indeterminate], x.index, y.index):
+        divides &= unions[bisect.bisect_right(entries, max(s, t))]
         if s > t:
-            ei &= ai
+            lower_x |= unions[bisect.bisect_left(entries, s)]
         elif s < t:
-            ek &= ak
-    return divides & ~ei & ~ek
+            lower_y |= unions[bisect.bisect_left(entries, t)]
+    return divides & lower_x & lower_y
 
 
 def _obstruction_pairs(chain: DiffChain, every: bool):
@@ -586,8 +586,10 @@ def _obstruction_pairs(chain: DiffChain, every: bool):
 
     Those pairs are the only ones visited: a leader-only i is paired with the
     later elements that are not, so with a such elements the loop makes
-    O(len(chain)·a) visits, and none at all when a = 0.  With every, all the
-    elements count as such, and every pair is visited."""
+    O(len(chain)·a) visits, and none at all when a = 0.  Each visit reads the
+    chain's leader index in two bisects per axis (see _witnesses), which one
+    sort per axis builds, so this visit count bounds the whole loop.  With
+    every, all the elements count as such, and every pair is visited."""
     leaders, leader_only = chain.leaders, chain.leader_only
     others = [t for t, only in enumerate(leader_only) if every or not only]
     if not others:
@@ -598,9 +600,7 @@ def _obstruction_pairs(chain: DiffChain, every: bool):
             y = leaders[k]
             if x.indeterminate != y.indeterminate:
                 continue
-            witnesses = _witnesses(chain, x.index, y.index, i, k)
-            # the lowest witness, as a scan in index order would find first
-            yield i, k, (witnesses & -witnesses).bit_length() - 1 if witnesses else None
+            yield i, k, next(_bits(_witnesses(chain, x, y)), None)
 
 
 def validate(chain: DiffChain) -> ValidationReport:

@@ -80,12 +80,11 @@ class UnknownIdentifierError(ParseError):
 # Symbols first, as most tokens are; the three classes start with disjoint characters.
 _TOKEN = r"[=(),<{};^*+\-/\[\]]|[0-9]+|[^\W\d]\w*"
 _COMMENT = r"#[^\n]*"
-# Greedy with nothing after it, so re.match never backtracks into the loop;
-# the loop's stack grows with the text, so it runs only on a text that fails.
-_VALID = re.compile(rf"(?:[ \t\r\n]+|{_COMMENT}|{_TOKEN})*")
 _TOKENS = re.compile(_TOKEN)
 _COMMENTS = re.compile(_COMMENT)
-_COMMENTS_AND_TOKENS = re.compile(rf"{_COMMENT}|{_TOKEN}")
+# The text one match at a time, for a parse that fails: a token sets group 1,
+# and a character that starts nothing valid sets group 2.
+_SCAN = re.compile(rf"[ \t\r\n]+|{_COMMENT}|({_TOKEN})|(.)", re.S)
 # The term reader's parts, a factor or a coefficient, over the same integers and identifiers
 _PART = re.compile(r"([^\W\d]\w*)\[([0-9]+(?:,[0-9]+)*)\](?:\^([0-9]+))?|([0-9]+)(?:/([0-9]+))?")
 _BLANKS = " \t\r\n"
@@ -135,8 +134,8 @@ class _Parser:
         if sum(map(len, self.values)) + sum(map(code.count, _BLANKS)) < len(code):
             if terms:
                 raise _Replay
-            end = _VALID.match(text).end()
-            raise _error_at(ParseError, f"unexpected character {text[end]!r}", text, end)
+            bad = next(m for m in _SCAN.finditer(text) if m[2])
+            raise _error_at(ParseError, f"unexpected character {bad[2]!r}", text, bad.start())
         self.values.append("")
         self.text = text
         self.pos = 0
@@ -148,7 +147,7 @@ class _Parser:
         raises _Replay instead."""
         if self.bodies is not None:
             raise _Replay
-        starts = (m.start() for m in _COMMENTS_AND_TOKENS.finditer(self.text) if m[0][0] != "#")
+        starts = (m.start() for m in _SCAN.finditer(self.text) if m[1])
         raise _error_at(kind, message, self.text, next(islice(starts, at, None), len(self.text)))
 
     def expect(self, *wanted: str) -> int:

@@ -554,7 +554,8 @@ def test_lift_tables_live_on_the_chain(monkeypatch):
     report = staircase.validation_report()
     assert report.accepted and not calls and "_obstruction_lists" not in vars(staircase)
     assert "by_rank" not in vars(staircase)
-    # ω and the verdict read leader_spec; no pair needs a witness, so no masks
+    # ω and the verdict read leader_spec; no pair needs a witness and no
+    # derivative its divisors, so the leader index is never built
     assert "leader_spec" in vars(staircase) and "leader_table" not in vars(staircase)
     # reading the lists gives each kept pair its zero Δ through delta_polynomial,
     # whose leader-only lifts take one step each, at any order
@@ -833,10 +834,44 @@ print(time.perf_counter() - start < 1)
     ]
 
 
+def test_two_nonlinear_elements_beside_a_4000_leader_staircase_are_validated_at_once():
+    """The chain criterion reads a leader index built by one sort per axis,
+    so the two elements on v cost no pass over the 4,000 leaders on u, and
+    validate accepts the chain within 5 s; masks built pairwise over every
+    leader took about 11 s."""
+    script = _STAIRCASE + """
+v = lambda a, b: dvar(1, (a, b))
+chain = DiffChain(staircase(4000) + [v(2, 0) * v(0, 0) + v(0, 0), v(0, 2) + v(1, 0)],
+                  plain_ranking(2, 2))
+report = validate(chain)
+print(report.triangular, report.coherent)
+print(time.perf_counter() - start < 5)
+"""
+    out = run_in_fresh_process(script, timeout=10).splitlines()
+    assert out == ["True True", "True"]
+
+
+def test_a_nonlinear_element_on_a_4000_leader_staircase_is_validated_at_once():
+    """u[1,7999]^2 + u[0,0] on the staircase u[2i, 8000-2i], i <= 4000, is
+    triangular and not coherent; its 4,001 pairs read the leader index in
+    one bisect per axis each, so validate answers within 5 s."""
+    script = _STAIRCASE + """
+k = 4000
+chain = DiffChain([dvar(0, (2 * i, 2 * (k - i))) for i in range(k + 1)]
+                  + [dvar(0, (1, 2 * k - 1)) ** 2 + dvar(0, (0, 0))], plain_ranking(2, 1))
+report = validate(chain)
+print(report.triangular, report.coherent)
+print(time.perf_counter() - start < 5)
+"""
+    out = run_in_fresh_process(script, timeout=10).splitlines()
+    assert out == ["True False", "True"]
+
+
 def test_compare_of_two_2000_leader_staircases_reduces_each_leader_at_once():
     """Containment reduces every element of one staircase by the other, and
-    each is a leader there, found by one lookup instead of a scan of all
-    2,000 leaders, so compare_ideals establishes Equal within 1 s."""
+    each is a leader there, found by one bisect per axis in the leader index
+    instead of a scan of all 2,000 leaders, so compare_ideals establishes
+    Equal within 1 s."""
     script = _STAIRCASE + """
 smaller = DiffChain(staircase(2000), plain_ranking(2, 1))
 larger = DiffChain(staircase(2000), plain_ranking(2, 1))
@@ -971,7 +1006,9 @@ def test_obstruction_pairs_leave_out_exactly_the_pairs_of_two_leader_only_elemen
     """With every, the pair loop yields the chain criterion's verdict on
     every same-indeterminate pair, as read off the leaders by definition;
     without it, exactly those triples whose pair holds an element that is
-    not leader-only, in the same order with the same witness."""
+    not leader-only, in the same order with the same witness.  The leader
+    index's divisors of each derivative the chain holds are those found by
+    definition, and reduction picks the first of them in rank order."""
     rng = random.Random(3407)
     seen = {"none leader-only": 0, "all leader-only": 0, "mixed": 0, "witnessed": 0}
     for _ in range(200):
@@ -984,6 +1021,14 @@ def test_obstruction_pairs_leave_out_exactly_the_pairs_of_two_leader_only_elemen
         assert list(chains._obstruction_pairs(chain, every=False)) == [
             (i, k, via) for i, k, via in every if not (only[i] and only[k])
         ]
+        # the leader index against divisibility by definition, on every derivative held,
+        # each leader included
+        for x in set().union(*chain._derivatives):
+            assert chains._divisors(chain, x) == sum(
+                1 << j for j, y in enumerate(chain.leaders)
+                if y.indeterminate == x.indeterminate and dominates(x.index, y.index)
+            ), x
+            assert chains._reducer(chain, x) == _scan_reducer(chain, x), x
         seen["all leader-only" if all(only) else "mixed" if any(only) else "none leader-only"] += 1
         seen["witnessed"] += any(via is not None and not (only[i] and only[k])
                                  for i, k, via in every)
@@ -1001,7 +1046,7 @@ def _scan_reducer(chain, x):
 
 def test_reducer_agrees_with_the_rank_order_scan():
     """For every derivative of every lift of order at most 2 of each element,
-    leaders included, the leader lookup and the scan give one answer."""
+    leaders included, the leader index and the scan give one answer."""
     rng = random.Random(1975)
     seen = {"leader": 0, "proper derivative": 0, "irreducible": 0}
     for _ in range(40):

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -453,6 +454,25 @@ def test_error_positions_at_the_edges(text, line, column, message):
         parse_system(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_unexpected_character_costs_no_memory_in_proportion_to_the_text():
+    """The offset of a character that starts no token is found by one match
+    at a time, not by one match of the whole valid prefix, whose repeat
+    stack grew with the text: on a 20,000-leader staircase ending in '@'
+    that took about 28 MB."""
+    body = " ".join(f"u[{i},{19999 - i}];" for i in range(20000))
+    text = HEADER + "chain A { " + body + " }\n@"
+    assert len(text) > 290_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 4, column 1: unexpected character '@'"
+    assert peak < 10_000_000, peak
 
 
 def test_recurring_monomial_text():
