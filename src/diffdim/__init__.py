@@ -8,7 +8,6 @@ from .chains import (
     ValidationReport,
     delta_polynomial,
     full_pseudo_reduce,
-    membership,
     validate,
 )
 from .compare import (

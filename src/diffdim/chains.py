@@ -25,6 +25,8 @@ from .record import FrozenRecord, Record
 
 REGULARITY_TAG = "unverified-assumed"
 
+_NOTE_TERMS = 64  # the most terms of a remainder that validate's notes spell out
+
 
 class NotTriangularError(ValueError):
     """Reduction was asked to run against a chain that is not weakly triangular."""
@@ -647,28 +649,26 @@ def validate(chain: DiffChain) -> ValidationReport:
 
     Each kept pair is reduced in (i, k) order.  A skipped pair that fails
     is never reduced, so incoherence is reported by a kept pair, which may
-    come later in that order.
+    come later in that order.  Its note gives only the term count of a
+    remainder of more than _NOTE_TERMS terms, whose text can run to
+    megabytes; the whole remainder is on the pair's DeltaCheck.
     """
     failures = _triangularity_failures(chain) or _partial_reduction_failures(chain)
     if failures:
         messages = [*failures, "coherence not evaluated: chain is not triangular"]
         return ValidationReport(triangular=False, coherent=False, messages=messages)
-    coherent, messages = True, []
+    coherent, messages, names = True, [], chain.ring.indeterminate_names
     for i, k, via in _obstruction_pairs(chain, every=False):
         if via is not None:
             continue
         remainder = chain._delta_check(i, k).trace.remainder
         if not remainder.is_zero():
             coherent = False
-            messages.append(
-                f"cross-derivation obstruction of elements {i} and {k} leaves the nonzero "
-                f"remainder {poly_text(remainder, chain.ring.indeterminate_names)}"
-            )
+            count = len(remainder._terms)  # the term map, read without decoding a monomial
+            if count > _NOTE_TERMS:
+                shown = f"a nonzero remainder of {count} terms"
+            else:
+                shown = f"the nonzero remainder {poly_text(remainder, names)}"
+            messages.append(f"cross-derivation obstruction of elements {i} and {k} leaves {shown}")
     messages.append("regularity of initials and separants assumed, not verified")
     return ValidationReport(triangular=True, coherent=coherent, messages=messages)
-
-
-def membership(p: DiffPoly, chain: DiffChain) -> bool:
-    """Zero-remainder test for membership in the saturated differential ideal."""
-    chain.require_valid()
-    return full_pseudo_reduce(p, chain).remainder.is_zero()

@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .chains import DiffChain, membership
+from . import chains
+from .chains import DiffChain
 from .diffpoly import Derivative
 from .numpoly import NumericalPolynomial, Ordering
 from .dimension import omega
@@ -66,14 +67,18 @@ class CompareVerdict(Record):
 
 
 def containment_check(smaller: DiffChain, larger: DiffChain) -> Containment:
-    """Establish I(smaller) inside I(larger) by reducing every element.
+    """Contained when every element of smaller reduces to zero by larger, else Unknown.
 
-    Zero remainders prove containment; a nonzero remainder proves nothing
-    either way, so the answer is then Unknown rather than a refutation.
+    Zero remainders prove smaller ⊆ I(larger); I(smaller) ⊆ I(larger) also
+    needs every initial and separant of smaller to be regular modulo
+    I(larger), which is assumed, not checked.  A nonzero remainder proves
+    nothing either way, so the answer is then Unknown rather than a
+    refutation.  full_pseudo_reduce is looked up on the chains module at
+    each call, so a wrapper bound there sees every containment reduction.
     """
     smaller.require_valid()
     larger.require_valid()
-    if all(membership(p, larger) for p in smaller.elements):
+    if all(chains.full_pseudo_reduce(p, larger).remainder.is_zero() for p in smaller.elements):
         return Containment.CONTAINED
     return Containment.UNKNOWN
 

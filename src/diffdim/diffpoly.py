@@ -303,11 +303,6 @@ class DiffPoly:
         """True when p is one term c·x of degree 1, x a derivative."""
         return len(self._terms) == 1 and len(next(iter(self._terms))) == 1
 
-    def constant_value(self) -> Coefficient:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self._terms.get((), 0)
-
     def derivatives(self) -> set[Derivative]:
         """The derivatives in p."""
         return set(map(_DERIVATIVES.__getitem__, {i for mono in self._terms for i in mono}))

@@ -23,7 +23,6 @@ from diffdim import (
     delta_polynomial,
     full_pseudo_reduce,
     make_derivative,
-    membership,
     parse_system,
     validate,
 )
@@ -147,7 +146,7 @@ def test_reduction_by_bool_indexed_derivatives_raises_instead_of_looping():
     at construction.  Run in a fresh process with a time limit, so that a
     return of the loop fails the test instead of hanging the suite."""
     script = """
-from diffdim import Derivative, DiffChain, DiffPoly, full_pseudo_reduce, make_derivative, membership
+from diffdim import Derivative, DiffChain, DiffPoly, full_pseudo_reduce, make_derivative
 from corpus import plain_ranking
 u01, b01 = Derivative(0, (0, 1)), Derivative(0, (False, 1))
 chain = DiffChain([DiffPoly.variable(u01)], plain_ranking(2, 1))
@@ -155,13 +154,13 @@ for call in (
     lambda: make_derivative(0, (False, 1)),
     lambda: DiffChain([DiffPoly.variable(b01)], chain.ranking),
     lambda: full_pseudo_reduce(DiffPoly({(b01,): 1}), chain),
-    lambda: membership(DiffPoly.variable(u01) + DiffPoly.variable(b01), chain),
+    lambda: full_pseudo_reduce(DiffPoly.variable(u01) + DiffPoly.variable(b01), chain),
 ):
     try:
         call()
     except ValueError as exc:
         print(exc)
-print(membership(DiffPoly.variable(u01) ** 2, chain))
+print(full_pseudo_reduce(DiffPoly.variable(u01) ** 2, chain).remainder.is_zero())
 """
     out = run_in_fresh_process(script, timeout=60).splitlines()
     assert out == ["invalid derivative (0, (False, 1))"] * 4 + ["True"]
@@ -201,9 +200,8 @@ def test_reduction_rejects_derivative_outside_the_chain_ring():
         (dvar(1, (1, 0)) + dvar(0, (2, 0)), "indeterminate=1"),
     )
     for p, message in cases:
-        for reduce in (full_pseudo_reduce, membership):
-            with pytest.raises(ValueError, match="polynomial to reduce has .*" + message):
-                reduce(p, chain)
+        with pytest.raises(ValueError, match="polynomial to reduce has .*" + message):
+            full_pseudo_reduce(p, chain)
 
 
 def test_triangularity_detection():
@@ -607,8 +605,6 @@ def test_full_pseudo_reduce_of_zero():
     for p in (0, 5, None):
         with pytest.raises(TypeError, match="p must be a DiffPoly"):
             full_pseudo_reduce(p, chain)
-        with pytest.raises(TypeError, match="p must be a DiffPoly"):
-            membership(p, chain)
 
 
 def test_reduction_examples():
@@ -616,10 +612,9 @@ def test_reduction_examples():
     squares = _chain([u0 * u0 - u0], 1, 1)
     linear = _chain([u0], 1, 1)
     assert full_pseudo_reduce(u0, squares).remainder == u0
-    assert not membership(u0, squares)
-    assert membership(u0 * u0 - u0, linear)
-    assert membership(DiffPoly.zero(), squares)
-    assert not membership(DiffPoly.constant(1), squares)
+    assert full_pseudo_reduce(u0 * u0 - u0, linear).remainder.is_zero()
+    assert full_pseudo_reduce(DiffPoly.zero(), squares).remainder.is_zero()
+    assert full_pseudo_reduce(DiffPoly.constant(1), squares).remainder == DiffPoly.constant(1)
 
 
 def test_reduction_eliminates_proper_derivatives():
@@ -634,10 +629,10 @@ def test_reduction_eliminates_proper_derivatives():
     assert any(factor == 2 * u1 for factor, _ in trace.multipliers)
 
 
-def test_membership_rejects_invalid_chain():
+def test_require_valid_rejects_invalid_chain():
     bad = _chain([dvar(0, (1, 0)), dvar(0, (2, 0))], 2, 1)
-    with pytest.raises(InvalidChainError):
-        membership(dvar(0, (0, 0)), bad)
+    with pytest.raises(InvalidChainError, match="is a derivative of leader"):
+        bad.require_valid()
 
 
 def _remainder_is_fully_reduced(trace, chain):
@@ -695,10 +690,10 @@ def test_derivatives_of_chain_elements_are_members():
     squares = _chain([u0 * u0 - u0], 1, 1)
     derived = (u0 * u0 - u0).derive(0)
     assert derived == 2 * u0 * u1 - u1
-    assert membership(derived, squares)
+    assert full_pseudo_reduce(derived, squares).remainder.is_zero()
     # the separant 2*u0 - 1 is saturated away, so u1 itself is a member
-    assert membership(u1, squares)
-    assert not membership(u1 + u0, squares)
+    assert full_pseudo_reduce(u1, squares).remainder.is_zero()
+    assert full_pseudo_reduce(u1 + u0, squares).remainder == u0
     rng = random.Random(55)
     checked = 0
     for _ in range(30):
@@ -708,7 +703,8 @@ def test_derivatives_of_chain_elements_are_members():
         n = chain.ring.num_derivations
         for p in chain.elements:
             for theta in iter_indices(n, 2):
-                assert membership(p.derive_multi(theta), chain), (p, theta)
+                trace = full_pseudo_reduce(p.derive_multi(theta), chain)
+                assert trace.remainder.is_zero(), (p, theta)
         checked += 1
     assert checked >= 20
 

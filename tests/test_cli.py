@@ -13,7 +13,8 @@ import jsonschema
 import pytest
 
 import diffdim
-from diffdim import cli, dimension
+from diffdim import DiffPoly, chains, cli, dimension, make_derivative
+from diffdim.diffpoly import poly_text
 from diffdim.cli import ORACLE_VISIT_LIMIT, run
 
 from corpus import run_in_fresh_process
@@ -155,6 +156,57 @@ def test_validate_rejects_incoherent_chain(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "not a valid chain" in captured.err
+
+
+def _long_remainder_system(count):
+    """Chain L { u[2,0] − T; u[1,1]; } with T = v + v^2 + … + v^count in the
+    free v = v[0,0]: its one kept Δ is −∂T/∂y, count terms i·v^(i−1)·v[0,1]
+    that no leader reduces."""
+    tail = " - ".join(f"v[0,0]^{i}" for i in range(1, count + 1))
+    return (
+        "ring derivations=(x,y) indeterminates=(u,v)\n"
+        "ranking orderly tiebreak=(u<v)\n"
+        f"chain L {{ u[2,0] - {tail}; u[1,1]; }}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "count", [chains._NOTE_TERMS, chains._NOTE_TERMS + 1], ids=["at-bound", "above-bound"]
+)
+def test_an_incoherence_note_counts_the_terms_of_a_long_remainder(tmp_path, capsys, count):
+    """A remainder of up to _NOTE_TERMS terms is spelled out in the note; a
+    longer one only counted, and the whole of it stays on the chain's
+    DeltaCheck and in validate --explain, as text and as JSON."""
+    path = tmp_path / "long.sys"
+    path.write_text(_long_remainder_system(count), encoding="utf-8")
+    chain = diffdim.parse_system(path.read_text(encoding="utf-8")).chains["L"]
+    v, vy = (DiffPoly.variable(make_derivative(1, mu)) for mu in ((0, 0), (0, 1)))
+    expected = DiffPoly.zero()
+    for i in range(1, count + 1):
+        expected = expected - i * v ** (i - 1) * vy
+    report = chain.validation_report()
+    (check,) = chain.delta_checks
+    assert check.trace.remainder == expected and len(expected.terms) == count
+    text = poly_text(expected, chain.ring.indeterminate_names)
+    note = report.messages[0]
+    head = "cross-derivation obstruction of elements 0 and 1 leaves "
+    if count > chains._NOTE_TERMS:
+        assert note == f"{head}a nonzero remainder of {count} terms"
+        assert "v[" not in note and len(note) < 200  # every term of the remainder holds v[0,1]
+    else:
+        assert note == f"{head}the nonzero remainder {text}"
+
+    assert run(["validate", str(path), "--chain", "L"]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"  note: {note}", "  note: regularity of initials and separants assumed, not verified"
+    ]
+    assert run(["validate", str(path), "--chain", "L", "--explain"]) == 1
+    assert capsys.readouterr().out.endswith(f" -> remainder {text}\n")
+    assert run(["validate", str(path), "--chain", "L", "--explain", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    _check(payload, "validation_report.schema.json")
+    assert payload["messages"][0] == note
+    assert [trace["remainder"] for trace in payload["delta_traces"]] == [text]
 
 
 @pytest.mark.parametrize(
@@ -604,7 +656,7 @@ def test_public_surface():
         "RankingMismatchError", "ReductionTrace", "Relation", "RingSpec", "SystemFile",
         "UnknownIdentifierError", "ValidationReport", "compare_ideals", "containment_check",
         "delta_polynomial", "full_pseudo_reduce", "janet_boxes", "janet_complete",
-        "krull_oracle", "make_derivative", "membership", "omega",
+        "krull_oracle", "make_derivative", "omega",
         "omega_incl_excl", "omega_janet", "parse_system", "validate",
     ]
 

@@ -41,6 +41,9 @@ def test_degree_conventions():
 
 def test_equality_ignores_trailing_zeros():
     assert NumericalPolynomial([0, 1]) == NumericalPolynomial([0, 1, 0, 0])
+    # no coefficients at all is the zero polynomial
+    assert NumericalPolynomial([]) == NumericalPolynomial([0]) == NumericalPolynomial([0, 0])
+    assert NumericalPolynomial([]).coeffs == (0,)
     assert hash(NumericalPolynomial([0, 1])) == hash(NumericalPolynomial([0, 1, 0]))
 
 

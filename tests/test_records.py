@@ -85,6 +85,23 @@ def test_records_compare_hash_and_print_by_their_fields(data_dir):
                 hash(record)
 
 
+def test_chains_and_polynomials_refuse_assignment(data_dir):
+    """DiffChain, DiffPoly and NumericalPolynomial are not records but are
+    immutable too: assigning a field, or a name they do not have, raises."""
+    chain = parse_system((data_dir / "prolong_pair.sys").read_text(encoding="utf-8")).chains["S"]
+    cases = (
+        (chain, "elements", "DiffChain"),
+        (chain.elements[0], "_terms", "DiffPoly"),
+        (omega(chain).omega, "coeffs", "NumericalPolynomial"),
+    )
+    for value, field, kind in cases:
+        before = getattr(value, field)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+                setattr(value, name, None)
+        assert getattr(value, field) is before and not hasattr(value, "extra")
+
+
 def _loaded_in_bare_interpreter(statement: str) -> set[str]:
     """Which of dataclasses, inspect and typing `python -S -c statement`
     leaves loaded."""

@@ -388,6 +388,11 @@ def test_mutated_file_outcomes_match_pinned_digest(data_dir):
         (HEADER + "chain C { u[1,0]; }\n@", 4, 1, "unexpected character '@'"),
         (HEADER + "chain C { u[1,0]; } chain", 3, 26, "expected an identifier, found ''"),
         ("", 1, 1, "expected 'ring', found ''"),
+        # a ring that repeats a name is refused at its 'ring' keyword
+        (HEADER.replace("(t,x)", "(t,t)") + "chain C { u[1,0]; }", 1, 1,
+         "derivation names must be distinct"),
+        (HEADER.replace("(u,v)", "(u,u)", 1) + "chain C { u[1,0]; }", 1, 1,
+         "indeterminate names must be distinct"),
         # faults inside or around a derivative written without blanks
         (HEADER + "chain C { 2*]; }", 3, 13, "expected an identifier, found ']'"),
         (HEADER + "chain u[1,0] { u[1,0]; }", 3, 8, "expected '{', found '['"),
